@@ -61,24 +61,35 @@ class Features:
         return len(self.active)
 
 
-def tile_features(values, coder: TileCoder) -> Features:
-    """Encode one normalized sample of each signal; deterministic."""
-    vals = np.atleast_1d(np.asarray(values, dtype=float))
-    if len(vals) != coder.n_signals:
-        raise ValueError(f"expected {coder.n_signals} signal values, got {len(vals)}")
+def tile_indices(values, coder: TileCoder) -> np.ndarray:
+    """Sorted active-feature indices for a batch of normalized samples.
+
+    values has shape (n, n_signals), one row per sample; the result has
+    shape (n, n_active). Deterministic; every row is encoded alike.
+    """
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 2 or vals.shape[1] != coder.n_signals:
+        raise ValueError(f"expected {coder.n_signals} signal values per sample, "
+                         f"got shape {vals.shape}")
     if np.any(vals < -1e-9) or np.any(vals > 1.0 + 1e-9):
         raise ValueError(f"inputs must lie in [0, 1], got {vals}")
     vals = np.clip(vals, 0.0, 1.0)
     m_grid, k = coder.n_tilings, coder.tiles_per_dim
-    active = []
-    for p, v in enumerate(vals):
-        for m in range(m_grid):
-            offset = m / (m_grid * k)
-            tile = min(int((v + offset) * k), k - 1)
-            active.append(p * m_grid * k + m * k + tile)
+    offsets = np.array([m / (m_grid * k) for m in range(m_grid)])
+    # tiles[i, p, m]: tile of sample i, signal p in tiling m.
+    tiles = np.minimum(((vals[:, :, None] + offsets) * k).astype(int), k - 1)
+    # Signal blocks, then tilings within a block, so each row is sorted.
+    base = (np.arange(coder.n_signals)[:, None] * m_grid + np.arange(m_grid)) * k
+    active = (tiles + base).reshape(len(vals), -1)
     if coder.include_bias:
-        active.append(m_grid * k * coder.n_signals)
-    return Features(np.sort(active), coder.n_features)
+        bias = np.full((len(vals), 1), m_grid * k * coder.n_signals)
+        active = np.hstack([active, bias])
+    return active
+
+
+def tile_features(values, coder: TileCoder) -> Features:
+    """Encode one normalized sample of each signal; deterministic."""
+    return Features(tile_indices(np.atleast_1d(values)[None], coder)[0], coder.n_features)
 
 
 @dataclass(frozen=True)
@@ -151,6 +162,21 @@ class NextingLearner:
     def freeze(self):
         self.frozen = True
 
+    def _update(self, active: np.ndarray, active_next: np.ndarray,
+                y_next: np.ndarray) -> np.ndarray:
+        """One TD(lambda) step on active-feature indices; returns the
+        pre-update predictions at `active`."""
+        theta, e = self.theta, self.e
+        preds = theta[:, active].sum(axis=1)
+        if self.frozen:
+            return preds
+        e *= (self.gamma * self.trace_lambda)[:, None]
+        e[:, active] += 1.0
+        delta = y_next + self.gamma * theta[:, active_next].sum(axis=1) - preds
+        step = self.alpha / len(active) if self.divide_alpha else self.alpha
+        theta += step * delta[:, None] * e
+        return preds
+
 
 def td_step(learner: NextingLearner, phi_t: Features, phi_next: Features,
             y_next) -> np.ndarray:
@@ -167,15 +193,7 @@ def td_step(learner: NextingLearner, phi_t: Features, phi_next: Features,
     y_next = np.atleast_1d(np.asarray(y_next, dtype=float))
     if len(y_next) != learner.coder.n_signals:
         raise ValueError(f"expected {learner.coder.n_signals} targets, got {len(y_next)}")
-    preds = learner.predict(phi_t)
-    if learner.frozen:
-        return preds
-    learner.e *= (learner.gamma * learner.trace_lambda)[:, None]
-    learner.e[:, phi_t.active] += 1.0
-    delta = y_next + learner.gamma * learner.predict(phi_next) - preds
-    step = learner.alpha / phi_t.n_active if learner.divide_alpha else learner.alpha
-    learner.theta += step * delta[:, None] * learner.e
-    return preds
+    return learner._update(phi_t.active, phi_next.active, y_next)
 
 
 @dataclass(frozen=True)
@@ -222,17 +240,17 @@ def run_online(signals: list, coder: TileCoder, *, gamma, alpha: float,
     Y = np.array(normed)
 
     learner = NextingLearner(coder, gamma, alpha, trace_lambda, divide_alpha)
+    active = tile_indices(Y.T, coder)
+    # Steps 0..n_learn-1 update the weights; the rest only predict.
+    n_learn = n - 1 if freeze_after is None else min(freeze_after - 1, n - 1)
     preds = np.zeros((coder.n_signals, n))
-    phi = tile_features(Y[:, 0], coder)
-    for t in range(n):
-        if t + 1 >= n:
-            preds[:, t] = learner.predict(phi)
-            break
-        if freeze_after is not None and t + 1 >= freeze_after:
-            learner.freeze()
-        phi_next = tile_features(Y[:, t + 1], coder)
-        preds[:, t] = td_step(learner, phi, phi_next, Y[:, t + 1])
-        phi = phi_next
+    for t in range(n_learn):
+        preds[:, t] = learner._update(active[t], active[t + 1], Y[:, t + 1])
+    if n_learn < n - 1:
+        learner.freeze()
+    # The same fancy index as predict, so every sum adds in the same order
+    # (ndarray.take, for one, changes it when there are several signals).
+    preds[:, n_learn:] = learner.theta[:, active[n_learn:]].sum(axis=2)
 
     out = [signals[i].with_values(preds[i]) for i in range(coder.n_signals)]
     return NextingRun(out, bounds, learner)

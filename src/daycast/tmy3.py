@@ -8,15 +8,17 @@ documented defaults.
 """
 
 import csv
-from dataclasses import dataclass
+import itertools
+import math
+import operator
 from pathlib import Path
+
+import numpy as np
 
 from .errors import Tmy3ParseError
 from .series import Series
 
 DEFAULT_FIELD_MAP = {
-    "date": "Date (MM/DD/YYYY)",
-    "time": "Time (HH:MM)",
     "wind_speed": "Wind Speed (m/s)",
     "dry_bulb": "Dry-bulb (C)",
     "dni": "DNI (W/m^2)",
@@ -34,16 +36,6 @@ _FALLBACKS = {
 _SENTINEL_FLOOR = -9000.0
 
 
-@dataclass(frozen=True)
-class Tmy3Record:
-    """One hourly observation."""
-
-    timestamp: str
-    wind_speed: float
-    dry_bulb: float
-    dni: float
-
-
 def _resolve_column(header: list[str], key: str, wanted: str) -> int:
     if wanted in header:
         return header.index(wanted)
@@ -56,11 +48,47 @@ def _resolve_column(header: list[str], key: str, wanted: str) -> int:
     )
 
 
-def parse_tmy3_records(path, field_map: dict | None = None) -> list[Tmy3Record]:
-    """Parse a TMY3 file into hourly records, strictly.
+def _raise_parse_error(path: Path, header: list[str], cols: dict) -> None:
+    """Raise for the first bad cell in file order, or for a file without data.
 
-    Non-numeric cells and missing-data sentinels are rejected with the
-    offending row number (1-based, counting the two header lines).
+    Rows are numbered from 1 counting the two header lines, blank lines
+    included; within a row the cells are checked in the order of cols.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        next(reader)
+        for row_no, row in enumerate(reader, start=3):
+            if not row:
+                continue
+            for key, col in cols.items():
+                if col >= len(row):
+                    raise Tmy3ParseError(
+                        f"{path}: row {row_no} has no column {col} ({key})",
+                        row=row_no, column=header[col])
+                try:
+                    value = float(row[col])
+                except ValueError:
+                    raise Tmy3ParseError(
+                        f"{path}: non-numeric {key} value {row[col]!r} at row {row_no}",
+                        row=row_no, column=header[col]) from None
+                if not math.isfinite(value):
+                    raise Tmy3ParseError(
+                        f"{path}: non-finite {key} value {row[col]!r} at row {row_no}",
+                        row=row_no, column=header[col])
+                if value <= _SENTINEL_FLOOR:
+                    raise Tmy3ParseError(
+                        f"{path}: missing-data sentinel {value} for {key} at row {row_no}",
+                        row=row_no, column=header[col])
+    raise Tmy3ParseError(f"{path}: no data rows", row=3)
+
+
+def parse_tmy3(path, field_map: dict | None = None) -> tuple[Series, Series, Series]:
+    """Three hourly series (wind speed, dry-bulb temperature, DNI) from one file.
+
+    Parsing is strict: a short row, a non-numeric or non-finite cell and
+    a missing-data sentinel are each rejected with the offending row
+    number (1-based, counting the two header lines) and column name.
     """
     fmap = dict(DEFAULT_FIELD_MAP)
     if field_map:
@@ -79,41 +107,19 @@ def parse_tmy3_records(path, field_map: dict | None = None) -> list[Tmy3Record]:
 
         cols = {key: _resolve_column(header, key, fmap[key])
                 for key in ("wind_speed", "dry_bulb", "dni")}
-        date_col = header.index(fmap["date"]) if fmap["date"] in header else None
-        time_col = header.index(fmap["time"]) if fmap["time"] in header else None
-
-        records = []
-        for row_no, row in enumerate(reader, start=3):
-            if not row:
-                continue
-            vals = {}
-            for key, col in cols.items():
-                if col >= len(row):
-                    raise Tmy3ParseError(
-                        f"{path}: row {row_no} has no column {col} ({key})",
-                        row=row_no, column=header[col])
-                try:
-                    vals[key] = float(row[col])
-                except ValueError:
-                    raise Tmy3ParseError(
-                        f"{path}: non-numeric {key} value {row[col]!r} at row {row_no}",
-                        row=row_no, column=header[col]) from None
-                if vals[key] <= _SENTINEL_FLOOR:
-                    raise Tmy3ParseError(
-                        f"{path}: missing-data sentinel {vals[key]} for {key} at row {row_no}",
-                        row=row_no, column=header[col])
-            stamp = " ".join(
-                row[c].strip() for c in (date_col, time_col) if c is not None and c < len(row))
-            records.append(Tmy3Record(stamp, vals["wind_speed"], vals["dry_bulb"], vals["dni"]))
-        if not records:
-            raise Tmy3ParseError(f"{path}: no data rows", row=3)
-    return records
-
-
-def parse_tmy3(path, field_map: dict | None = None) -> tuple[Series, Series, Series]:
-    """Three hourly series (wind speed, dry-bulb temperature, DNI) from one file."""
-    records = parse_tmy3_records(path, field_map)
-    wind = Series([r.wind_speed for r in records], t0=1, period_hint=24, unit="m/s")
-    bulb = Series([r.dry_bulb for r in records], t0=1, period_hint=24, unit="degC")
-    dni = Series([r.dni for r in records], t0=1, period_hint=24, unit="Wh/m^2")
-    return wind, bulb, dni
+        pick = operator.itemgetter(*cols.values())
+        # One flat list of the picked cells, converted in one call: no
+        # per-row object outlives its row, so parsing triggers no garbage
+        # collection. Any failure falls back to a per-row scan for the error.
+        try:
+            cells = list(itertools.chain.from_iterable(pick(row) for row in reader if row))
+            table = np.array(cells, dtype=float).reshape(-1, len(cols))
+        except (IndexError, ValueError):
+            table = None
+    if table is None or not table.size or not np.all(
+            np.isfinite(table) & (table > _SENTINEL_FLOOR)):
+        _raise_parse_error(path, header, cols)
+    wind, bulb, dni = table.T
+    return (Series(wind, t0=1, period_hint=24, unit="m/s"),
+            Series(bulb, t0=1, period_hint=24, unit="degC"),
+            Series(dni, t0=1, period_hint=24, unit="Wh/m^2"))

@@ -136,13 +136,17 @@ class Tree:
     n_vars: int = 1
 
     def predict(self, x):
-        """Evaluate at a single point (scalar or feature vector) or an array of scalars."""
+        """Evaluate at a single point (scalar or feature vector) or a batch.
+
+        A batch is an array of scalars for a one-variable tree, or an
+        (m, n_vars) array with one point per row.
+        """
         x = np.asarray(x, dtype=float)
         if x.ndim == 0:
-            return self._route(np.array([float(x)]))
-        if x.ndim == 1 and self.n_vars == 1:
-            return np.array([self._route(np.array([v])) for v in x])
-        return self._route(x)
+            return self._route(x[None])
+        if x.ndim == 1 and self.n_vars > 1:
+            return self._route(x)
+        return np.array([self._route(row) for row in (x[:, None] if x.ndim == 1 else x)])
 
     def _route(self, x: np.ndarray) -> float:
         node = self.root

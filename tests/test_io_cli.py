@@ -59,6 +59,104 @@ class TestParseTmy3:
             parse_tmy3(path)
         assert err.value.row == 4
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_rejected_with_row_and_column(self, tmp_path, token):
+        rows = tiny_rows(5)
+        rows[3] = (rows[3][0], rows[3][1], rows[3][2], rows[3][3], token)
+        path = write_tmy3(tmp_path / "nonfinite.csv", rows)
+        with pytest.raises(Tmy3ParseError) as err:
+            parse_tmy3(path)
+        assert err.value.row == 6
+        assert err.value.column == "DNI (W/m^2)"
+        assert f"non-finite dni value {token!r} at row 6" in str(err.value)
+
+    def test_short_row_names_missing_column(self, tmp_path):
+        rows = tiny_rows(4)
+        rows[2] = rows[2][:3]
+        path = write_tmy3(tmp_path / "short.csv", rows)
+        with pytest.raises(Tmy3ParseError) as err:
+            parse_tmy3(path)
+        assert err.value.row == 5
+        assert err.value.column == "Dry-bulb (C)"
+        assert "row 5 has no column 3 (dry_bulb)" in str(err.value)
+
+    @pytest.mark.parametrize("first, second", [
+        ("sentinel", "text"), ("text", "short"), ("short", "sentinel"), ("nan", "text")])
+    def test_earlier_bad_row_reported_whatever_the_kinds(self, tmp_path, first, second):
+        def spoil(row, kind):
+            date, time, wind, bulb, dni = row
+            if kind == "short":
+                return (date, time, wind)
+            return (date, time, wind, bulb, {"sentinel": -9900, "text": "n/a", "nan": "nan"}[kind])
+
+        rows = tiny_rows(6)
+        rows[1] = spoil(rows[1], first)
+        rows[4] = spoil(rows[4], second)
+        path = write_tmy3(tmp_path / "two_bad.csv", rows)
+        with pytest.raises(Tmy3ParseError) as err:
+            parse_tmy3(path)
+        assert err.value.row == 4
+        assert "row 4" in str(err.value)
+
+    @pytest.mark.parametrize("wind, bulb, dni, column", [
+        ("calm", -9999, "dark", "Wind Speed (m/s)"),
+        (2.0, "warm", -9900, "Dry-bulb (C)"),
+        (-9900, 15.0, "inf", "Wind Speed (m/s)"),
+        (2.0, 15.0, "dark", "DNI (W/m^2)"),
+    ])
+    def test_bad_cells_in_one_row_reported_wind_bulb_dni(self, tmp_path, wind, bulb, dni,
+                                                           column):
+        rows = tiny_rows(3)
+        rows[1] = (rows[1][0], rows[1][1], wind, bulb, dni)
+        path = write_tmy3(tmp_path / "cells.csv", rows)
+        with pytest.raises(Tmy3ParseError) as err:
+            parse_tmy3(path)
+        assert err.value.row == 4
+        assert err.value.column == column
+
+    def test_blank_lines_count_toward_the_reported_row(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        rows = tiny_rows(4)
+        rows[3] = (rows[3][0], rows[3][1], "gusty", rows[3][3], rows[3][4])
+        with open(path, "w") as fh:
+            fh.write(HEADER)
+            fh.write(",".join(str(v) for v in rows[0]) + "\n\n\n")
+            for r in rows[1:]:
+                fh.write(",".join(str(v) for v in r) + "\n")
+        with pytest.raises(Tmy3ParseError) as err:
+            parse_tmy3(path)
+        # Lines 1-2 header, 3 data, 4-5 blank, 6-7 data, 8 the bad row.
+        assert err.value.row == 8
+        assert "at row 8" in str(err.value)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        rows = tiny_rows(3)
+        with open(path, "w") as fh:
+            fh.write(HEADER + "\n")
+            for r in rows:
+                fh.write(",".join(str(v) for v in r) + "\n\n")
+        wind, _, _ = parse_tmy3(path)
+        np.testing.assert_array_equal(wind.values, [r[2] for r in rows])
+
+    def test_only_blank_data_lines_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        with open(path, "w") as fh:
+            fh.write(HEADER + "\n\n")
+        with pytest.raises(Tmy3ParseError) as err:
+            parse_tmy3(path)
+        assert err.value.row == 3
+        assert "no data rows" in str(err.value)
+
+    def test_cells_convert_exactly_as_float_does(self, tmp_path):
+        rng = np.random.default_rng(11)
+        cells = [(repr(float(w)), f" {b:.3f}", f"{d:.6e}")
+                 for w, b, d in rng.uniform(0, 900, (50, 3))]
+        rows = [("01/01/1988", "01:00", *c) for c in cells]
+        path = write_tmy3(tmp_path / "exact.csv", rows)
+        for series, col in zip(parse_tmy3(path), zip(*cells)):
+            assert series.values.tolist() == [float(c) for c in col]
+
     def test_malformed_header_names_line_two(self, tmp_path):
         path = tmp_path / "noheader.csv"
         with open(path, "w") as fh:

@@ -1,9 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from daycast.nexting import (AlignResult, NextingLearner, TileCoder, align_affine,
-                             ideal_return, run_online, td_step, tile_features)
+                             ideal_return, run_online, td_step, tile_features, tile_indices)
 from daycast.series import Series, make_sine
+
+
+def reference_run(signals, coder, gamma, alpha, trace_lambda, freeze_after, divide_alpha):
+    """Step-by-step oracle: encode one sample and make one td_step at a time."""
+    Y = np.array([np.clip((s.values - s.values[:24].min())
+                          / (s.values[:24].max() - s.values[:24].min()), 0.0, 1.0)
+                  for s in signals])
+    n = Y.shape[1]
+    learner = NextingLearner(coder, gamma, alpha, trace_lambda, divide_alpha)
+    preds = np.zeros((coder.n_signals, n))
+    for t in range(n):
+        phi = tile_features(Y[:, t], coder)
+        if t + 1 == n:
+            preds[:, t] = learner.predict(phi)
+            break
+        if freeze_after is not None and t + 1 >= freeze_after:
+            learner.freeze()
+        preds[:, t] = td_step(learner, phi, tile_features(Y[:, t + 1], coder), Y[:, t + 1])
+    return preds, learner
 
 
 def direct_return(values, i0, gamma, horizon):
@@ -48,6 +69,14 @@ class TestTileCoder:
         coder = TileCoder(n_tilings=8, tiles_per_dim=8, n_signals=3)
         feats = tile_features([0.0, 0.5, 1.0], coder)
         assert feats.active.max() < coder.n_features
+
+    def test_batch_rows_match_single_samples(self):
+        coder = TileCoder(n_tilings=5, tiles_per_dim=7, n_signals=2)
+        samples = np.random.default_rng(3).uniform(0, 1, (40, 2))
+        batch = tile_indices(samples, coder)
+        assert batch.shape == (40, coder.n_active)
+        for row, sample in zip(batch, samples):
+            np.testing.assert_array_equal(row, tile_features(sample, coder).active)
 
 
 class TestIdealReturn:
@@ -189,6 +218,38 @@ class TestRunOnline:
         np.testing.assert_array_equal(a.predictions[0].values, b.predictions[0].values)
         np.testing.assert_array_equal(a.learner.theta, b.learner.theta)
         assert a.bounds == b.bounds
+
+
+class TestRunOnlineMatchesStepLoop:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_tile_features_and_td_step(self, data):
+        n_signals = data.draw(st.integers(1, 3))
+        coder = TileCoder(n_tilings=data.draw(st.sampled_from([1, 3, 4, 7, 8])),
+                          tiles_per_dim=data.draw(st.sampled_from([2, 5, 8, 10])),
+                          n_signals=n_signals, include_bias=data.draw(st.booleans()))
+        n = data.draw(st.integers(25, 80))
+        seed = data.draw(st.integers(0, 2**16))
+        rng = np.random.default_rng(seed)
+        signals = [Series(rng.normal(size=n).cumsum(), t0=1, period_hint=24)
+                   for _ in range(n_signals)]
+        gamma = data.draw(st.one_of(
+            st.floats(0.0, 0.95),
+            st.lists(st.floats(0.0, 0.95), min_size=n_signals, max_size=n_signals)))
+        alpha = data.draw(st.floats(0.01, 1.0))
+        trace_lambda = data.draw(st.floats(0.0, 1.0))
+        freeze_after = data.draw(st.sampled_from([None, 1, n - 1, n, n + 3]))
+        divide_alpha = data.draw(st.booleans())
+
+        run = run_online(signals, coder, gamma=gamma, alpha=alpha, trace_lambda=trace_lambda,
+                         freeze_after=freeze_after, divide_alpha=divide_alpha)
+        preds, learner = reference_run(signals, coder, gamma, alpha, trace_lambda,
+                                       freeze_after, divide_alpha)
+        for i in range(n_signals):
+            assert run.predictions[i].values.tobytes() == preds[i].tobytes()
+        assert run.learner.theta.tobytes() == learner.theta.tobytes()
+        assert run.learner.e.tobytes() == learner.e.tobytes()
+        assert run.learner.frozen == learner.frozen
 
 
 class TestAlignAffine:

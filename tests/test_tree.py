@@ -124,6 +124,17 @@ class TestGrow:
         with pytest.raises(ValueError):
             grow((np.zeros((0, 1)), np.zeros(0)))
 
+    def test_multivariate_batch_routes_each_row(self):
+        rng = np.random.default_rng(7)
+        X = rng.uniform(0, 4, (30, 2))
+        y = np.where(X[:, 0] <= 2.0, 1.0, 5.0) + np.where(X[:, 1] <= 1.0, 0.0, 2.0)
+        t = grow((X, y))
+        assert t.n_vars == 2
+        batch = t.predict(X)
+        assert batch.shape == (30,)
+        np.testing.assert_array_equal(batch, [t.predict(row) for row in X])
+        np.testing.assert_array_equal(batch, y)
+
 
 class TestPrune:
     def test_alpha_zero_keeps_tree(self, wind24):
