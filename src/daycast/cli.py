@@ -19,7 +19,7 @@ from . import __version__
 from .arima import acf_pacf
 from .config import band_from_config, load_config, load_dataset
 from .errors import ConfigError, DaycastError
-from .evalharness import compare, run_single
+from .evalharness import NextingParams, compare, parse_method, run_single
 from .fixtures import fixture
 from .nexting import TileCoder, run_online
 from .reportio import export_report, export_series, format_report_table, read_series_csv, write_series
@@ -140,15 +140,12 @@ def _cmd_compare(args) -> int:
 
 def _cmd_nexting_run(args) -> int:
     cfg, dataset = _load(args)
-    params = _one_method(cfg, "nexting-run")
-    if params["name"] != "nexting":
+    nx = parse_method(_one_method(cfg, "nexting-run"))
+    if not isinstance(nx, NextingParams):
         raise ConfigError("nexting-run needs a nexting method block")
-    run = run_online(
-        [dataset], TileCoder(n_signals=1),
-        gamma=params["gamma"], alpha=params["alpha"],
-        trace_lambda=params["trace_lambda"], freeze_after=params.get("freeze_after"),
-        norm_window=cfg["train_samples"],
-    )
+    run = run_online([dataset], TileCoder(n_signals=1), gamma=nx.gamma, alpha=nx.alpha,
+                     trace_lambda=nx.trace_lambda, freeze_after=nx.freeze_after,
+                     norm_window=cfg["train_samples"])
     lo, hi = run.bounds[0]
     # Undo the [0, 1] normalization so the stream is in signal units.
     scaled = run.predictions[0].with_values(lo + run.predictions[0].values * (hi - lo))

@@ -2,229 +2,79 @@
 
 A run config selects a signal (an embedded fixture, a synthetic sine, or
 a TMY3 column), a tolerance band, and a list of method parameter blocks.
-Validation is strict: unknown keys are rejected anywhere, required keys
-must be present, and every method block is checked against its module's
-preconditions before any fit runs.
+Every block parses with evalharness.parse_block, so validation is strict
+at every level, and each method block is checked against its training
+window before any fit runs.
 """
 
 import json
-import math
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
-from .evalharness import Band
+from .evalharness import Band, at_least, parse_block, parse_method
 from .fixtures import fixture
 from .series import Series, make_sine
 from .tmy3 import parse_tmy3
 
 _SIGNALS = ("wind", "temperature", "irradiance", "fixture", "synthetic")
 
-_TOP_KEYS = {"signal", "fixture", "data", "day_offset", "synthetic",
-             "train_samples", "forecast_samples", "band", "methods"}
+
+@dataclass(frozen=True)
+class _Synthetic:
+    amplitude: float
+    period: float
+    count: int
+    phase: float = 0.0
+
+    def __post_init__(self):
+        if self.period <= 0:
+            raise ValueError(f"period must be positive, got {self.period}")
+        at_least(1, count=self.count)
 
 
-def _fail(msg):
-    raise ConfigError(msg)
+@dataclass(frozen=True)
+class _RunConfig:
+    signal: str
+    band: Band
+    methods: list
+    fixture: str | None = None
+    data: str | None = None
+    day_offset: int = 0
+    synthetic: _Synthetic | None = None
+    train_samples: int = 24
+    forecast_samples: int = 24
 
-
-def _reject_unknown(block: dict, allowed: set, where: str):
-    unknown = set(block) - allowed
-    if unknown:
-        _fail(f"unknown key {min(unknown)!r} in {where}")
-
-
-def _need(block: dict, key: str, where: str):
-    if key not in block:
-        _fail(f"missing required key {key!r} in {where}")
-    return block[key]
-
-
-def _num(block, key, where, *, lo=None, lo_open=None, hi=None, hi_open=None):
-    v = _need(block, key, where)
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        _fail(f"{where}: {key} must be a finite number, got {v!r}")
-    if lo is not None and v < lo:
-        _fail(f"{where}: {key} must be >= {lo}, got {v}")
-    if lo_open is not None and v <= lo_open:
-        _fail(f"{where}: {key} must be > {lo_open}, got {v}")
-    if hi is not None and v > hi:
-        _fail(f"{where}: {key} must be <= {hi}, got {v}")
-    if hi_open is not None and v >= hi_open:
-        _fail(f"{where}: {key} must be < {hi_open}, got {v}")
-    return float(v)
-
-
-def _int(block, key, where, *, lo=None):
-    v = _need(block, key, where)
-    if isinstance(v, bool) or not isinstance(v, int):
-        _fail(f"{where}: {key} must be an integer, got {v!r}")
-    if lo is not None and v < lo:
-        _fail(f"{where}: {key} must be >= {lo}, got {v}")
-    return v
-
-
-def _opt_int(block, key, where, default, *, lo=None):
-    if key not in block or block[key] is None:
-        return default
-    return _int(block, key, where, lo=lo)
-
-
-def _validate_polynomial(block, where, train_samples):
-    _reject_unknown(block, {"name", "degree"}, where)
-    degree = _int(block, "degree", where, lo=0)
-    if degree + 1 > train_samples:
-        _fail(f"{where}: degree {degree} needs {degree + 1} training samples, "
-              f"have {train_samples}")
-
-
-def _validate_ridge(block, where, train_samples):
-    _reject_unknown(block, {"name", "reg_lambda", "g1"}, where)
-    _num(block, "reg_lambda", where, lo=0.0)
-    g1 = _need(block, "g1", where)
-    if not isinstance(g1, dict):
-        _fail(f"{where}: g1 must be an object with period and phase")
-    _reject_unknown(g1, {"period", "phase"}, f"{where}.g1")
-    _num(g1, "period", f"{where}.g1", lo_open=0.0)
-    _num(g1, "phase", f"{where}.g1")
-
-
-def _validate_rbf(block, where, train_samples):
-    _reject_unknown(block, {"name", "n_basis", "sigma", "include_bias", "placement"}, where)
-    n = _int(block, "n_basis", where, lo=1)
-    _num(block, "sigma", where, lo_open=0.0)
-    bias = block.get("include_bias", True)
-    if not isinstance(bias, bool):
-        _fail(f"{where}: include_bias must be true or false")
-    if block.get("placement", "even") not in ("even", "data"):
-        _fail(f"{where}: placement must be 'even' or 'data'")
-    if n + (1 if bias else 0) > train_samples:
-        _fail(f"{where}: {n} basis functions need more than {train_samples} samples")
-
-
-def _validate_spline(block, where, train_samples):
-    _reject_unknown(block, {"name", "smooth_lambda"}, where)
-    _num(block, "smooth_lambda", where, lo=0.0)
-    if train_samples < 4:
-        _fail(f"{where}: splines need at least 4 training samples")
-
-
-def _validate_kernel(block, where, train_samples):
-    _reject_unknown(block, {"name", "bandwidth"}, where)
-    if block.get("bandwidth") is not None:
-        _num(block, "bandwidth", where, lo_open=0.0)
-
-
-def _validate_arima(block, where, train_samples):
-    _reject_unknown(block, {"name", "p", "d", "q", "P", "D", "Q", "s", "train_periods"},
-                    where)
-    p = _int(block, "p", where, lo=0)
-    d = _int(block, "d", where, lo=0)
-    q = _int(block, "q", where, lo=0)
-    P = _int(block, "P", where, lo=0)
-    D = _int(block, "D", where, lo=0)
-    Q = _int(block, "Q", where, lo=0)
-    s = _int(block, "s", where, lo=0)
-    if s == 1:
-        _fail(f"{where}: seasonality s must be 0 (none) or >= 2")
-    if s == 0 and (P or D or Q):
-        _fail(f"{where}: seasonal orders need s >= 2")
-    tp = _int(block, "train_periods", where, lo=1)
-    m = tp * train_samples - d - s * D
-    needed = 3 * (p + q + P + Q + 1)
-    if m < needed:
-        _fail(f"{where}: differencing leaves {m} samples, estimation needs {needed}")
-
-
-def _validate_tree(block, where, train_samples):
-    _reject_unknown(block, {"name", "min_node_size", "max_leaves", "period",
-                            "train_periods"}, where)
-    _int(block, "min_node_size", where, lo=1)
-    _int(block, "period", where, lo=1)
-    _opt_int(block, "max_leaves", where, None, lo=1)
-    _opt_int(block, "train_periods", where, 1, lo=1)
-
-
-def _validate_nexting(block, where, train_samples):
-    _reject_unknown(block, {"name", "gamma", "alpha", "trace_lambda", "freeze_after",
-                            "max_shift", "train_periods"}, where)
-    _num(block, "gamma", where, lo=0.0, hi_open=1.0)
-    _num(block, "alpha", where, lo_open=0.0)
-    _num(block, "trace_lambda", where, lo=0.0, hi=1.0)
-    if _need(block, "freeze_after", where) is not None:
-        _int(block, "freeze_after", where, lo=1)
-    _opt_int(block, "max_shift", where, 2, lo=0)
-    _opt_int(block, "train_periods", where, 1, lo=1)
-
-
-_METHOD_VALIDATORS = {
-    "polynomial": _validate_polynomial,
-    "ridge": _validate_ridge,
-    "rbf": _validate_rbf,
-    "spline": _validate_spline,
-    "kernel": _validate_kernel,
-    "arima": _validate_arima,
-    "tree": _validate_tree,
-    "nexting": _validate_nexting,
-}
+    def __post_init__(self):
+        if self.signal not in _SIGNALS:
+            raise ValueError(f"signal must be one of {_SIGNALS}, got {self.signal!r}")
+        for key in ("fixture", "synthetic"):
+            if self.signal == key and getattr(self, key) is None:
+                raise ValueError(f"missing required key {key!r} for signal {key!r}")
+        if self.fixture is not None:
+            fixture(self.fixture)
+        at_least(0, day_offset=self.day_offset)
+        at_least(2, train_samples=self.train_samples)
+        at_least(1, forecast_samples=self.forecast_samples)
+        if not self.methods:
+            raise ValueError("methods must be a nonempty list")
 
 
 def validate_config(cfg: dict) -> dict:
     """Check a parsed run config and return it with defaults filled in."""
-    if not isinstance(cfg, dict):
-        _fail("config must be a JSON object")
-    _reject_unknown(cfg, _TOP_KEYS, "config")
-    signal = _need(cfg, "signal", "config")
-    if signal not in _SIGNALS:
-        _fail(f"config: signal must be one of {_SIGNALS}, got {signal!r}")
-    if signal == "fixture":
-        _need(cfg, "fixture", "config")
-    if signal == "synthetic":
-        syn = _need(cfg, "synthetic", "config")
-        if not isinstance(syn, dict):
-            _fail("config: synthetic must be an object")
-        _reject_unknown(syn, {"amplitude", "period", "count", "phase"}, "config.synthetic")
-        _num(syn, "amplitude", "config.synthetic")
-        _num(syn, "period", "config.synthetic", lo_open=0.0)
-        _int(syn, "count", "config.synthetic", lo=1)
-        if "phase" in syn:
-            _num(syn, "phase", "config.synthetic")
-    if "data" in cfg and cfg["data"] is not None and not isinstance(cfg["data"], str):
-        _fail("config: data must be a file path string")
-    _opt_int(cfg, "day_offset", "config", 0, lo=0)
-    train_samples = _opt_int(cfg, "train_samples", "config", 24, lo=2)
-    forecast_samples = _opt_int(cfg, "forecast_samples", "config", 24, lo=1)
-
-    band = _need(cfg, "band", "config")
-    if not isinstance(band, dict):
-        _fail("config: band must be an object")
-    _reject_unknown(band, {"inner", "outer", "unit"}, "config.band")
-    inner = _num(band, "inner", "config.band", lo_open=0.0)
-    outer = _num(band, "outer", "config.band", lo_open=0.0)
-    if outer <= inner:
-        _fail(f"config.band: outer ({outer}) must exceed inner ({inner})")
-
-    methods = _need(cfg, "methods", "config")
-    if not isinstance(methods, list) or not methods:
-        _fail("config: methods must be a nonempty list")
-    for i, block in enumerate(methods):
-        where = f"methods[{i}]"
-        if not isinstance(block, dict):
-            _fail(f"{where}: must be an object")
-        name = _need(block, "name", where)
-        if not isinstance(name, str):
-            _fail(f"{where}: name must be a string, got {name!r}")
-        validator = _METHOD_VALIDATORS.get(name)
-        if validator is None:
-            _fail(f"{where}: unknown method {name!r}; "
-                  f"choose from {sorted(_METHOD_VALIDATORS)}")
-        validator(block, f"{where} ({name})", train_samples)
-
-    out = dict(cfg)
-    out["train_samples"] = train_samples
-    out["forecast_samples"] = forecast_samples
-    out["day_offset"] = cfg.get("day_offset", 0) or 0
-    return out
+    try:
+        run = parse_block(_RunConfig, cfg, "config")
+        for i, block in enumerate(run.methods):
+            method = parse_method(block, f"methods[{i}]")
+            try:
+                method.check_window(run.train_samples)
+            except ValueError as exc:
+                raise ValueError(f"methods[{i}] ({block['name']}): {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return {**cfg, "train_samples": run.train_samples,
+            "forecast_samples": run.forecast_samples, "day_offset": run.day_offset}
 
 
 def load_config(path) -> dict:
@@ -240,12 +90,7 @@ def load_config(path) -> dict:
 
 
 def band_from_config(cfg: dict) -> Band:
-    b = cfg["band"]
-    return Band(float(b["inner"]), float(b["outer"]), b.get("unit", ""))
-
-
-def _max_train_periods(cfg: dict) -> int:
-    return max((m.get("train_periods", 1) or 1) for m in cfg["methods"])
+    return parse_block(Band, cfg["band"], "config.band")
 
 
 def load_dataset(cfg: dict, data_path=None) -> Series:
@@ -264,7 +109,7 @@ def load_dataset(cfg: dict, data_path=None) -> Series:
     if signal == "synthetic":
         syn = cfg["synthetic"]
         return make_sine(syn["amplitude"], syn["period"], syn["count"],
-                         syn.get("phase", 0.0))
+                         syn.get("phase") or 0.0)
     if signal == "fixture":
         return fixture(cfg["fixture"])
 
@@ -274,7 +119,8 @@ def load_dataset(cfg: dict, data_path=None) -> Series:
     wind, bulb, dni = parse_tmy3(path)
     series = {"wind": wind, "temperature": bulb, "irradiance": dni}[signal]
     start = cfg.get("day_offset", 0) * 24
-    needed = _max_train_periods(cfg) * cfg["train_samples"] + cfg["forecast_samples"]
+    periods = max(getattr(parse_method(m), "train_periods", 1) for m in cfg["methods"])
+    needed = periods * cfg["train_samples"] + cfg["forecast_samples"]
     if start + needed > len(series):
         raise ValueError(
             f"window of {needed} samples at day offset {cfg.get('day_offset', 0)} "

@@ -1,16 +1,19 @@
 """Comparison protocol: training RMSE and consecutive-in-band forecast runs.
 
-Every method trains on the day(s) immediately before a common forecast
-window (one day by default), forecasts it, and is scored two ways: the
-root mean square error over its own training window, and the number of
-consecutive forecast hours whose absolute error stays inside an inner
-and an outer tolerance band. Methods needing more history (seasonal
-ARIMA asks for two training days) extend their window backwards; when
-the dataset cannot supply it, the failure is captured in that method's
-report row and the remaining methods are unaffected.
+Every method trains on the day(s) right before a shared forecast window
+(one day by default; seasonal ARIMA asks for two), forecasts it, and is
+scored by its training RMSE and by how many consecutive forecast hours
+stay inside an inner and an outer tolerance band. A method that fails,
+or whose window the dataset cannot supply, gets an error row; the others
+are unaffected. Each method is one frozen parameter class in METHODS:
+its fields are its config keys, __post_init__ checks their ranges,
+check_window(n) the training window, and run() fits and forecasts.
 """
 
-from dataclasses import dataclass, field
+import functools
+import math
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -70,106 +73,254 @@ class EvalReport:
         return self.error is None
 
 
-@dataclass(frozen=True)
-class _MethodOutput:
-    train_pred: np.ndarray | None
-    forecast: np.ndarray
-    extra: dict = field(default_factory=dict)
-
-
-def _run_polynomial(train, holdout, params):
-    fit = linmodels.fit_polynomial(train, params["degree"])
-    return _MethodOutput(fit.predict(train.times), fit.predict(holdout.times))
-
-
-def _run_ridge(train, holdout, params):
-    g1 = params["g1"]
-    basis = (linmodels.Constant(), linmodels.Sinusoid(g1["period"], g1["phase"]))
-    fit = linmodels.fit_basis(train, basis, reg_lambda=params["reg_lambda"])
-    return _MethodOutput(fit.predict(train.times), fit.predict(holdout.times))
-
-
-def _run_rbf(train, holdout, params):
-    config = linmodels.RbfConfig(
-        n_basis=params["n_basis"], sigma=params["sigma"],
-        include_bias=params.get("include_bias", True),
-        placement=params.get("placement", "even"),
-    )
-    fit = linmodels.fit_rbf(train, config)
-    return _MethodOutput(fit.predict(train.times), fit.predict(holdout.times))
-
-
-def _run_spline(train, holdout, params):
-    fit = smoothers.fit_smoothing_spline(train, params["smooth_lambda"])
-    return _MethodOutput(fit.predict(train.times), fit.predict(holdout.times))
-
-
-def _run_kernel(train, holdout, params):
-    bw = params.get("bandwidth") or smoothers.default_bandwidth(train)
-    config = smoothers.KernelConfig(bandwidth=bw)
-    tr = np.array([smoothers.kernel_predict(train, config, x) for x in train.times])
-    fc = np.array([smoothers.kernel_predict(train, config, x) for x in holdout.times])
-    return _MethodOutput(tr, fc, {"bandwidth": bw})
-
-
-def _run_arima(train, holdout, params):
-    seasonal = (params["P"], params["D"], params["Q"], params["s"]) \
-        if params.get("s") else None
-    order = arima.ArimaOrder(params["p"], params["d"], params["q"], seasonal)
-    model = arima.css_estimate(train, order)
-    fc = arima.forecast(model, train, len(holdout))
-    # No training-interval predictions: the difference equation only runs forward.
-    return _MethodOutput(None, fc.values, {"warnings": list(model.warnings)})
-
-
-def _run_tree(train, holdout, params):
-    config = tree.GrowConfig(min_node_size=params["min_node_size"],
-                             max_leaves=params.get("max_leaves"))
-    period = params["period"]
-    if params.get("train_periods", 1) > 1:
-        wrapper = tree.fit_periodic_ensemble(train, period, config)
-    else:
-        wrapper = tree.PeriodicWrapper(tree.grow(train, config), period, train.t0)
-    # Training error over the day closest to the forecast window.
-    last_day = Series(train.values[-period:], train.t0 + len(train) - period)
-    return _MethodOutput(wrapper.predict(last_day.times), wrapper.predict(holdout.times))
-
-
-def _run_nexting(train, holdout, params):
-    full = train.with_values(np.concatenate([train.values, holdout.values]))
-    coder = nexting.TileCoder(n_signals=1)
-    run = nexting.run_online(
-        [full], coder, gamma=params["gamma"], alpha=params["alpha"],
-        trace_lambda=params["trace_lambda"], freeze_after=params.get("freeze_after"),
-        norm_window=len(train),
-    )
-    preds = run.predictions[0]
-    d = len(train)
-    align = nexting.align_affine(
-        Series(preds.values[:d], train.t0), train, max_shift=params.get("max_shift", 2))
-    # Apply the training-window transform to the forecast window; the final
-    # `shift` positions reuse the last available prediction.
-    n = len(preds)
-    idx = np.minimum(np.arange(d, d + len(holdout)) + align.shift, n - 1)
-    fc = align.scale * preds.values[idx] + align.offset
-    tr = align.scale * preds.values[np.minimum(np.arange(d) + align.shift, n - 1)] \
-        + align.offset
-    return _MethodOutput(tr, fc, {
-        "align_scale": align.scale, "align_offset": align.offset,
-        "align_shift": align.shift, "bounds": run.bounds[0],
-    })
-
-
-_RUNNERS = {
-    "polynomial": _run_polynomial,
-    "ridge": _run_ridge,
-    "rbf": _run_rbf,
-    "spline": _run_spline,
-    "kernel": _run_kernel,
-    "arima": _run_arima,
-    "tree": _run_tree,
-    "nexting": _run_nexting,
+_KINDS = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a finite number", lambda v: isinstance(v, (int, float))
+            and not isinstance(v, bool) and math.isfinite(v)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    list: ("a list", lambda v: isinstance(v, list)),
 }
+
+
+@functools.cache
+def _fields(cls) -> dict:
+    """key -> (default, null allowed, type) for each init field of a parameter class."""
+    return {f.name: (f.default, type(None) in typing.get_args(f.type),
+                     (typing.get_args(f.type) or (f.type,))[0]) for f in fields(cls) if f.init}
+
+
+def parse_block(cls, block, where: str):
+    """Build cls from one config block whose keys are its fields.
+
+    Rejects unknown keys, missing required keys (fields without a default)
+    and wrong types (a bool is not a number; numbers must be finite). Null on
+    an optional key means its default; class-typed fields parse as blocks.
+    """
+    if not isinstance(block, dict):
+        raise ValueError(f"{where}: must be an object, got {block!r}")
+    table = _fields(cls)
+    if not block.keys() <= table.keys():
+        raise ValueError(f"unknown key {min(block.keys() - table.keys())!r} in {where}")
+    args = {}
+    for key, (default, nullable, tp) in table.items():
+        value = block.get(key)
+        if value is None and default is not MISSING:
+            continue
+        if key not in block:
+            raise ValueError(f"missing required key {key!r} in {where}")
+        if tp not in _KINDS:
+            value = parse_block(tp, value, f"{where}.{key}")
+        elif not (value is None and nullable or _KINDS[tp][1](value)):
+            raise ValueError(f"{where}: {key} must be {_KINDS[tp][0]}, got {value!r}")
+        args[key] = value
+    try:
+        return cls(**args)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def at_least(lo, **values):
+    """Raise ValueError naming the first keyword argument below lo; None passes."""
+    for key, value in values.items():
+        if value is not None and value < lo:
+            raise ValueError(f"{key} must be >= {lo}, got {value}")
+
+
+class _Method:
+    """Config keys as fields; run(train, holdout) returns the training-window
+    predictions (or None), the forecast and extra report settings.
+    """
+
+    def check_window(self, n: int):
+        """Reject up front a training window of n samples per period."""
+
+
+@dataclass(frozen=True)
+class PolynomialParams(_Method):
+    degree: int
+
+    def __post_init__(self):
+        at_least(0, degree=self.degree)
+
+    def check_window(self, n):
+        if self.degree + 1 > n:
+            raise ValueError(f"degree {self.degree} needs {self.degree + 1} samples, have {n}")
+
+    def run(self, train, holdout):
+        fit = linmodels.fit_polynomial(train, self.degree)
+        return fit.predict(train.times), fit.predict(holdout.times), {}
+
+
+@dataclass(frozen=True)
+class _Cosine(linmodels.Sinusoid):
+    phase: float = field()  # no default: a required key in ridge's g1 block
+
+
+@dataclass(frozen=True)
+class RidgeParams(_Method):
+    reg_lambda: float
+    g1: _Cosine
+
+    def __post_init__(self):
+        at_least(0, reg_lambda=self.reg_lambda)
+
+    def run(self, train, holdout):
+        fit = linmodels.fit_basis(train, (linmodels.Constant(), self.g1),
+                                  reg_lambda=self.reg_lambda)
+        return fit.predict(train.times), fit.predict(holdout.times), {}
+
+
+@dataclass(frozen=True)
+class RbfParams(_Method, linmodels.RbfConfig):
+    centers: tuple | None = field(default=None, init=False)  # set by placement; not a key
+
+    def check_window(self, n):
+        if self.n_basis + self.include_bias > n:
+            raise ValueError(f"{self.n_basis} basis functions need more than {n} samples")
+
+    def run(self, train, holdout):
+        fit = linmodels.fit_rbf(train, self)
+        return fit.predict(train.times), fit.predict(holdout.times), {}
+
+
+@dataclass(frozen=True)
+class SplineParams(_Method):
+    smooth_lambda: float
+
+    def __post_init__(self):
+        at_least(0, smooth_lambda=self.smooth_lambda)
+
+    def check_window(self, n):
+        if n < 4:
+            raise ValueError("splines need at least 4 training samples")
+
+    def run(self, train, holdout):
+        fit = smoothers.fit_smoothing_spline(train, self.smooth_lambda)
+        return fit.predict(train.times), fit.predict(holdout.times), {}
+
+
+@dataclass(frozen=True)
+class KernelParams(_Method):
+    bandwidth: float | None = None  # None: the variance of the training targets
+
+    def __post_init__(self):
+        if self.bandwidth is not None:
+            smoothers.KernelConfig(self.bandwidth)
+
+    def run(self, train, holdout):
+        bw = self.bandwidth or smoothers.default_bandwidth(train)
+        config = smoothers.KernelConfig(bandwidth=bw)
+        tr = np.array([smoothers.kernel_predict(train, config, x) for x in train.times])
+        fc = np.array([smoothers.kernel_predict(train, config, x) for x in holdout.times])
+        return tr, fc, {"bandwidth": bw}
+
+
+@dataclass(frozen=True)
+class ArimaParams(_Method):
+    p: int
+    d: int
+    q: int
+    P: int
+    D: int
+    Q: int
+    s: int  # 0: no seasonal block
+    train_periods: int
+
+    def __post_init__(self):
+        self.order()
+        at_least(1, train_periods=self.train_periods)
+
+    def order(self):
+        seasonal = (self.P, self.D, self.Q, self.s)
+        return arima.ArimaOrder(self.p, self.d, self.q, seasonal if any(seasonal) else None)
+
+    def check_window(self, n):
+        m = self.train_periods * n - self.d - self.s * self.D
+        needed = 3 * (self.order().n_params + 1)
+        if m < needed:
+            raise ValueError(f"differencing leaves {m} samples, estimation needs {needed}")
+
+    def run(self, train, holdout):
+        model = arima.css_estimate(train, self.order())
+        fc = arima.forecast(model, train, len(holdout))
+        # No training-interval predictions: the difference equation only runs forward.
+        return None, fc.values, {"warnings": list(model.warnings)}
+
+
+@dataclass(frozen=True)
+class TreeParams(_Method):
+    min_node_size: int
+    period: int
+    max_leaves: int | None = None
+    train_periods: int = 1
+
+    def __post_init__(self):
+        tree.GrowConfig(self.min_node_size, self.max_leaves)
+        tree.PeriodicWrapper(None, self.period)
+        at_least(1, train_periods=self.train_periods)
+
+    def run(self, train, holdout):
+        config = tree.GrowConfig(self.min_node_size, self.max_leaves)
+        wrapper = (tree.fit_periodic_ensemble(train, self.period, config) if self.train_periods > 1
+                   else tree.PeriodicWrapper(tree.grow(train, config), self.period, train.t0))
+        # Training error over the day closest to the forecast window.
+        last_day = Series(train.values[-self.period:], train.t0 + len(train) - self.period)
+        return wrapper.predict(last_day.times), wrapper.predict(holdout.times), {}
+
+
+@dataclass(frozen=True)
+class NextingParams(_Method):
+    gamma: float
+    alpha: float
+    trace_lambda: float
+    freeze_after: int | None  # required; None: the weights never freeze
+    max_shift: int = 2
+    train_periods: int = 1
+
+    def __post_init__(self):
+        if not 0 <= self.gamma < 1:
+            raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
+        if self.alpha <= 0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0 <= self.trace_lambda <= 1:
+            raise ValueError(f"trace_lambda must lie in [0, 1], got {self.trace_lambda}")
+        at_least(0, max_shift=self.max_shift)
+        at_least(1, freeze_after=self.freeze_after, train_periods=self.train_periods)
+
+    def run(self, train, holdout):
+        full = train.with_values(np.concatenate([train.values, holdout.values]))
+        run = nexting.run_online([full], nexting.TileCoder(n_signals=1), gamma=self.gamma,
+                                 alpha=self.alpha, trace_lambda=self.trace_lambda,
+                                 freeze_after=self.freeze_after, norm_window=len(train))
+        preds, d = run.predictions[0].values, len(train)
+        align = nexting.align_affine(Series(preds[:d], train.t0), train,
+                                     max_shift=self.max_shift)
+        # Apply the training-window transform to both windows; the final
+        # `shift` positions reuse the last available prediction.
+        n = len(preds)
+        out = align.scale * preds[np.minimum(np.arange(n) + align.shift, n - 1)] + align.offset
+        return out[:d], out[d:], {
+            "align_scale": align.scale, "align_offset": align.offset,
+            "align_shift": align.shift, "bounds": run.bounds[0],
+        }
+
+
+METHODS = {cls.__name__[:-6].lower(): cls for cls in _Method.__subclasses__()}
+
+
+def parse_method(block, where: str = "method") -> _Method:
+    """The parameter object of one method block, chosen by its "name" key."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{where}: must be an object, got {block!r}")
+    if "name" not in block:
+        raise ValueError(f"missing required key 'name' in {where}")
+    name = block["name"]
+    cls = METHODS.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise ValueError(f"{where}: unknown method {name!r}; choose from {sorted(METHODS)}")
+    params = {key: value for key, value in block.items() if key != "name"}
+    return parse_block(cls, params, f"{where} ({name})")
 
 
 @dataclass(frozen=True)
@@ -186,26 +337,19 @@ class SingleRun:
 
 def run_single(dataset: Series, params: dict, *, train_samples: int = 24,
                forecast_samples: int = 24) -> SingleRun:
-    """Run one method under the comparison protocol; failures propagate."""
-    name = params.get("name", "?")
-    runner = _RUNNERS.get(name)
-    if runner is None:
-        raise ValueError(f"unknown method {name!r}")
+    """Run one method block under the comparison protocol; failures propagate."""
+    method = parse_method(params)
     boundary = len(dataset) - forecast_samples
-    window = params.get("train_periods", 1) * train_samples
+    window = getattr(method, "train_periods", 1) * train_samples
     if boundary - window < 0:
-        raise ValueError(
-            f"{name} needs {window} training samples before the forecast window "
-            f"but only {boundary} are available"
-        )
+        raise ValueError(f"{params['name']} needs {window} training samples before the forecast "
+                         f"window but only {boundary} are available")
     holdout = Series(dataset.values[boundary:], dataset.t0 + boundary,
                      dataset.period_hint, dataset.unit)
     train = Series(dataset.values[boundary - window:boundary],
                    dataset.t0 + boundary - window, dataset.period_hint, dataset.unit)
-    out = runner(train, holdout, params)
-    settings = dict(params)
-    settings.update(out.extra)
-    return SingleRun(name, train, holdout, out.train_pred, out.forecast, settings)
+    train_pred, forecast, extras = method.run(train, holdout)
+    return SingleRun(params["name"], train, holdout, train_pred, forecast, {**params, **extras})
 
 
 def compare(dataset: Series, methods: list, band: Band, *,

@@ -8,6 +8,7 @@ bare two-column t,value lines for external plotting tools.
 
 import csv
 import json
+import math
 import sys
 
 from .evalharness import EvalReport
@@ -67,11 +68,17 @@ def read_series_csv(path, t0: int | None = None) -> Series:
     """Read a two-column t,value file back into a series."""
     ts, vs = [], []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        for line, row in enumerate(csv.reader(fh), 1):
             if not row:
                 continue
-            ts.append(float(row[0]))
-            vs.append(float(row[1]))
+            try:
+                t, v = float(row[0]), float(row[1])
+            except (IndexError, ValueError):
+                t = v = math.nan
+            if not (math.isfinite(t) and math.isfinite(v)):
+                raise ValueError(f"{path}: line {line} is not a finite t,value pair: {row}")
+            ts.append(t)
+            vs.append(v)
     if not vs:
         raise ValueError(f"{path}: no data rows")
     return Series(vs, t0=int(ts[0]) if t0 is None else t0)

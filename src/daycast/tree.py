@@ -89,6 +89,7 @@ def _split_arrays(X: np.ndarray, y: np.ndarray) -> BestSplit | None:
     if n < 2:
         return None
     parent_sse = float(np.sum((y - y.mean()) ** 2))
+    tie = 1e-12 * max(1.0, parent_sse)  # closer costs tie; the first seen wins
     best: BestSplit | None = None
     best_cost = np.inf
     for j in range(X.shape[1]):
@@ -105,10 +106,10 @@ def _split_arrays(X: np.ndarray, y: np.ndarray) -> BestSplit | None:
             left = cum2[k - 1] - cum[k - 1] ** 2 / k
             right = (total2 - cum2[k - 1]) - (total - cum[k - 1]) ** 2 / (n - k)
             cost = left + right
-            if cost < best_cost:
+            if cost < best_cost - tie:
                 best_cost = cost
                 best = BestSplit(j, 0.5 * (xs[k - 1] + xs[k]), float(left), float(right))
-    if best is None or best_cost >= parent_sse - 1e-12 * max(1.0, parent_sse):
+    if best is None or best_cost >= parent_sse - tie:
         return None
     return best
 

@@ -1,15 +1,21 @@
 import copy
 import csv
+import dataclasses
 import json
+import math
+import re
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from daycast.cli import run_cli
 from daycast.config import (band_from_config, builtin_config_names, builtin_config_path,
                             load_config, load_dataset, validate_config)
 from daycast.errors import ConfigError, Tmy3ParseError
-from daycast.evalharness import compare
+from daycast.evalharness import METHODS, compare
 from daycast.reportio import (export_report, export_series, format_report_table,
                               read_series_csv, report_rows)
 from daycast.tmy3 import parse_tmy3
@@ -260,6 +266,59 @@ class TestRunConfig:
         wind, _, _ = parse_tmy3(path)
         np.testing.assert_array_equal(ds.values, wind.values[48:96])
 
+    @pytest.mark.parametrize("block, key", [
+        ({"name": "tree", "min_node_size": 10, "period": 24}, "train_periods"),
+        ({"name": "nexting", "gamma": 0.0, "alpha": 0.3, "trace_lambda": 0.9,
+          "freeze_after": 24}, "max_shift"),
+    ])
+    def test_null_on_optional_key_means_its_default(self, block, key):
+        rows = []
+        for methods in ([{**block, key: None}], [block]):
+            cfg = validate_config({"signal": "wind", "band": {"inner": 1, "outer": 3},
+                                   "methods": methods})
+            [row] = compare(load_dataset(cfg), cfg["methods"], band_from_config(cfg))
+            assert row.ok, row.error
+            rows.append((row.train_rmse, row.inner_run, row.outer_run))
+        assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("block, message", [
+        ({"name": "spline", "smooth_lambda": True}, "smooth_lambda must be a finite number"),
+        ({"name": "spline", "smooth_lambda": math.nan}, "smooth_lambda must be a finite number"),
+        ({"name": "polynomial", "degree": 6.0}, "degree must be an integer"),
+        ({"name": "ridge", "reg_lambda": 0.1, "g1": {"period": 24}},
+         "missing required key 'phase' in methods[0] (ridge).g1"),
+        ({"name": "nexting", "gamma": 0.0, "alpha": 0.3, "trace_lambda": 0.9},
+         "missing required key 'freeze_after' in methods[0] (nexting)"),
+        ({"name": "astrology"}, "methods[0]: unknown method 'astrology'"),
+        ({"name": "tree", "min_node_size": 0, "period": 24},
+         "methods[0] (tree): min_node_size must be >= 1"),
+    ])
+    def test_method_errors_name_the_block_and_key(self, block, message):
+        with pytest.raises(ConfigError) as err:
+            validate_config({"signal": "wind", "band": {"inner": 1, "outer": 3},
+                             "methods": [block]})
+        assert message in str(err.value)
+
+    def test_readme_key_table_matches_the_registry(self):
+        names = {int: "integer", float: "number", str: "string", bool: "boolean"}
+        want = []
+        for method, cls in METHODS.items():
+            for f in dataclasses.fields(cls):
+                if not f.init:
+                    continue
+                args = typing.get_args(f.type)
+                kind = names.get(args[0] if args else f.type, "object")
+                if f.default is not dataclasses.MISSING:
+                    default = f"`{json.dumps(f.default)}`"
+                else:
+                    default = "required"
+                    kind += " or `null`" if type(None) in args else ""
+                want.append((f"`{method}`", f"`{f.name}`", kind, default))
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = [tuple(cell.strip() for cell in line.split("|")[1:5])
+                for line in readme.splitlines() if re.match(r"\| `\w+` \| `\w+` \|", line)]
+        assert rows == want
+
 
 class TestExportReport:
     def make_reports(self, wind):
@@ -411,6 +470,25 @@ class TestCli:
         lag12 = float(lines[13].split(",")[1])
         assert lag12 > 0.5
 
+    @pytest.mark.parametrize("bad", ["3", "3,nan", "3,inf", "-inf,0.2", "3,calm"])
+    def test_acf_data_row_errors_name_path_and_line(self, tmp_path, capsys, bad):
+        path = tmp_path / "series.csv"
+        path.write_text(f"1,0.5\n2,0.7\n{bad}\n4,0.1\n5,0.4\n")
+        assert run_cli(["acf", "--data", str(path), "--max-lag", "2"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "line 3" in err
+
+    @pytest.mark.parametrize("command", ["compare", "fit", "forecast", "nexting-run"])
+    @pytest.mark.parametrize("value", [["x"], "nope"])
+    def test_bad_fixture_key_is_a_config_error(self, tmp_path, capsys, command, value):
+        cfg = tmp_path / "fixture.json"
+        cfg.write_text(json.dumps({
+            "signal": "fixture", "fixture": value, "band": {"inner": 1, "outer": 3},
+            "methods": [{"name": "nexting", "gamma": 0.0, "alpha": 0.3,
+                         "trace_lambda": 0.9, "freeze_after": 24}]}))
+        assert run_cli([command, "--config", str(cfg)]) == 1
+        assert "fixture" in capsys.readouterr().err
+
     def test_data_flag_overrides_config(self, tmp_path, capsys):
         path = write_tmy3(tmp_path / "wk.csv", tiny_rows(96))
         cfg = tmp_path / "cfg.json"
@@ -433,3 +511,49 @@ class TestCli:
                       "--out", "/no/such/dir/out.csv"])
         assert rc == 2
         capsys.readouterr()
+
+
+_SMALL_JSON = st.one_of(st.none(), st.booleans(), st.integers(-3, 50),
+                        st.sampled_from([math.nan, math.inf, -math.inf]),
+                        st.text(max_size=4), st.just([]), st.just({}))
+
+
+@st.composite
+def mutated_builtin_configs(draw):
+    """A command and a builtin config with one to three values, at any depth,
+    deleted or replaced by a small JSON value. The single-method commands get
+    one of the config's method blocks; every integer stays <= 50, so no draw
+    asks for a large sample.
+    """
+    command = draw(st.sampled_from(["compare", "fit", "forecast", "nexting-run"]))
+    cfg = json.loads(builtin_config_path(draw(st.sampled_from(builtin_config_names())))
+                     .read_text())
+    if command != "compare":
+        cfg["methods"] = [draw(st.sampled_from(cfg["methods"]))]
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, node = None, None, cfg
+        while isinstance(node, (dict, list)) and node:
+            parent = node
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                       else list(range(len(node)))))
+            node = node[key]
+            if not draw(st.booleans()):
+                break
+        if parent is None:
+            break
+        if draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(_SMALL_JSON)
+    return command, cfg
+
+
+@given(mutated_builtin_configs())
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_exit_code_is_0_1_or_2_for_mutated_configs(tmp_path, capsys, case):
+    command, cfg = case
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli([command, "--config", str(path)]) in (0, 1, 2)
+    capsys.readouterr()

@@ -65,6 +65,13 @@ class TestBestSplit:
         with pytest.raises(ValueError):
             best_split([])
 
+    def test_exact_tie_keeps_lowest_threshold(self):
+        # Both thresholds cost 103/6 in exact arithmetic; rounding favours 1.5.
+        bs = best_split(list(zip([0.0, 1.0, 0.0, 2.0, 2.0], [0.0, 2.0, 3.0, 0.0, 5.0])))
+        assert bs.point == 0.5
+        assert naive_best_split(np.array([[0.0], [1.0], [0.0], [2.0], [2.0]]),
+                                np.array([0.0, 2.0, 3.0, 0.0, 5.0]))[2] == 0.5
+
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_matches_exhaustive_oracle(self, data):
