@@ -19,15 +19,15 @@ from .evalharness import (Band, EvalReport, compare, consecutive_within, rmse,
 from .fixtures import FixtureSet, dni48, fixture, load_fixtures, temp48, wind48
 from .linmodels import (BasisFunction, Constant, GaussianBump, LinearFit, Monomial,
                         RbfConfig, Sinusoid, design_matrix, fit_basis, fit_polynomial,
-                        fit_rbf, linear_predict, solve_ridge)
+                        fit_rbf, solve_ridge)
 from .nexting import (AlignResult, Features, NextingLearner, NextingRun, TileCoder,
                       align_affine, ideal_return, run_online, td_step, tile_features,
                       tile_indices)
 from .series import Series, Split, make_sine, normalize_unit, split
 from .smoothers import (KernelConfig, SplineFit, default_bandwidth, fit_smoothing_spline,
-                        kernel_predict, spline_predict)
+                        kernel_predict)
 from .tmy3 import parse_tmy3
 from .tree import (BagEnsemble, BestSplit, GrowConfig, PeriodicWrapper, Tree, bag_fit,
-                   best_split, fit_periodic_ensemble, grow, periodic_predict, prune)
+                   best_split, fit_periodic_ensemble, grow, prune)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

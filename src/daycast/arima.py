@@ -19,6 +19,7 @@ forecast by taking conditional expectations with future shocks zeroed.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import toeplitz
 from scipy.optimize import minimize
 from scipy.signal import lfilter
 
@@ -56,6 +57,14 @@ class ArimaOrder:
     def n_params(self) -> int:
         P, _, Q, _ = self.seasonal_or_zero
         return self.p + self.q + P + Q
+
+    def check_length(self, n: int) -> None:
+        """Raise ValueError unless n samples leave 3 * (n_params + 1) after differencing."""
+        _, D, _, s = self.seasonal_or_zero
+        m = n - self.d - s * D
+        needed = 3 * (self.n_params + 1)
+        if m < needed:
+            raise ValueError(f"differencing leaves {m} samples, estimation needs {needed}")
 
 
 @dataclass(frozen=True)
@@ -114,8 +123,7 @@ def _op_poly(coeffs, s: int = 1) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=float)
     out = np.zeros(len(coeffs) * s + 1)
     out[0] = 1.0
-    for i, c in enumerate(coeffs, start=1):
-        out[i * s] = -c
+    out[s::s] = -coeffs
     return out
 
 
@@ -129,25 +137,24 @@ def _diff_poly(n: int, s: int = 1) -> np.ndarray:
     return out
 
 
-def _stationary_poly(model: ArimaModel) -> np.ndarray:
-    _, _, _, s = model.order.seasonal_or_zero
-    return np.convolve(_op_poly(model.phi), _op_poly(model.sphi, s))
+def _operators(order: ArimaOrder, phi, theta, sphi, stheta) -> tuple[np.ndarray, np.ndarray]:
+    """The stationary AR product phi(B) PHI(B^s) and the MA product theta(B) THETA(B^s)."""
+    _, _, _, s = order.seasonal_or_zero
+    return (np.convolve(_op_poly(phi), _op_poly(sphi, s)),
+            np.convolve(_op_poly(theta), _op_poly(stheta, s)))
 
 
-def _ma_poly(model: ArimaModel) -> np.ndarray:
-    _, _, _, s = model.order.seasonal_or_zero
-    return np.convolve(_op_poly(model.theta), _op_poly(model.stheta, s))
-
-
-def _full_ar_poly(model: ArimaModel) -> np.ndarray:
-    _, D, _, s = model.order.seasonal_or_zero
-    poly = np.convolve(_stationary_poly(model), _diff_poly(model.order.d))
-    return np.convolve(poly, _diff_poly(D, s))
+def _expand(order: ArimaOrder, ar: np.ndarray, ma: np.ndarray) -> ExpandedForm:
+    """Flat lag coefficients of ar(B) (1 - B)^d (1 - B^s)^D and of ma(B)."""
+    _, D, _, s = order.seasonal_or_zero
+    full = np.convolve(np.convolve(ar, _diff_poly(order.d)), _diff_poly(D, s))
+    return ExpandedForm(ar_full=-full[1:], ma_full=-ma[1:])
 
 
 def expand_polynomials(model: ArimaModel) -> ExpandedForm:
     """Multiply out both operator products into flat lag coefficients."""
-    return ExpandedForm(ar_full=-_full_ar_poly(model)[1:], ma_full=-_ma_poly(model)[1:])
+    ar, ma = _operators(model.order, model.phi, model.theta, model.sphi, model.stheta)
+    return _expand(model.order, ar, ma)
 
 
 def difference(series: Series, d: int, s_pair: tuple[int, int] | None = None) -> Series:
@@ -168,12 +175,6 @@ def difference(series: Series, d: int, s_pair: tuple[int, int] | None = None) ->
     return series.with_values(v, t0=series.t0 + drop)
 
 
-def _css_shocks(zc: np.ndarray, ar_poly: np.ndarray, ma_poly: np.ndarray) -> np.ndarray:
-    # a[t] = zc[t] - sum phi~ zc[t-i] + sum theta~ a[t-j]; lfilter's zero
-    # initial state is exactly the zero pre-sample convention.
-    return lfilter(ar_poly, ma_poly, zc)
-
-
 def _min_root_magnitude(poly: np.ndarray) -> float:
     trimmed = np.trim_zeros(np.asarray(poly, dtype=float), "b")
     if len(trimmed) <= 1:
@@ -190,13 +191,8 @@ def _yule_walker(z: np.ndarray, p: int) -> np.ndarray:
     if c0 <= 0:
         return np.zeros(p)
     r = np.array([float(zc[:-k] @ zc[k:]) / n / c0 for k in range(1, p + 1)])
-    R = np.empty((p, p))
-    for i in range(p):
-        for j in range(p):
-            k = abs(i - j)
-            R[i, j] = 1.0 if k == 0 else r[k - 1]
     try:
-        return np.linalg.solve(R, r)
+        return np.linalg.solve(toeplitz(np.concatenate([[1.0], r[:-1]])), r)
     except np.linalg.LinAlgError:
         return np.zeros(p)
 
@@ -221,38 +217,32 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
     Raises EstimationError (carrying the best model and objective so
     far) if the simplex exhausts its budget without converging.
     """
-    P, D, Q, s = order.seasonal_or_zero
+    order.check_length(len(series))
+    _, D, _, s = order.seasonal_or_zero
     z = difference(series, order.d, (s, D) if order.seasonal else None).values
     m = len(z)
-    needed = 3 * (order.n_params + 1)
-    if m < needed:
-        raise ValueError(
-            f"differenced length {m} too short for {order.n_params} parameters "
-            f"(need at least {needed})"
-        )
     mu_z = float(z.mean())
     center = mu_z if (order.d + D == 0 or with_drift) else 0.0
     zc = z - center
 
     def build(params, sigma2, trace):
         phi, theta, sphi, stheta = _split_params(np.asarray(params, dtype=float), order)
-        model = ArimaModel(order, phi, theta, sphi, stheta,
-                           theta0=0.0, sigma2=sigma2, mu=mu_z, fit_trace=tuple(trace))
+        ar, ma = _operators(order, phi, theta, sphi, stheta)
         warns = []
-        if _min_root_magnitude(_stationary_poly(model)) <= 1.0 + _UNIT_ROOT_TOL:
+        if _min_root_magnitude(ar) <= 1.0 + _UNIT_ROOT_TOL:
             warns.append("AR polynomial has a root on or inside the unit circle (non-stationary)")
-        if _min_root_magnitude(_ma_poly(model)) <= 1.0 + _UNIT_ROOT_TOL:
+        if _min_root_magnitude(ma) <= 1.0 + _UNIT_ROOT_TOL:
             warns.append("MA polynomial has a root on or inside the unit circle (non-invertible)")
-        theta0 = center * float(_stationary_poly(model).sum()) if (order.d + D > 0 and with_drift) else 0.0
+        theta0 = center * float(ar.sum()) if (order.d + D > 0 and with_drift) else 0.0
         return ArimaModel(order, phi, theta, sphi, stheta, theta0=theta0,
                           sigma2=sigma2, mu=mu_z, warnings=tuple(warns),
                           fit_trace=tuple(trace))
 
     def objective(params):
-        phi, theta, sphi, stheta = _split_params(params, order)
-        ar = np.convolve(_op_poly(phi), _op_poly(sphi, s))
-        ma = np.convolve(_op_poly(theta), _op_poly(stheta, s))
-        a = _css_shocks(zc, ar, ma)
+        ar, ma = _operators(order, *_split_params(params, order))
+        # a[t] = zc[t] - sum phi~ zc[t-i] + sum theta~ a[t-j]; lfilter's zero
+        # initial state is exactly the zero pre-sample convention.
+        a = lfilter(ar, ma, zc)
         if not np.all(np.isfinite(a)):
             return 1e300
         return float(a @ a)
@@ -295,13 +285,14 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
     return model
 
 
-def _center_of(model: ArimaModel) -> float:
+def _center_of(model: ArimaModel, ar: np.ndarray) -> float:
+    """The level the differenced series moves around; ar is the stationary AR product."""
     _, D, _, _ = model.order.seasonal_or_zero
     if model.order.d + D == 0:
         return model.mu
     if model.theta0 == 0.0:
         return 0.0
-    stat1 = float(_stationary_poly(model).sum())
+    stat1 = float(ar.sum())
     return model.theta0 / stat1 if stat1 != 0.0 else 0.0
 
 
@@ -316,17 +307,18 @@ def forecast(model: ArimaModel, history: Series, lead: int) -> Series:
         raise ValueError(f"lead must be >= 1, got {lead}")
     _, D, _, s = model.order.seasonal_or_zero
     drop = model.order.d + s * D
-    form = expand_polynomials(model)
+    ar, ma = _operators(model.order, model.phi, model.theta, model.sphi, model.stheta)
+    form = _expand(model.order, ar, ma)
     n = len(history)
     if n < max(len(form.ar_full), drop + 1):
         raise ValueError(
             f"history of length {n} too short for AR lags up to {len(form.ar_full)}"
         )
 
-    center = _center_of(model)
-    theta0_eff = center * float(_stationary_poly(model).sum())
+    center = _center_of(model, ar)
+    theta0_eff = center * float(ar.sum())
     z = difference(history, model.order.d, (s, D) if model.order.seasonal else None).values
-    shocks = _css_shocks(z - center, _stationary_poly(model), _ma_poly(model))
+    shocks = lfilter(ar, ma, z - center)
 
     phis, thetas = form.ar_full, form.ma_full
     ye = np.concatenate([history.values, np.zeros(lead)])
@@ -390,7 +382,7 @@ def simulate(model: ArimaModel, n: int, seed: int) -> Series:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _, D, _, s = model.order.seasonal_or_zero
-    ar, ma = _stationary_poly(model), _ma_poly(model)
+    ar, ma = _operators(model.order, model.phi, model.theta, model.sphi, model.stheta)
     if model.order.d + D == 0 and _min_root_magnitude(ar) <= 1.0 + _UNIT_ROOT_TOL:
         raise InstabilityError(
             "AR root on or inside the unit circle; a stationary simulation would diverge"
@@ -398,7 +390,7 @@ def simulate(model: ArimaModel, n: int, seed: int) -> Series:
     burn = 100 + 10 * (len(ar) + len(ma))
     rng = np.random.default_rng(seed)
     shocks = rng.standard_normal(n + burn) * np.sqrt(model.sigma2)
-    z = lfilter(ma, ar, shocks)[burn:] + _center_of(model)
+    z = lfilter(ma, ar, shocks)[burn:] + _center_of(model, ar)
     for _ in range(D):
         out = z.copy()
         for t in range(s, len(out)):

@@ -226,23 +226,19 @@ class ArimaParams(_Method):
     Q: int
     s: int  # 0: no seasonal block
     train_periods: int
+    order: arima.ArimaOrder = field(init=False, repr=False)  # built from the keys; not a key
 
     def __post_init__(self):
-        self.order()
+        seasonal = (self.P, self.D, self.Q, self.s)
+        object.__setattr__(self, "order", arima.ArimaOrder(
+            self.p, self.d, self.q, seasonal if any(seasonal) else None))
         at_least(1, train_periods=self.train_periods)
 
-    def order(self):
-        seasonal = (self.P, self.D, self.Q, self.s)
-        return arima.ArimaOrder(self.p, self.d, self.q, seasonal if any(seasonal) else None)
-
     def check_window(self, n):
-        m = self.train_periods * n - self.d - self.s * self.D
-        needed = 3 * (self.order().n_params + 1)
-        if m < needed:
-            raise ValueError(f"differencing leaves {m} samples, estimation needs {needed}")
+        self.order.check_length(self.train_periods * n)
 
     def run(self, train, holdout):
-        model = arima.css_estimate(train, self.order())
+        model = arima.css_estimate(train, self.order)
         fc = arima.forecast(model, train, len(holdout))
         # No training-interval predictions: the difference equation only runs forward.
         return None, fc.values, {"warnings": list(model.warnings)}
@@ -260,10 +256,14 @@ class TreeParams(_Method):
         tree.PeriodicWrapper(None, self.period)
         at_least(1, train_periods=self.train_periods)
 
+    def check_window(self, n):
+        if self.period > self.train_periods * n:
+            raise ValueError(f"period {self.period} is longer than the "
+                             f"{self.train_periods * n}-sample training window")
+
     def run(self, train, holdout):
         config = tree.GrowConfig(self.min_node_size, self.max_leaves)
-        wrapper = (tree.fit_periodic_ensemble(train, self.period, config) if self.train_periods > 1
-                   else tree.PeriodicWrapper(tree.grow(train, config), self.period, train.t0))
+        wrapper = tree.fit_periodic_ensemble(train, self.period, config)
         # Training error over the day closest to the forecast window.
         last_day = Series(train.values[-self.period:], train.t0 + len(train) - self.period)
         return wrapper.predict(last_day.times), wrapper.predict(holdout.times), {}
@@ -369,7 +369,8 @@ def compare(dataset: Series, methods: list, band: Band, *,
         )
     reports = []
     for params in methods:
-        name = params.get("name", "?")
+        block = params if isinstance(params, dict) else {}
+        name = block.get("name", "?")
         try:
             run = run_single(dataset, params, train_samples=train_samples,
                              forecast_samples=forecast_samples)
@@ -387,6 +388,6 @@ def compare(dataset: Series, methods: list, band: Band, *,
             ))
         except Exception as exc:  # isolation: one bad method must not kill the run
             reports.append(EvalReport(method=name, train_rmse=None, inner_run=None,
-                                      outer_run=None, settings=dict(params),
+                                      outer_run=None, settings=dict(block),
                                       error=str(exc)))
     return reports

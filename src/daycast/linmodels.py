@@ -106,7 +106,6 @@ class LinearFit:
     basis: tuple
     coeffs: np.ndarray
     reg_lambda: float = 0.0
-    reg_matrix_id: str = "identity"
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
@@ -121,10 +120,6 @@ class LinearFit:
         x = np.asarray(x, dtype=float)
         out = sum(c * g(x) for c, g in zip(self.coeffs, self.basis))
         return float(out) if out.ndim == 0 else out
-
-
-def linear_predict(fit: LinearFit, x: float) -> float:
-    return float(fit.predict(x))
 
 
 def solve_ridge(X: np.ndarray, y: np.ndarray, reg_lambda: float = 0.0,
@@ -172,8 +167,7 @@ def fit_basis(train: Series, basis: tuple, reg_lambda: float = 0.0,
     """Ridge fit of an arbitrary basis set against a series."""
     X = design_matrix(basis, train.times)
     coeffs = solve_ridge(X, train.values, reg_lambda, L)
-    return LinearFit(tuple(basis), coeffs, reg_lambda,
-                     "identity" if L is None else "custom")
+    return LinearFit(tuple(basis), coeffs, reg_lambda)
 
 
 def fit_polynomial(train: Series, degree: int) -> LinearFit:

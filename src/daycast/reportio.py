@@ -43,28 +43,25 @@ def export_report(reports: list[EvalReport], fmt: str, path) -> None:
 
 def export_series(series: Series, path, fmt: str = "csv") -> None:
     """Two-column t,value dump of a series (no header)."""
-    write_series(series, open(path, "w"), fmt, close=True)
+    with open(path, "w") as fh:
+        write_series(series, fh, fmt)
 
 
-def write_series(series: Series, fh=None, fmt: str = "csv", close: bool = False) -> None:
+def write_series(series: Series, fh=None, fmt: str = "csv") -> None:
     fh = fh or sys.stdout
-    try:
-        if fmt == "csv":
-            # repr round-trips doubles exactly; the parse-export-reparse
-            # cycle must be value identical.
-            for t, v in zip(series.times, series.values):
-                fh.write(f"{t:g},{float(v)!r}\n")
-        elif fmt == "json":
-            json.dump([[float(t), float(v)] for t, v in zip(series.times, series.values)], fh)
-            fh.write("\n")
-        else:
-            raise ValueError(f"unknown series format {fmt!r}; use csv or json")
-    finally:
-        if close:
-            fh.close()
+    if fmt == "csv":
+        # repr round-trips doubles exactly; the parse-export-reparse
+        # cycle must be value identical.
+        for t, v in zip(series.times, series.values):
+            fh.write(f"{t:g},{float(v)!r}\n")
+    elif fmt == "json":
+        json.dump([[float(t), float(v)] for t, v in zip(series.times, series.values)], fh)
+        fh.write("\n")
+    else:
+        raise ValueError(f"unknown series format {fmt!r}; use csv or json")
 
 
-def read_series_csv(path, t0: int | None = None) -> Series:
+def read_series_csv(path) -> Series:
     """Read a two-column t,value file back into a series."""
     ts, vs = [], []
     with open(path, newline="") as fh:
@@ -81,7 +78,7 @@ def read_series_csv(path, t0: int | None = None) -> Series:
             vs.append(v)
     if not vs:
         raise ValueError(f"{path}: no data rows")
-    return Series(vs, t0=int(ts[0]) if t0 is None else t0)
+    return Series(vs, t0=int(ts[0]))
 
 
 def format_report_table(reports: list[EvalReport], band=None) -> str:

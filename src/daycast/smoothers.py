@@ -116,10 +116,6 @@ def fit_smoothing_spline(train: Series, smooth_lambda: float) -> SplineFit:
     return SplineFit(knots, cho_solve(factor, rhs), smooth_lambda)
 
 
-def spline_predict(fit: SplineFit, x: float) -> float:
-    return float(fit.predict(x))
-
-
 @dataclass(frozen=True)
 class KernelConfig:
     """Kernel smoother settings.
@@ -130,13 +126,10 @@ class KernelConfig:
     """
 
     bandwidth: float
-    kernel: str = "gaussian"
 
     def __post_init__(self):
         if self.bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.kernel != "gaussian":
-            raise ValueError(f"unsupported kernel {self.kernel!r}")
 
 
 def kernel_predict(train: Series, config: KernelConfig, x: float) -> float:

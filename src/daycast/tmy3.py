@@ -3,8 +3,7 @@
 The NREL typical-meteorological-year format carries one station per
 file: a first line of station metadata, a second line of column names,
 then hourly records (8760 for a full year). Column names drift between
-vintages, so the extractor works through an explicit field map with
-documented defaults.
+vintages, so the extractor tries each field's known headers in order.
 """
 
 import csv
@@ -18,32 +17,23 @@ import numpy as np
 from .errors import Tmy3ParseError
 from .series import Series
 
-DEFAULT_FIELD_MAP = {
-    "wind_speed": "Wind Speed (m/s)",
-    "dry_bulb": "Dry-bulb (C)",
-    "dni": "DNI (W/m^2)",
-}
-
-# Alternate headers seen across TMY3 vintages, tried when the mapped
-# name is absent.
-_FALLBACKS = {
-    "wind_speed": ("Wspd (m/s)", "Wind Speed (m/s)"),
-    "dry_bulb": ("Dry-bulb (degC)", "Dry-bulb (C)"),
-    "dni": ("DNI (Wh/m^2)", "DNI (W/m^2)"),
+# The headers each field has carried across TMY3 vintages, tried in order.
+_HEADERS = {
+    "wind_speed": ("Wind Speed (m/s)", "Wspd (m/s)"),
+    "dry_bulb": ("Dry-bulb (C)", "Dry-bulb (degC)"),
+    "dni": ("DNI (W/m^2)", "DNI (Wh/m^2)"),
 }
 
 # Values at or below this are NREL missing-data sentinels (-9900 family).
 _SENTINEL_FLOOR = -9000.0
 
 
-def _resolve_column(header: list[str], key: str, wanted: str) -> int:
-    if wanted in header:
-        return header.index(wanted)
-    for alt in _FALLBACKS.get(key, ()):
-        if alt in header:
-            return header.index(alt)
+def _resolve_column(header: list[str], key: str) -> int:
+    for name in _HEADERS[key]:
+        if name in header:
+            return header.index(name)
     raise Tmy3ParseError(
-        f"column {wanted!r} (for {key}) not found in header line 2: {header}",
+        f"column {_HEADERS[key][0]!r} (for {key}) not found in header line 2: {header}",
         row=2,
     )
 
@@ -83,16 +73,13 @@ def _raise_parse_error(path: Path, header: list[str], cols: dict) -> None:
     raise Tmy3ParseError(f"{path}: no data rows", row=3)
 
 
-def parse_tmy3(path, field_map: dict | None = None) -> tuple[Series, Series, Series]:
+def parse_tmy3(path) -> tuple[Series, Series, Series]:
     """Three hourly series (wind speed, dry-bulb temperature, DNI) from one file.
 
     Parsing is strict: a short row, a non-numeric or non-finite cell and
     a missing-data sentinel are each rejected with the offending row
     number (1-based, counting the two header lines) and column name.
     """
-    fmap = dict(DEFAULT_FIELD_MAP)
-    if field_map:
-        fmap.update(field_map)
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -105,8 +92,7 @@ def parse_tmy3(path, field_map: dict | None = None) -> tuple[Series, Series, Ser
             raise Tmy3ParseError(
                 f"{path}: line 1 does not look like station metadata: {station}", row=1)
 
-        cols = {key: _resolve_column(header, key, fmap[key])
-                for key in ("wind_speed", "dry_bulb", "dni")}
+        cols = {key: _resolve_column(header, key) for key in _HEADERS}
         pick = operator.itemgetter(*cols.values())
         # One flat list of the picked cells, converted in one call: no
         # per-row object outlives its row, so parsing triggers no garbage

@@ -255,7 +255,6 @@ class BagEnsemble:
     """Average of trees fit on bootstrap resamples."""
 
     trees: tuple
-    seeds: tuple = ()
 
     def predict(self, x):
         preds = [t.predict(x) for t in self.trees]
@@ -277,7 +276,7 @@ def bag_fit(train, B: int, config: GrowConfig = GrowConfig(), seed: int = 0,
         rng = np.random.default_rng([seed, b])
         idx = rng.integers(0, len(y), size=len(y)) if resample else np.arange(len(y))
         trees.append(grow((X[idx], y[idx]), config))
-    return BagEnsemble(tuple(trees), seeds=tuple(range(B)))
+    return BagEnsemble(tuple(trees))
 
 
 @dataclass(frozen=True)
@@ -303,10 +302,6 @@ class PeriodicWrapper:
         t = np.asarray(t, dtype=float)
         base = (t - self.t0) % self.period + self.t0
         return self.inner.predict(base if base.ndim else float(base))
-
-
-def periodic_predict(wrapper: PeriodicWrapper, t) -> float:
-    return float(wrapper.predict(t))
 
 
 def fit_periodic_ensemble(series: Series, period: int,

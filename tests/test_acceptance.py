@@ -23,7 +23,7 @@ from daycast.nexting import TileCoder, align_affine, ideal_return, run_online
 from daycast.reportio import export_report
 from daycast.series import Series, make_sine, split
 from daycast.smoothers import fit_smoothing_spline
-from daycast.tree import GrowConfig, PeriodicWrapper, grow, periodic_predict, prune
+from daycast.tree import GrowConfig, PeriodicWrapper, grow, prune
 from test_linmodels import exact_normal_equations
 from test_tree import all_pruned_subtrees, naive_best_split
 
@@ -112,7 +112,7 @@ def test_criterion_5_modulo_prototype_contract():
         cut = split(wind48(), 24)
         t = grow(cut.train, GrowConfig(min_node_size=10))
         wrapper = PeriodicWrapper(t, 24, t0=1)
-        assert periodic_predict(wrapper, 26) == t.predict(2.0)
+        assert float(wrapper.predict(26)) == t.predict(2.0)
 
 
 def test_criterion_6_nexting_convergence_trend():

@@ -243,6 +243,15 @@ class TestSimulate:
         out = simulate(model, 8, seed=0)
         np.testing.assert_allclose(out.values, 2.5 * np.arange(1, 9))
 
+    def test_seasonal_path_differences_back_to_its_stationary_draw(self):
+        # (1 - B)(1 - B^24) undoes both integrations, so from index 25 on the
+        # differenced (1,1,0)(0,1,0)24 path is the (1,0,0) draw of the same seed.
+        seasonal = model_of(ArimaOrder(1, 1, 0, seasonal=(0, 1, 0, 24)), phi=(0.6,), sigma2=1.0)
+        stationary = model_of(ArimaOrder(1, 0, 0), phi=(0.6,), sigma2=1.0)
+        path = difference(simulate(seasonal, 200, seed=5), 1, (24, 1))
+        draw = simulate(stationary, 200, seed=5)
+        np.testing.assert_allclose(path.values, draw.values[25:], rtol=0, atol=1e-12)
+
 
 class TestTableTwoSeasonalOrders:
     """End-to-end estimation and forecasting for each published seasonal order.

@@ -125,6 +125,17 @@ class TestCompare:
         reports = compare(wind, [{"name": "astrology"}], WIND_BAND)
         assert not reports[0].ok and "unknown method" in reports[0].error
 
+    def test_entry_that_is_not_a_block_is_isolated(self, wind):
+        reports = compare(wind, [5, {"name": "polynomial", "degree": 2}], Band(1, 3))
+        assert not reports[0].ok and "must be an object" in reports[0].error
+        assert reports[1].ok
+
+    def test_tree_period_longer_than_the_window_is_an_error_row(self, wind):
+        reports = compare(wind, [{"name": "tree", "min_node_size": 10, "period": 40}],
+                          Band(1, 3))
+        assert not reports[0].ok and reports[0].train_rmse is None
+        assert "no full period of 40" in reports[0].error
+
     def test_kernel_method_stays_callable_even_if_unsuited(self, wind):
         # The smoother is excluded from the published comparison but the
         # harness can still run it on request.

@@ -292,6 +292,11 @@ class TestRunConfig:
         ({"name": "astrology"}, "methods[0]: unknown method 'astrology'"),
         ({"name": "tree", "min_node_size": 0, "period": 24},
          "methods[0] (tree): min_node_size must be >= 1"),
+        ({"name": "tree", "min_node_size": 10, "period": 40},
+         "methods[0] (tree): period 40 is longer than the 24-sample training window"),
+        ({"name": "arima", "p": 5, "d": 0, "q": 5, "P": 1, "D": 1, "Q": 1, "s": 24,
+          "train_periods": 1},
+         "methods[0] (arima): differencing leaves 0 samples, estimation needs 39"),
     ])
     def test_method_errors_name_the_block_and_key(self, block, message):
         with pytest.raises(ConfigError) as err:

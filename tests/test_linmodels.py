@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from daycast.errors import SingularSystemError, UnderdeterminedError
 from daycast.linmodels import (Constant, GaussianBump, Monomial, RbfConfig, Sinusoid,
                                design_matrix, fit_basis, fit_polynomial, fit_rbf,
-                               linear_predict, solve_ridge)
+                               solve_ridge)
 from daycast.series import Series, make_sine
 
 
@@ -152,7 +152,7 @@ class TestFitPolynomial:
 class TestLinearPredict:
     def test_line_extrapolates(self):
         fit = fit_polynomial(Series([2.0, 3.0, 4.0]), 1)
-        assert linear_predict(fit, 10.0) == pytest.approx(11.0, abs=1e-9)
+        assert float(fit.predict(10.0)) == pytest.approx(11.0, abs=1e-9)
 
     def test_matched_sinusoid_is_exact(self):
         # Basis {1, cos matched in frequency and phase}: zero deviation anywhere.

@@ -6,7 +6,7 @@ from daycast.errors import NoSupportError, ZeroVarianceError
 from daycast.linmodels import fit_polynomial
 from daycast.series import Series, make_sine
 from daycast.smoothers import (KernelConfig, default_bandwidth, fit_smoothing_spline,
-                               kernel_predict, spline_predict)
+                               kernel_predict)
 
 GENERIC_Y = [2.0, -1.0, 4.0, 3.5, 0.5, 1.0]
 
@@ -17,7 +17,7 @@ class TestSmoothingSpline:
         # Linear data incurs zero curvature penalty at any lambda.
         fit = fit_smoothing_spline(Series([1.0, 2.0, 3.0, 4.0]), lam)
         assert fit.predict(2.5) == pytest.approx(2.5, abs=1e-8)
-        assert spline_predict(fit, 10.0) == pytest.approx(10.0, abs=1e-6)
+        assert float(fit.predict(10.0)) == pytest.approx(10.0, abs=1e-6)
 
     def test_zero_lambda_interpolates(self):
         fit = fit_smoothing_spline(Series([3.0, -2.0, 5.0, 1.0, 4.0]), 0.0)

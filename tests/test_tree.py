@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from daycast.series import Series
 from daycast.tree import (BagEnsemble, GrowConfig, PeriodicWrapper, bag_fit,
-                          best_split, fit_periodic_ensemble, grow, periodic_predict,
-                          prune)
+                          best_split, fit_periodic_ensemble, grow, prune)
 
 
 def naive_best_split(X, y):
@@ -232,7 +231,7 @@ class TestPeriodicWrapper:
     def test_worked_example_hour_26_maps_to_2(self, temp24):
         t = grow(temp24, GrowConfig(min_node_size=10))
         wrapper = PeriodicWrapper(t, 24, t0=1)
-        assert periodic_predict(wrapper, 26) == t.predict(2.0)
+        assert float(wrapper.predict(26)) == t.predict(2.0)
         assert wrapper.base_time(26) == 2
 
     def test_identity_within_first_period(self, temp24):
