@@ -20,9 +20,8 @@ from .fixtures import FixtureSet, dni48, fixture, load_fixtures, temp48, wind48
 from .linmodels import (BasisFunction, Constant, GaussianBump, LinearFit, Monomial,
                         RbfConfig, Sinusoid, design_matrix, fit_basis, fit_polynomial,
                         fit_rbf, solve_ridge)
-from .nexting import (AlignResult, Features, NextingLearner, NextingRun, TileCoder,
-                      align_affine, ideal_return, run_online, td_step, tile_features,
-                      tile_indices)
+from .nexting import (AlignResult, NextingLearner, NextingRun, TileCoder, align_affine,
+                      ideal_return, run_online, tile_indices)
 from .series import Series, Split, make_sine, normalize_unit, split
 from .smoothers import (KernelConfig, SplineFit, default_bandwidth, fit_smoothing_spline,
                         kernel_predict)

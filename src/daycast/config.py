@@ -102,8 +102,9 @@ def load_dataset(cfg: dict, data_path=None) -> Series:
     and fall back to the matching embedded fixture otherwise. TMY3
     windows start at day_offset days into the file, sized to cover the
     longest training request plus the forecast window, and are
-    re-indexed to t = 1 so hour-index fits behave identically on every
-    day.
+    re-indexed to t = 1; run_single indexes each method's own training
+    window from t = 1 again, so hour-index fits behave identically on
+    every day.
     """
     signal = cfg["signal"]
     if signal == "synthetic":

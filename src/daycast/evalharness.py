@@ -337,17 +337,22 @@ class SingleRun:
 
 def run_single(dataset: Series, params: dict, *, train_samples: int = 24,
                forecast_samples: int = 24) -> SingleRun:
-    """Run one method block under the comparison protocol; failures propagate."""
+    """Run one method block under the comparison protocol; failures propagate.
+
+    Whatever dataset.t0 is, the W-sample training window is indexed
+    t = 1..W and the holdout t = W+1..W+F, so a method that regresses on
+    the time index sees the same inputs whichever window another method
+    asks for.
+    """
     method = parse_method(params)
     boundary = len(dataset) - forecast_samples
     window = getattr(method, "train_periods", 1) * train_samples
     if boundary - window < 0:
         raise ValueError(f"{params['name']} needs {window} training samples before the forecast "
                          f"window but only {boundary} are available")
-    holdout = Series(dataset.values[boundary:], dataset.t0 + boundary,
-                     dataset.period_hint, dataset.unit)
-    train = Series(dataset.values[boundary - window:boundary],
-                   dataset.t0 + boundary - window, dataset.period_hint, dataset.unit)
+    holdout = Series(dataset.values[boundary:], window + 1, dataset.period_hint, dataset.unit)
+    train = Series(dataset.values[boundary - window:boundary], 1, dataset.period_hint,
+                   dataset.unit)
     train_pred, forecast, extras = method.run(train, holdout)
     return SingleRun(params["name"], train, holdout, train_pred, forecast, {**params, **extras})
 
@@ -358,9 +363,10 @@ def compare(dataset: Series, methods: list, band: Band, *,
 
     The holdout is the final forecast_samples of the dataset; a method
     trains on the train_periods * train_samples samples right before it
-    (train_periods defaults to 1). Per-method failures are captured in
-    their report row rather than raised, and rows come back in input
-    order. Reruns are bit-identical.
+    (train_periods defaults to 1), indexed from t = 1 as in run_single.
+    Per-method failures are captured in their report row rather than
+    raised (a method not named by a string is reported as "?"), and rows
+    come back in input order. Reruns are bit-identical.
     """
     if len(dataset) < train_samples + forecast_samples:
         raise ValueError(
@@ -370,7 +376,8 @@ def compare(dataset: Series, methods: list, band: Band, *,
     reports = []
     for params in methods:
         block = params if isinstance(params, dict) else {}
-        name = block.get("name", "?")
+        name = block.get("name")
+        name = name if isinstance(name, str) else "?"
         try:
             run = run_single(dataset, params, train_samples=train_samples,
                              forecast_samples=forecast_samples)

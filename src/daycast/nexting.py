@@ -5,6 +5,11 @@ shared sparse binary feature vector. At every step the learner emits
 its current estimate of the discounted return of each signal, then
 nudges the weights toward the one-step bootstrapped target. All signal
 values must be normalized into [0, 1] before coding.
+
+tile_indices is the only encoder. NextingLearner.step and .predict take
+one normalized sample at a time and encode it with the learner's own
+coder; run_online encodes a whole stream at once and runs the same
+update on the precomputed indices.
 """
 
 from dataclasses import dataclass
@@ -42,24 +47,6 @@ class TileCoder:
     def n_active(self) -> int:
         return self.n_tilings * self.n_signals + (1 if self.include_bias else 0)
 
-    def encode(self, values) -> "Features":
-        return tile_features(values, self)
-
-
-@dataclass(frozen=True)
-class Features:
-    """Sorted indices of the active binary features."""
-
-    active: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "active", np.asarray(self.active, dtype=int))
-
-    @property
-    def n_active(self) -> int:
-        return len(self.active)
-
 
 def tile_indices(values, coder: TileCoder) -> np.ndarray:
     """Sorted active-feature indices for a batch of normalized samples.
@@ -85,11 +72,6 @@ def tile_indices(values, coder: TileCoder) -> np.ndarray:
         bias = np.full((len(vals), 1), m_grid * k * coder.n_signals)
         active = np.hstack([active, bias])
     return active
-
-
-def tile_features(values, coder: TileCoder) -> Features:
-    """Encode one normalized sample of each signal; deterministic."""
-    return Features(tile_indices(np.atleast_1d(values)[None], coder)[0], coder.n_features)
 
 
 @dataclass(frozen=True)
@@ -156,8 +138,26 @@ class NextingLearner:
         self.e = np.zeros((coder.n_signals, coder.n_features))
         self.frozen = False
 
-    def predict(self, feats: Features) -> np.ndarray:
-        return self.theta[:, feats.active].sum(axis=1)
+    def _encode(self, values) -> np.ndarray:
+        return tile_indices(np.atleast_1d(values)[None], self.coder)[0]
+
+    def predict(self, values) -> np.ndarray:
+        """Current estimates at one normalized sample (one value per signal)."""
+        return self.theta[:, self._encode(values)].sum(axis=1)
+
+    def step(self, values, values_next, y_next) -> np.ndarray:
+        """One online update; returns the pre-update predictions at values.
+
+        values and values_next are consecutive normalized samples and
+        y_next holds one target per signal. The eligibility traces decay
+        and accumulate the features of values first, then the weights move
+        along them by the step size times the TD error
+        y[t+1] + gamma * theta.phi[t+1] - theta.phi[t].
+        """
+        y_next = np.atleast_1d(np.asarray(y_next, dtype=float))
+        if len(y_next) != self.coder.n_signals:
+            raise ValueError(f"expected {self.coder.n_signals} targets, got {len(y_next)}")
+        return self._update(self._encode(values), self._encode(values_next), y_next)
 
     def freeze(self):
         self.frozen = True
@@ -176,24 +176,6 @@ class NextingLearner:
         step = self.alpha / len(active) if self.divide_alpha else self.alpha
         theta += step * delta[:, None] * e
         return preds
-
-
-def td_step(learner: NextingLearner, phi_t: Features, phi_next: Features,
-            y_next) -> np.ndarray:
-    """One online update; returns the pre-update predictions at phi_t.
-
-    The eligibility traces decay and accumulate phi_t first, then the
-    weights move along them by the step size times the TD error
-    y[t+1] + gamma * theta.phi[t+1] - theta.phi[t].
-    """
-    n = learner.coder.n_features
-    if phi_t.dim != n or phi_next.dim != n:
-        raise ValueError(f"feature dimension mismatch: learner has {n}, "
-                         f"got {phi_t.dim} and {phi_next.dim}")
-    y_next = np.atleast_1d(np.asarray(y_next, dtype=float))
-    if len(y_next) != learner.coder.n_signals:
-        raise ValueError(f"expected {learner.coder.n_signals} targets, got {len(y_next)}")
-    return learner._update(phi_t.active, phi_next.active, y_next)
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,10 @@ def write_series(series: Series, fh=None, fmt: str = "csv") -> None:
 
 
 def read_series_csv(path) -> Series:
-    """Read a two-column t,value file back into a series."""
+    """Read a two-column t,value file back into a series.
+
+    Each t must be an integer exactly one above the previous line's.
+    """
     ts, vs = [], []
     with open(path, newline="") as fh:
         for line, row in enumerate(csv.reader(fh), 1):
@@ -74,6 +77,9 @@ def read_series_csv(path) -> Series:
                 t = v = math.nan
             if not (math.isfinite(t) and math.isfinite(v)):
                 raise ValueError(f"{path}: line {line} is not a finite t,value pair: {row}")
+            if t != int(t) or ts and t != ts[-1] + 1:
+                want = f"t = {int(ts[-1]) + 1}" if ts else "an integer t"
+                raise ValueError(f"{path}: line {line} has t = {row[0]}, expected {want}")
             ts.append(t)
             vs.append(v)
     if not vs:

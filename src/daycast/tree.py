@@ -79,13 +79,18 @@ def _as_table(train) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _split_arrays(X: np.ndarray, y: np.ndarray) -> BestSplit | None:
+def best_split(X, y) -> BestSplit | None:
     """Exhaustive scan over all variables and midpoint thresholds.
 
-    Ties in total cost keep the lowest variable index, then the lowest
-    threshold; returns None when no split strictly reduces the cost.
+    X is an (n, n_vars) array, or a length-n vector for one variable, as
+    grow takes it. Ties in total cost keep the lowest variable index, then
+    the lowest threshold; returns None when no split strictly reduces the
+    cost.
     """
+    X, y = _as_table((X, y))
     n = len(y)
+    if n == 0:
+        raise ValueError("best_split needs a nonempty training set")
     if n < 2:
         return None
     parent_sse = float(np.sum((y - y.mean()) ** 2))
@@ -112,15 +117,6 @@ def _split_arrays(X: np.ndarray, y: np.ndarray) -> BestSplit | None:
     if best is None or best_cost >= parent_sse - tie:
         return None
     return best
-
-
-def best_split(points) -> BestSplit | None:
-    """Best (variable, threshold) pair for a list of (x vector, y) pairs."""
-    if not points:
-        raise ValueError("best_split needs a nonempty point list")
-    X = np.array([np.atleast_1d(p[0]) for p in points], dtype=float)
-    y = np.array([p[1] for p in points], dtype=float)
-    return _split_arrays(X, y)
 
 
 def _make_node(y: np.ndarray, idx: np.ndarray) -> Node:
@@ -191,7 +187,7 @@ def grow(train, config: GrowConfig = GrowConfig()) -> Tree:
     def push(node: Node, idx: np.ndarray):
         if len(idx) < max(2, config.min_node_size):
             return
-        bs = _split_arrays(X[idx], y[idx])
+        bs = best_split(X[idx], y[idx])
         if bs is None:
             return
         gain = node.sse - (bs.left_cost + bs.right_cost)
@@ -299,8 +295,7 @@ class PeriodicWrapper:
         return (t - self.t0) % self.period + self.t0
 
     def predict(self, t):
-        t = np.asarray(t, dtype=float)
-        base = (t - self.t0) % self.period + self.t0
+        base = self.base_time(np.asarray(t, dtype=float))
         return self.inner.predict(base if base.ndim else float(base))
 
 

@@ -215,7 +215,7 @@ def test_criterion_8_oracle_equivalence():
             X = rng.integers(0, 7, size=(n, p)).astype(float)
             y = rng.integers(0, 7, size=n).astype(float)
             expected = naive_best_split(X, y)
-            got = best_split(list(zip(X, y)))
+            got = best_split(X, y)
             if expected is None:
                 assert got is None
             else:

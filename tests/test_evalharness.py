@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from daycast.evalharness import Band, compare, consecutive_within, rmse, run_single
-from daycast.config import builtin_config_path, load_config
+from daycast.config import band_from_config, builtin_config_path, load_config
+from daycast.fixtures import fixture
+from daycast.reportio import format_report_table
 from daycast.series import Series
 
 WIND_BAND = Band(1.0, 3.0, "m/s")
@@ -126,9 +128,30 @@ class TestCompare:
         assert not reports[0].ok and "unknown method" in reports[0].error
 
     def test_entry_that_is_not_a_block_is_isolated(self, wind):
-        reports = compare(wind, [5, {"name": "polynomial", "degree": 2}], Band(1, 3))
+        reports = compare(wind, [5, {"name": "polynomial", "degree": 2}, {"name": ["x"]}],
+                          Band(1, 3))
         assert not reports[0].ok and "must be an object" in reports[0].error
         assert reports[1].ok
+        assert not reports[2].ok and "unknown method" in reports[2].error
+        assert reports[0].method == reports[2].method == "?"
+        assert format_report_table(reports).splitlines()[3].startswith("?  ")
+
+    @pytest.mark.parametrize("name", ["table2_wind", "table2_temperature",
+                                      "table2_irradiance"])
+    def test_one_day_rows_do_not_depend_on_where_the_dataset_starts(self, name):
+        # A 72-sample dataset (as a TMY3 cut for a two-day ARIMA window) and
+        # its last 48 samples give every one-day method the same window.
+        cfg = load_config(builtin_config_path(name))
+        tail = fixture(cfg["signal"])
+        longer = Series(np.concatenate([tail.values[24:], tail.values]), t0=1,
+                        period_hint=24, unit=tail.unit)
+        band = band_from_config(cfg)
+        rows = compare(longer, cfg["methods"], band)
+        expected = compare(tail, cfg["methods"], band)
+        for block, row, want in zip(cfg["methods"], rows, expected):
+            if block.get("train_periods", 1) == 1:
+                assert row == want, block["name"]
+                assert row.ok, row.error
 
     def test_tree_period_longer_than_the_window_is_an_error_row(self, wind):
         reports = compare(wind, [{"name": "tree", "min_node_size": 10, "period": 40}],
@@ -177,6 +200,13 @@ class TestRunSingle:
         assert run.holdout.t0 == 25
         assert run.forecast.shape == (24,)
         assert run.forecast[0] == pytest.approx(2.0308248, abs=1e-3)
+
+    def test_windows_are_indexed_from_one_whatever_the_dataset_start(self, wind):
+        block = {"name": "polynomial", "degree": 6}
+        late = run_single(Series(np.concatenate([wind.values[:24], wind.values]), t0=40),
+                          block)
+        assert late.train.t0 == 1 and late.holdout.t0 == 25
+        assert late.forecast.tobytes() == run_single(wind, block).forecast.tobytes()
 
     def test_nexting_settings_echo_alignment(self, wind):
         run = run_single(wind, {"name": "nexting", "gamma": 0.0, "alpha": 0.3,

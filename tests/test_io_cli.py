@@ -17,7 +17,8 @@ from daycast.config import (band_from_config, builtin_config_names, builtin_conf
 from daycast.errors import ConfigError, Tmy3ParseError
 from daycast.evalharness import METHODS, compare
 from daycast.reportio import (export_report, export_series, format_report_table,
-                              read_series_csv, report_rows)
+                              read_series_csv, report_rows, write_series)
+from daycast.series import Series
 from daycast.tmy3 import parse_tmy3
 
 HEADER = ("724940,LOS ANGELES INTL ARPT,CA,-8.0,33.938,-118.389,30\n"
@@ -30,6 +31,19 @@ def write_tmy3(path, rows):
         for r in rows:
             fh.write(",".join(str(v) for v in r) + "\n")
     return path
+
+
+def weather_year(seed=1, days=365):
+    """Hourly TMY3 rows of a diurnal wind, dry-bulb and DNI cycle plus seeded noise."""
+    rng = np.random.default_rng(seed)
+    hours = np.arange(24 * days)
+    diurnal = np.sin(2 * np.pi * (hours % 24 - 9) / 24)
+    noise = rng.normal(size=(3, len(hours)))
+    wind = np.round(np.clip(3.5 + 1.8 * diurnal + 0.7 * noise[0], 0, None), 1)
+    bulb = np.round(17 + 3 * diurnal + 0.5 * noise[1], 1)
+    dni = np.round(np.clip(800 * diurnal + 60 * noise[2], 0, None))
+    return [("01/01/1988", f"{h % 24 + 1:02d}:00", w, b, int(d))
+            for h, w, b, d in zip(hours, wind, bulb, dni)]
 
 
 def tiny_rows(n, wind=None):
@@ -182,6 +196,14 @@ class TestParseTmy3:
         wind, _, _ = parse_tmy3(path)
         assert wind.values[0] == 4.5
 
+    def test_series_roundtrip_keeps_its_start_time(self, tmp_path):
+        series = Series([0.25, -1.5, 3.0], t0=17)
+        with open(tmp_path / "s.csv", "w") as fh:
+            write_series(series, fh)
+        back = read_series_csv(tmp_path / "s.csv")
+        assert back.t0 == 17
+        assert back.values.tobytes() == series.values.tobytes()
+
     def test_series_roundtrip_through_csv(self, tmp_path):
         path = write_tmy3(tmp_path / "rt.csv", tiny_rows(30))
         wind, _, _ = parse_tmy3(path)
@@ -192,6 +214,20 @@ class TestParseTmy3:
 
 
 class TestRunConfig:
+    @pytest.mark.parametrize("name", ["table2_wind", "table2_temperature",
+                                      "table2_irradiance"])
+    def test_every_one_day_row_is_ok_on_a_tmy3_year(self, tmp_path, name):
+        # Seasonal ARIMA's two-day window makes every TMY3 cut 72 samples
+        # long; the one-day methods must still fit on t = 1..24.
+        path = write_tmy3(tmp_path / "year.csv", weather_year())
+        cfg = load_config(builtin_config_path(name))
+        for day_offset in (0, 40, 200, 361):
+            dataset = load_dataset({**cfg, "day_offset": day_offset}, data_path=path)
+            assert len(dataset) == 72
+            reports = compare(dataset, cfg["methods"], band_from_config(cfg))
+            for row in reports:
+                assert row.ok or row.method == "arima", (day_offset, row.method, row.error)
+
     def test_builtin_configs_exist_and_validate(self):
         names = builtin_config_names()
         assert {"table2_wind", "table2_temperature", "table2_irradiance"} <= set(names)
@@ -475,7 +511,8 @@ class TestCli:
         lag12 = float(lines[13].split(",")[1])
         assert lag12 > 0.5
 
-    @pytest.mark.parametrize("bad", ["3", "3,nan", "3,inf", "-inf,0.2", "3,calm"])
+    @pytest.mark.parametrize("bad", ["3", "3,nan", "3,inf", "-inf,0.2", "3,calm",
+                                     "4,0.2", "2,0.2", "3.5,0.2"])
     def test_acf_data_row_errors_name_path_and_line(self, tmp_path, capsys, bad):
         path = tmp_path / "series.csv"
         path.write_text(f"1,0.5\n2,0.7\n{bad}\n4,0.1\n5,0.4\n")

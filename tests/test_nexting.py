@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from daycast.nexting import (AlignResult, NextingLearner, TileCoder, align_affine,
-                             ideal_return, run_online, td_step, tile_features, tile_indices)
+                             ideal_return, run_online, tile_indices)
 from daycast.series import Series, make_sine
 
 
 def reference_run(signals, coder, gamma, alpha, trace_lambda, freeze_after, divide_alpha):
-    """Step-by-step oracle: encode one sample and make one td_step at a time."""
+    """Step-by-step oracle: one learner.step (or predict) per sample."""
     Y = np.array([np.clip((s.values - s.values[:24].min())
                           / (s.values[:24].max() - s.values[:24].min()), 0.0, 1.0)
                   for s in signals])
@@ -17,13 +17,12 @@ def reference_run(signals, coder, gamma, alpha, trace_lambda, freeze_after, divi
     learner = NextingLearner(coder, gamma, alpha, trace_lambda, divide_alpha)
     preds = np.zeros((coder.n_signals, n))
     for t in range(n):
-        phi = tile_features(Y[:, t], coder)
         if t + 1 == n:
-            preds[:, t] = learner.predict(phi)
+            preds[:, t] = learner.predict(Y[:, t])
             break
         if freeze_after is not None and t + 1 >= freeze_after:
             learner.freeze()
-        preds[:, t] = td_step(learner, phi, tile_features(Y[:, t + 1], coder), Y[:, t + 1])
+        preds[:, t] = learner.step(Y[:, t], Y[:, t + 1], Y[:, t + 1])
     return preds, learner
 
 
@@ -38,37 +37,34 @@ def direct_return(values, i0, gamma, horizon):
 class TestTileCoder:
     def test_constant_active_count_with_bias(self):
         coder = TileCoder(n_tilings=4, tiles_per_dim=8, n_signals=1, include_bias=True)
-        feats = tile_features([0.0], coder)
-        assert feats.n_active == 5
+        assert tile_indices([[0.0]], coder).shape == (1, 5)
 
     def test_active_count_constant_across_inputs(self):
         coder = TileCoder()
-        counts = {tile_features([v], coder).n_active for v in np.linspace(0, 1, 101)}
-        assert counts == {coder.n_active}
+        active = tile_indices(np.linspace(0, 1, 101)[:, None], coder)
+        assert {len(set(row)) for row in active} == {coder.n_active}
 
     def test_deterministic(self):
         coder = TileCoder(n_signals=2)
-        a = tile_features([0.3, 0.8], coder)
-        b = tile_features([0.3, 0.8], coder)
-        np.testing.assert_array_equal(a.active, b.active)
+        a = tile_indices([[0.3, 0.8]], coder)
+        b = tile_indices([[0.3, 0.8]], coder)
+        np.testing.assert_array_equal(a, b)
 
     def test_extremes_use_disjoint_tiles(self):
         coder = TileCoder(n_tilings=8, tiles_per_dim=8, include_bias=False)
-        lo = tile_features([0.0], coder)
-        hi = tile_features([1.0], coder)
-        assert not set(lo.active) & set(hi.active)
+        lo, hi = tile_indices([[0.0], [1.0]], coder)
+        assert not set(lo) & set(hi)
 
     def test_out_of_range_rejected(self):
         coder = TileCoder()
         with pytest.raises(ValueError):
-            tile_features([1.2], coder)
+            tile_indices([[1.2]], coder)
         # A hair outside is forgiven (clipped).
-        tile_features([1.0 + 1e-10], coder)
+        tile_indices([[1.0 + 1e-10]], coder)
 
     def test_indices_stay_in_bounds(self):
         coder = TileCoder(n_tilings=8, tiles_per_dim=8, n_signals=3)
-        feats = tile_features([0.0, 0.5, 1.0], coder)
-        assert feats.active.max() < coder.n_features
+        assert tile_indices([[0.0, 0.5, 1.0]], coder).max() < coder.n_features
 
     def test_batch_rows_match_single_samples(self):
         coder = TileCoder(n_tilings=5, tiles_per_dim=7, n_signals=2)
@@ -76,7 +72,7 @@ class TestTileCoder:
         batch = tile_indices(samples, coder)
         assert batch.shape == (40, coder.n_active)
         for row, sample in zip(batch, samples):
-            np.testing.assert_array_equal(row, tile_features(sample, coder).active)
+            np.testing.assert_array_equal(row, tile_indices(sample[None], coder)[0])
 
 
 class TestIdealReturn:
@@ -111,25 +107,23 @@ class TestTdStep:
     def test_first_update_spreads_error_over_active_features(self):
         coder = TileCoder(n_tilings=4, tiles_per_dim=4, include_bias=False)
         learner = NextingLearner(coder, gamma=0.0, alpha=0.4, trace_lambda=0.9)
-        phi = tile_features([0.1], coder)
-        phi_next = tile_features([0.9], coder)
-        preds = td_step(learner, phi, phi_next, [2.0])
+        preds = learner.step([0.1], [0.9], [2.0])
         assert preds[0] == 0.0
-        expected = 0.4 * 2.0 / phi.n_active
-        np.testing.assert_allclose(learner.theta[0, phi.active], expected)
-        others = np.setdiff1d(np.arange(coder.n_features), phi.active)
+        active = tile_indices([[0.1]], coder)[0]
+        expected = 0.4 * 2.0 / len(active)
+        np.testing.assert_allclose(learner.theta[0, active], expected)
+        others = np.setdiff1d(np.arange(coder.n_features), active)
         np.testing.assert_array_equal(learner.theta[0, others], 0.0)
 
     def test_frozen_learner_keeps_weights_bit_identical(self):
         coder = TileCoder()
         learner = NextingLearner(coder, gamma=0.5, alpha=0.1, trace_lambda=0.9)
-        phi = tile_features([0.4], coder)
-        td_step(learner, phi, phi, [1.0])
+        learner.step([0.4], [0.4], [1.0])
         snapshot = learner.theta.copy()
         learner.freeze()
-        preds = td_step(learner, phi, phi, [5.0])
+        preds = learner.step([0.4], [0.4], [5.0])
         np.testing.assert_array_equal(learner.theta, snapshot)
-        assert preds[0] == snapshot[0, phi.active].sum()
+        assert preds[0] == snapshot[0, tile_indices([[0.4]], coder)[0]].sum()
 
     def test_gamma_zero_makes_trace_decay_irrelevant(self):
         # With gamma = 0 the trace collapses to phi[t], so any trace decay
@@ -141,17 +135,20 @@ class TestTdStep:
         for lam in (0.0, 0.9):
             learner = NextingLearner(coder, gamma=0.0, alpha=0.2, trace_lambda=lam)
             for t in range(len(stream) - 1):
-                td_step(learner, tile_features([stream[t]], coder),
-                        tile_features([stream[t + 1]], coder), [stream[t + 1]])
+                learner.step([stream[t]], [stream[t + 1]], [stream[t + 1]])
             thetas.append(learner.theta.copy())
         np.testing.assert_array_equal(thetas[0], thetas[1])
 
-    def test_dimension_mismatch_rejected(self):
-        learner = NextingLearner(TileCoder(), gamma=0.0, alpha=0.1, trace_lambda=0.9)
-        other = TileCoder(n_tilings=2)
-        phi = tile_features([0.5], other)
-        with pytest.raises(ValueError):
-            td_step(learner, phi, phi, [1.0])
+    def test_bad_input_rejected(self):
+        learner = NextingLearner(TileCoder(n_signals=2), gamma=0.0, alpha=0.1,
+                                 trace_lambda=0.9)
+        with pytest.raises(ValueError, match="expected 2 targets, got 1"):
+            learner.step([0.5, 0.5], [0.5, 0.5], [1.0])
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            learner.step([0.5, 0.5], [0.5, 1.2], [1.0, 1.0])
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            learner.predict([-0.1, 0.5])
+        np.testing.assert_array_equal(learner.theta, 0.0)
 
 
 class TestRunOnline:
@@ -223,7 +220,7 @@ class TestRunOnline:
 class TestRunOnlineMatchesStepLoop:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
-    def test_bit_identical_to_tile_features_and_td_step(self, data):
+    def test_bit_identical_to_learner_step(self, data):
         n_signals = data.draw(st.integers(1, 3))
         coder = TileCoder(n_tilings=data.draw(st.sampled_from([1, 3, 4, 7, 8])),
                           tiles_per_dim=data.draw(st.sampled_from([2, 5, 8, 10])),

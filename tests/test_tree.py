@@ -41,32 +41,28 @@ def all_pruned_subtrees(node):
 
 class TestBestSplit:
     def test_clean_step(self):
-        points = [((float(i),), y) for i, y in zip(range(1, 5), [0.0, 0.0, 10.0, 10.0])]
-        bs = best_split(points)
+        bs = best_split([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 10.0, 10.0])
         assert bs.point == 2.5
         assert bs.left_cost == 0.0 and bs.right_cost == 0.0
 
     def test_constant_targets_yield_none(self):
-        points = [((float(i),), 4.0) for i in range(1, 6)]
-        assert best_split(points) is None
+        assert best_split(np.arange(1.0, 6.0), np.full(5, 4.0)) is None
 
     def test_identical_inputs_yield_none(self):
-        points = [((1.0,), 0.0), ((1.0,), 5.0), ((1.0,), 9.0)]
-        assert best_split(points) is None
+        assert best_split([[1.0], [1.0], [1.0]], [0.0, 5.0, 9.0]) is None
 
     def test_prefers_zero_cost_split(self):
-        points = [((1.0,), 0.0), ((2.0,), 0.0), ((3.0,), 9.0)]
-        bs = best_split(points)
+        bs = best_split([1.0, 2.0, 3.0], [0.0, 0.0, 9.0])
         assert bs.point == 2.5
         assert bs.left_cost + bs.right_cost == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            best_split([])
+            best_split([], [])
 
     def test_exact_tie_keeps_lowest_threshold(self):
         # Both thresholds cost 103/6 in exact arithmetic; rounding favours 1.5.
-        bs = best_split(list(zip([0.0, 1.0, 0.0, 2.0, 2.0], [0.0, 2.0, 3.0, 0.0, 5.0])))
+        bs = best_split([0.0, 1.0, 0.0, 2.0, 2.0], [0.0, 2.0, 3.0, 0.0, 5.0])
         assert bs.point == 0.5
         assert naive_best_split(np.array([[0.0], [1.0], [0.0], [2.0], [2.0]]),
                                 np.array([0.0, 2.0, 3.0, 0.0, 5.0]))[2] == 0.5
@@ -81,7 +77,7 @@ class TestBestSplit:
             st.lists(grid, min_size=p, max_size=p), min_size=n, max_size=n)))
         y = np.array(data.draw(st.lists(grid, min_size=n, max_size=n)))
         expected = naive_best_split(X, y)
-        got = best_split(list(zip(X, y)))
+        got = best_split(X, y)
         if expected is None:
             assert got is None
         else:
