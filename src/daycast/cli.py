@@ -2,7 +2,7 @@
 
 Subcommands:
     synth        emit a sampled sine as two-column t,value data
-    fit          fit one configured method, print training-window predictions
+    fit          fit one configured method, print its training-sample predictions
     forecast     fit one configured method, print holdout forecasts
     compare      run every configured method and print the comparison table
     nexting-run  stream the online learner over the whole dataset
@@ -50,7 +50,7 @@ def _build_parser() -> _Parser:
     synth.add_argument("--phase", type=float, default=0.0)
     _io_flags(synth)
 
-    for name, help_text in (("fit", "print training-window predictions of one method"),
+    for name, help_text in (("fit", "print training-sample predictions of one method"),
                             ("forecast", "print holdout forecasts of one method")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="run config JSON (one method)")
@@ -105,24 +105,15 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_fit(args) -> int:
+def _cmd_predict(args) -> int:
     cfg, dataset = _load(args)
-    result = run_single(dataset, _one_method(cfg, "fit"),
-                        train_samples=cfg["train_samples"],
-                        forecast_samples=cfg["forecast_samples"])
-    if result.train_pred is None:
-        raise DaycastError(
-            f"{result.method} provides no training-interval predictions; use forecast")
-    _emit_series(Series(result.train_pred, result.train.t0), args)
-    return 0
-
-
-def _cmd_forecast(args) -> int:
-    cfg, dataset = _load(args)
-    result = run_single(dataset, _one_method(cfg, "forecast"),
-                        train_samples=cfg["train_samples"],
-                        forecast_samples=cfg["forecast_samples"])
-    _emit_series(Series(result.forecast, result.holdout.t0), args)
+    row = run_single(dataset, _one_method(cfg, args.command),
+                     train_samples=cfg["train_samples"],
+                     forecast_samples=cfg["forecast_samples"])
+    series = row.fitted if args.command == "fit" else row.forecast
+    if series is None:
+        raise DaycastError(f"{row.method} provides no training-interval predictions; use forecast")
+    _emit_series(series, args)
     return 0
 
 
@@ -170,8 +161,8 @@ def _cmd_acf(args) -> int:
 
 _COMMANDS = {
     "synth": _cmd_synth,
-    "fit": _cmd_fit,
-    "forecast": _cmd_forecast,
+    "fit": _cmd_predict,
+    "forecast": _cmd_predict,
     "compare": _cmd_compare,
     "nexting-run": _cmd_nexting_run,
     "acf": _cmd_acf,

@@ -8,12 +8,14 @@ or whose window the dataset cannot supply, gets an error row; the others
 are unaffected. Each method is one frozen parameter class in METHODS:
 its fields are its config keys, __post_init__ checks their ranges,
 check_window(n) the training window, and run() fits and forecasts.
+run_single places a method's predictions on their times and returns its
+unscored EvalReport row; compare scores that row.
 """
 
 import functools
 import math
 import typing
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -59,7 +61,13 @@ class Band:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """One comparison row: a method's training error and band runs."""
+    """One comparison row: a method's training error and band runs.
+
+    A row from run_single also carries its windows and predictions: train
+    and holdout as indexed for the method, fitted on the last training
+    samples the method predicts (None if it predicts none) and forecast on
+    the holdout times. They take no part in row equality or the exports.
+    """
 
     method: str
     train_rmse: float | None
@@ -67,6 +75,10 @@ class EvalReport:
     outer_run: int | None
     settings: dict = field(default_factory=dict)
     error: str | None = None
+    train: Series | None = field(default=None, compare=False, repr=False)
+    holdout: Series | None = field(default=None, compare=False, repr=False)
+    fitted: Series | None = field(default=None, compare=False, repr=False)
+    forecast: Series | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -128,8 +140,8 @@ def at_least(lo, **values):
 
 
 class _Method:
-    """Config keys as fields; run(train, holdout) returns the training-window
-    predictions (or None), the forecast and extra report settings.
+    """Config keys as fields; run(train, holdout) returns the predictions of
+    the last training samples (or None), the forecast and extra report settings.
     """
 
     def check_window(self, n: int):
@@ -250,11 +262,12 @@ class TreeParams(_Method):
     period: int
     max_leaves: int | None = None
     train_periods: int = 1
+    grow_config: tree.GrowConfig = field(init=False, repr=False)  # built from the keys; not a key
 
     def __post_init__(self):
-        tree.GrowConfig(self.min_node_size, self.max_leaves)
-        tree.PeriodicWrapper(None, self.period)
-        at_least(1, train_periods=self.train_periods)
+        object.__setattr__(self, "grow_config",
+                           tree.GrowConfig(self.min_node_size, self.max_leaves))
+        at_least(1, period=self.period, train_periods=self.train_periods)
 
     def check_window(self, n):
         if self.period > self.train_periods * n:
@@ -262,11 +275,9 @@ class TreeParams(_Method):
                              f"{self.train_periods * n}-sample training window")
 
     def run(self, train, holdout):
-        config = tree.GrowConfig(self.min_node_size, self.max_leaves)
-        wrapper = tree.fit_periodic_ensemble(train, self.period, config)
-        # Training error over the day closest to the forecast window.
-        last_day = Series(train.values[-self.period:], train.t0 + len(train) - self.period)
-        return wrapper.predict(last_day.times), wrapper.predict(holdout.times), {}
+        wrapper = tree.fit_periodic_ensemble(train, self.period, self.grow_config)
+        # Training error over the period closest to the forecast window.
+        return wrapper.predict(train.times[-self.period:]), wrapper.predict(holdout.times), {}
 
 
 @dataclass(frozen=True)
@@ -323,26 +334,15 @@ def parse_method(block, where: str = "method") -> _Method:
     return parse_block(cls, params, f"{where} ({name})")
 
 
-@dataclass(frozen=True)
-class SingleRun:
-    """Fit/forecast of one method, with its windows attached."""
-
-    method: str
-    train: Series
-    holdout: Series
-    train_pred: np.ndarray | None
-    forecast: np.ndarray
-    settings: dict
-
-
 def run_single(dataset: Series, params: dict, *, train_samples: int = 24,
-               forecast_samples: int = 24) -> SingleRun:
+               forecast_samples: int = 24) -> EvalReport:
     """Run one method block under the comparison protocol; failures propagate.
 
-    Whatever dataset.t0 is, the W-sample training window is indexed
-    t = 1..W and the holdout t = W+1..W+F, so a method that regresses on
-    the time index sees the same inputs whichever window another method
-    asks for.
+    Returns the unscored row. Whatever dataset.t0 is, the W-sample
+    training window is indexed t = 1..W and the holdout t = W+1..W+F, so a
+    method that regresses on the time index sees the same inputs whichever
+    window another method asks for. The fitted series ends at t = W and
+    the forecast series lies on the holdout times.
     """
     method = parse_method(params)
     boundary = len(dataset) - forecast_samples
@@ -353,8 +353,11 @@ def run_single(dataset: Series, params: dict, *, train_samples: int = 24,
     holdout = Series(dataset.values[boundary:], window + 1, dataset.period_hint, dataset.unit)
     train = Series(dataset.values[boundary - window:boundary], 1, dataset.period_hint,
                    dataset.unit)
-    train_pred, forecast, extras = method.run(train, holdout)
-    return SingleRun(params["name"], train, holdout, train_pred, forecast, {**params, **extras})
+    fitted, forecast, extras = method.run(train, holdout)
+    if fitted is not None:
+        fitted = train.with_values(fitted, t0=window + 1 - len(fitted))
+    return EvalReport(params["name"], None, None, None, {**params, **extras}, train=train,
+                      holdout=holdout, fitted=fitted, forecast=holdout.with_values(forecast))
 
 
 def compare(dataset: Series, methods: list, band: Band, *,
@@ -379,20 +382,16 @@ def compare(dataset: Series, methods: list, band: Band, *,
         name = block.get("name")
         name = name if isinstance(name, str) else "?"
         try:
-            run = run_single(dataset, params, train_samples=train_samples,
+            row = run_single(dataset, params, train_samples=train_samples,
                              forecast_samples=forecast_samples)
             train_rmse = None
-            if run.train_pred is not None:
-                m = len(run.train_pred)
-                target = Series(run.train.values[-m:], run.train.t0 + len(run.train) - m)
-                train_rmse = rmse(Series(run.train_pred, target.t0), target)
-            fc = Series(run.forecast, run.holdout.t0)
-            reports.append(EvalReport(
-                method=name, train_rmse=train_rmse,
-                inner_run=consecutive_within(fc, run.holdout, band.inner),
-                outer_run=consecutive_within(fc, run.holdout, band.outer),
-                settings=run.settings,
-            ))
+            if row.fitted is not None:
+                target = row.train.values[row.fitted.t0 - row.train.t0:]
+                train_rmse = rmse(row.fitted, row.fitted.with_values(target))
+            reports.append(replace(
+                row, train_rmse=train_rmse,
+                inner_run=consecutive_within(row.forecast, row.holdout, band.inner),
+                outer_run=consecutive_within(row.forecast, row.holdout, band.outer)))
         except Exception as exc:  # isolation: one bad method must not kill the run
             reports.append(EvalReport(method=name, train_rmse=None, inner_run=None,
                                       outer_run=None, settings=dict(block),

@@ -52,8 +52,8 @@ def write_series(series: Series, fh=None, fmt: str = "csv") -> None:
     if fmt == "csv":
         # repr round-trips doubles exactly; the parse-export-reparse
         # cycle must be value identical.
-        for t, v in zip(series.times, series.values):
-            fh.write(f"{t:g},{float(v)!r}\n")
+        for t, v in zip(range(series.t0, series.t0 + len(series)), series.values):
+            fh.write(f"{t},{float(v)!r}\n")
     elif fmt == "json":
         json.dump([[float(t), float(v)] for t, v in zip(series.times, series.values)], fh)
         fh.write("\n")

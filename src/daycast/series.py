@@ -15,7 +15,8 @@ class Series:
     """Immutable uniformly sampled signal.
 
     Attributes:
-        values: the samples, stored as a read-only float array.
+        values: the samples, stored as a read-only float array; every
+            sample must be finite.
         t0: time index of the first sample (defaults to 1, so a day of
             hourly data runs t = 1..24).
         period_hint: samples per season when the signal is periodic
@@ -32,6 +33,10 @@ class Series:
         v = np.array(self.values, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("series needs a nonempty 1-d value array")
+        finite = np.isfinite(v)
+        if not finite.all():
+            i = int(finite.argmin())
+            raise ValueError(f"series value {v[i]} at index {i} (t = {self.t0 + i}) is not finite")
         if self.period_hint is not None and self.period_hint < 1:
             raise ValueError(f"period_hint must be positive, got {self.period_hint}")
         v.flags.writeable = False

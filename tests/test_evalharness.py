@@ -187,7 +187,7 @@ class TestCompare:
             Series(np.concatenate([temp24.values, temp24.values]), t0=1),
             {"name": "ridge", "reg_lambda": 0.1, "g1": {"period": 24, "phase": 0.0}},
         )
-        curve = run.train_pred
+        curve = run.fitted.values
         peak = int(np.argmax(curve))
         for k in range(1, min(peak, 23 - peak) + 1):
             assert curve[peak - k] == pytest.approx(curve[peak + k], abs=1e-9)
@@ -198,15 +198,15 @@ class TestRunSingle:
         run = run_single(wind, {"name": "polynomial", "degree": 6})
         assert len(run.train) == 24 and len(run.holdout) == 24
         assert run.holdout.t0 == 25
-        assert run.forecast.shape == (24,)
-        assert run.forecast[0] == pytest.approx(2.0308248, abs=1e-3)
+        assert run.forecast.values.shape == (24,)
+        assert run.forecast.values[0] == pytest.approx(2.0308248, abs=1e-3)
 
     def test_windows_are_indexed_from_one_whatever_the_dataset_start(self, wind):
         block = {"name": "polynomial", "degree": 6}
         late = run_single(Series(np.concatenate([wind.values[:24], wind.values]), t0=40),
                           block)
         assert late.train.t0 == 1 and late.holdout.t0 == 25
-        assert late.forecast.tobytes() == run_single(wind, block).forecast.tobytes()
+        assert late.forecast.values.tobytes() == run_single(wind, block).forecast.values.tobytes()
 
     def test_nexting_settings_echo_alignment(self, wind):
         run = run_single(wind, {"name": "nexting", "gamma": 0.0, "alpha": 0.3,

@@ -20,6 +20,7 @@ from daycast.reportio import (export_report, export_series, format_report_table,
                               read_series_csv, report_rows, write_series)
 from daycast.series import Series
 from daycast.tmy3 import parse_tmy3
+from daycast.tree import GrowConfig, fit_periodic_ensemble
 
 HEADER = ("724940,LOS ANGELES INTL ARPT,CA,-8.0,33.938,-118.389,30\n"
           "Date (MM/DD/YYYY),Time (HH:MM),Wind Speed (m/s),Dry-bulb (C),DNI (W/m^2)\n")
@@ -203,6 +204,13 @@ class TestParseTmy3:
         back = read_series_csv(tmp_path / "s.csv")
         assert back.t0 == 17
         assert back.values.tobytes() == series.values.tobytes()
+
+    def test_series_roundtrip_keeps_times_of_a_million_or_more(self, tmp_path):
+        series = Series([1.0, 2.0], t0=1234567)
+        with open(tmp_path / "s.csv", "w") as fh:
+            write_series(series, fh)
+        assert (tmp_path / "s.csv").read_text() == "1234567,1.0\n1234568,2.0\n"
+        assert read_series_csv(tmp_path / "s.csv").t0 == 1234567
 
     def test_series_roundtrip_through_csv(self, tmp_path):
         path = write_tmy3(tmp_path / "rt.csv", tiny_rows(30))
@@ -458,6 +466,19 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 24
         assert float(lines[0].split(",")[0]) == 1.0
+
+    def test_fit_prints_the_times_of_the_predicted_training_samples(self, tmp_path, capsys,
+                                                                     wind):
+        # A tree predicts only the last period of its window: t = 5..24 of 1..24.
+        cfg = tmp_path / "tree.json"
+        cfg.write_text(json.dumps({"signal": "wind", "band": {"inner": 1, "outer": 3},
+                                   "methods": [{"name": "tree", "min_node_size": 10,
+                                                "period": 20}]}))
+        assert run_cli(["fit", "--config", str(cfg)]) == 0
+        pairs = [line.split(",") for line in capsys.readouterr().out.split()]
+        model = fit_periodic_ensemble(Series(wind.values[:24]), 20, GrowConfig(10))
+        assert [int(t) for t, _ in pairs] == list(range(5, 25))
+        assert [float(v) for _, v in pairs] == [model.predict(float(t)) for t, _ in pairs]
 
     def test_forecast_prints_holdout_predictions(self, tmp_path, capsys):
         cfg = tmp_path / "poly.json"

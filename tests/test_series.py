@@ -23,6 +23,11 @@ class TestSeries:
         s = Series([5.0, 6.0, 7.0], t0=4)
         assert list(s.times) == [4.0, 5.0, 6.0]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected_with_index_and_time(self, bad):
+        with pytest.raises(ValueError, match=r"index 2 \(t = 6\) is not finite"):
+            Series([1.0, 2.0, bad, bad], t0=4)
+
 
 class TestMakeSine:
     def test_quarter_period_peaks(self):
