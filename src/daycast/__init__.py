@@ -2,7 +2,7 @@
 
 Eight method families (polynomial and ridge regression, RBF networks,
 smoothing splines, kernel regression, seasonal ARIMA, regression trees
-with bagging and periodic prototypes, and online TD(lambda) prediction
+with periodic prototypes, and online TD(lambda) prediction
 over tile-coded features) plus the shared evaluation protocol: training
 RMSE and consecutive-in-band forecast counts over a one-day holdout.
 """
@@ -26,7 +26,7 @@ from .series import Series, Split, make_sine, normalize_unit, split
 from .smoothers import (KernelConfig, SplineFit, default_bandwidth, fit_smoothing_spline,
                         kernel_predict)
 from .tmy3 import parse_tmy3
-from .tree import (BagEnsemble, BestSplit, GrowConfig, PeriodicWrapper, Tree, bag_fit,
-                   best_split, fit_periodic_ensemble, grow, prune)
+from .tree import (BagEnsemble, BestSplit, GrowConfig, PeriodicWrapper, Tree, best_split,
+                   fit_periodic_ensemble, grow, prune)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -8,8 +8,12 @@ basis: N1 = 1, N2 = x, N_{d+2}(x) = delta_d(x) - delta_{D-1}(x) with
     delta_d(x) = ((x - k_d)_+^3 - (x - k_D)_+^3) / (k_D - k_d).
 
 Second derivatives of this basis are piecewise linear and vanish outside
-the knot range, so the penalty matrix integrates in closed form and
-evaluation beyond the boundary knots extrapolates linearly for free.
+the knot range, so the penalty matrix integrates in closed form (Simpson's
+rule is exact on every inter-knot interval) and evaluation beyond the
+boundary knots extrapolates linearly for free. Both matrices are built
+in whole-array passes: the basis in one broadcast, the penalty one row of
+its upper triangle at a time, so its working memory grows as the square
+of the knot count.
 """
 
 from dataclasses import dataclass
@@ -22,18 +26,20 @@ from .series import Series
 
 
 def _basis_matrix(knots: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    n_knots = len(knots)
-    last = knots[-1]
+    """Basis values at xs: one row per point, one column per basis function.
 
-    def delta(d, x):
-        return (np.maximum(x - knots[d], 0.0) ** 3
-                - np.maximum(x - last, 0.0) ** 3) / (last - knots[d])
-
-    cols = [np.ones_like(xs), xs]
-    tail = delta(n_knots - 2, xs)
-    for d in range(n_knots - 2):
-        cols.append(delta(d, xs) - tail)
-    return np.column_stack(cols)
+    Every delta_d comes from one broadcast over (points, knots). X is
+    filled in place so that it stays C-contiguous: X.T @ y then sums in
+    the same order as it would for column-stacked columns.
+    """
+    first, last = knots[:-1], knots[-1]
+    x = xs[:, None]
+    deltas = (np.maximum(x - first, 0.0) ** 3 - np.maximum(x - last, 0.0) ** 3) / (last - first)
+    X = np.empty((len(xs), len(knots)))
+    X[:, 0] = 1.0
+    X[:, 1] = xs
+    X[:, 2:] = deltas[:, :-1] - deltas[:, -1:]
+    return X
 
 
 def _penalty_matrix(knots: np.ndarray) -> np.ndarray:
@@ -42,31 +48,31 @@ def _penalty_matrix(knots: np.ndarray) -> np.ndarray:
     Each second derivative is piecewise linear with breakpoints at the
     knots, so on every inter-knot interval the integrand is a quadratic
     and the three-point Simpson rule is exact.
+
+    The second derivatives are sampled once, at every interval's start,
+    midpoint and end, as three (n_knots, n_intervals) arrays. The upper
+    triangle is then filled one row at a time: every entry is the same
+    elementwise Simpson sum, taken along the same contiguous axis, as a
+    sum per knot pair would be, so the matrix is the same bit for bit.
+    Working memory is O(n_knots^2); one (n, n, n - 1) broadcast for the
+    whole matrix would need O(n_knots^3).
     """
     n_knots = len(knots)
-    last = knots[-1]
+    first, last = knots[:-1, None], knots[-1]
 
-    def d2_delta(d, x):
-        return 6.0 * (np.maximum(x - knots[d], 0.0) - np.maximum(x - last, 0.0)) / (last - knots[d])
+    def d2_basis(x):
+        d2_delta = 6.0 * (np.maximum(x - first, 0.0) - np.maximum(x - last, 0.0)) / (last - first)
+        out = np.zeros((n_knots, len(x)))  # N1 = 1 and N2 = x have none
+        out[2:] = d2_delta[:-1] - d2_delta[-1]
+        return out
 
-    def d2_basis(j, x):
-        if j < 2:
-            return np.zeros_like(x)
-        return d2_delta(j - 2, x) - d2_delta(n_knots - 2, x)
-
-    # Sample every second derivative at interval endpoints and midpoints.
     a, b = knots[:-1], knots[1:]
-    mids = 0.5 * (a + b)
-    ends_a = np.array([d2_basis(j, a) for j in range(n_knots)])
-    ends_b = np.array([d2_basis(j, b) for j in range(n_knots)])
-    mid = np.array([d2_basis(j, mids) for j in range(n_knots)])
-
+    ends_a, mid, ends_b = d2_basis(a), d2_basis(0.5 * (a + b)), d2_basis(b)
     omega = np.zeros((n_knots, n_knots))
     w = (b - a) / 6.0
     for j in range(2, n_knots):
-        for k in range(j, n_knots):
-            val = np.sum(w * (ends_a[j] * ends_a[k] + 4.0 * mid[j] * mid[k] + ends_b[j] * ends_b[k]))
-            omega[j, k] = omega[k, j] = val
+        omega[j, j:] = omega[j:, j] = np.sum(
+            w * (ends_a[j] * ends_a[j:] + 4.0 * mid[j] * mid[j:] + ends_b[j] * ends_b[j:]), axis=1)
     return omega
 
 

@@ -1,4 +1,4 @@
-"""Binary regression trees with pruning, bagging, and periodic prototypes.
+"""Binary regression trees with pruning and periodic prototypes.
 
 Leaves carry the mean of the training targets routed to them, so a tree
 is a piecewise-constant fit over axis-aligned rectangles. Splits are
@@ -248,31 +248,13 @@ def prune(tree: Tree, alpha: float) -> Tree:
 
 @dataclass(frozen=True)
 class BagEnsemble:
-    """Average of trees fit on bootstrap resamples."""
+    """Average of the predictions of several trees."""
 
     trees: tuple
 
     def predict(self, x):
         preds = [t.predict(x) for t in self.trees]
         return float(np.mean(preds)) if np.isscalar(preds[0]) else np.mean(preds, axis=0)
-
-
-def bag_fit(train, B: int, config: GrowConfig = GrowConfig(), seed: int = 0,
-            resample: bool = True) -> BagEnsemble:
-    """Fit B trees on with-replacement resamples, one child generator per tree.
-
-    resample=False is a diagnostic mode that fits every member on the
-    raw training set (so B=1 reproduces a single grown tree exactly).
-    """
-    if B < 1:
-        raise ValueError(f"B must be >= 1, got {B}")
-    X, y = _as_table(train)
-    trees = []
-    for b in range(B):
-        rng = np.random.default_rng([seed, b])
-        idx = rng.integers(0, len(y), size=len(y)) if resample else np.arange(len(y))
-        trees.append(grow((X[idx], y[idx]), config))
-    return BagEnsemble(tuple(trees))
 
 
 @dataclass(frozen=True)
@@ -305,16 +287,20 @@ def fit_periodic_ensemble(series: Series, period: int,
 
     Supports training a periodic prototype on several consecutive
     periods of a signal; predictions are the ensemble mean evaluated
-    after the modulo mapping.
+    after the modulo mapping. The full periods are counted back from the
+    end of the series, so the samples right before a forecast window are
+    always trained on; when period does not divide the series, its
+    first len(series) % period samples are left out.
     """
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
-    n_periods = len(series) // period
+    n_periods, skip = divmod(len(series), period)
     if n_periods < 1:
         raise ValueError(f"series of length {len(series)} holds no full period of {period}")
-    base_times = np.arange(series.t0, series.t0 + period, dtype=float)[:, None]
+    t0, values = series.t0 + skip, series.values[skip:]
+    base_times = np.arange(t0, t0 + period, dtype=float)[:, None]
     trees = tuple(
-        grow((base_times, series.values[k * period:(k + 1) * period]), config)
+        grow((base_times, values[k * period:(k + 1) * period]), config)
         for k in range(n_periods)
     )
-    return PeriodicWrapper(BagEnsemble(trees), period, series.t0)
+    return PeriodicWrapper(BagEnsemble(trees), period, t0)

@@ -1,14 +1,118 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from daycast.config import band_from_config, builtin_config_path, load_config, load_dataset
 from daycast.errors import NoSupportError, ZeroVarianceError
+from daycast.evalharness import compare
 from daycast.linmodels import fit_polynomial
 from daycast.series import Series, make_sine
-from daycast.smoothers import (KernelConfig, default_bandwidth, fit_smoothing_spline,
-                               kernel_predict)
+from daycast.smoothers import (KernelConfig, _basis_matrix, _penalty_matrix, default_bandwidth,
+                               fit_smoothing_spline, kernel_predict)
 
 GENERIC_Y = [2.0, -1.0, 4.0, 3.5, 0.5, 1.0]
+
+
+def loop_basis_matrix(knots, xs):
+    """Reference: the truncated-cube basis built one column at a time."""
+    n_knots = len(knots)
+    last = knots[-1]
+
+    def delta(d, x):
+        return (np.maximum(x - knots[d], 0.0) ** 3
+                - np.maximum(x - last, 0.0) ** 3) / (last - knots[d])
+
+    cols = [np.ones_like(xs), xs]
+    tail = delta(n_knots - 2, xs)
+    for d in range(n_knots - 2):
+        cols.append(delta(d, xs) - tail)
+    return np.column_stack(cols)
+
+
+def loop_penalty_matrix(knots):
+    """Reference: the Simpson Gram matrix summed one knot pair at a time."""
+    n_knots = len(knots)
+    last = knots[-1]
+
+    def d2_delta(d, x):
+        return 6.0 * (np.maximum(x - knots[d], 0.0) - np.maximum(x - last, 0.0)) / (last - knots[d])
+
+    def d2_basis(j, x):
+        if j < 2:
+            return np.zeros_like(x)
+        return d2_delta(j - 2, x) - d2_delta(n_knots - 2, x)
+
+    a, b = knots[:-1], knots[1:]
+    mids = 0.5 * (a + b)
+    ends_a = np.array([d2_basis(j, a) for j in range(n_knots)])
+    ends_b = np.array([d2_basis(j, b) for j in range(n_knots)])
+    mid = np.array([d2_basis(j, mids) for j in range(n_knots)])
+
+    omega = np.zeros((n_knots, n_knots))
+    w = (b - a) / 6.0
+    for j in range(2, n_knots):
+        for k in range(j, n_knots):
+            val = np.sum(w * (ends_a[j] * ends_a[k] + 4.0 * mid[j] * mid[k] + ends_b[j] * ends_b[k]))
+            omega[j, k] = omega[k, j] = val
+    return omega
+
+
+def random_knots(seed, spacing):
+    """4 to 79 knots: hourly from a random start, or irregular and sorted."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 80))
+    if spacing == "unit":
+        return np.arange(1.0, n + 1.0) + float(rng.integers(0, 9000))
+    gaps = rng.uniform(0.05, 5.0, n - 1)
+    return float(rng.uniform(-100.0, 100.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+
+
+class TestSplineMatricesMatchTheLoops:
+    @pytest.mark.parametrize("spacing", ["unit", "irregular"])
+    @pytest.mark.parametrize("seed", range(25))
+    def test_bit_identical_on_random_knots(self, seed, spacing):
+        knots = random_knots(seed, spacing)
+        rng = np.random.default_rng(1000 + seed)
+        span = knots[-1] - knots[0]
+        xs = np.concatenate([knots, rng.uniform(knots[0] - span, knots[-1] + span, 40),
+                             [knots[0] - 3.5, knots[-1] + 7.25]])
+        assert _penalty_matrix(knots).tobytes() == loop_penalty_matrix(knots).tobytes()
+        basis = _basis_matrix(knots, xs)
+        assert basis.tobytes() == loop_basis_matrix(knots, xs).tobytes()
+        # The column-stacked reference is C-ordered; X.T @ y sums by layout.
+        assert basis.flags.c_contiguous
+
+    @pytest.mark.parametrize("n_knots", [4, 5, 79])
+    def test_bit_identical_at_the_size_limits(self, n_knots):
+        knots = np.arange(1.0, n_knots + 1.0)
+        assert _penalty_matrix(knots).tobytes() == loop_penalty_matrix(knots).tobytes()
+        assert _basis_matrix(knots, knots).tobytes() == loop_basis_matrix(knots, knots).tobytes()
+
+    @pytest.mark.parametrize("name, train_rmse", [
+        ("table2_wind", 0.9285567461913319),
+        ("table2_temperature", 0.14407289207208113),
+        ("table2_irradiance", 25.811490484084583),
+    ])
+    def test_fixture_spline_rows_are_pinned(self, name, train_rmse):
+        cfg = load_config(builtin_config_path(name))
+        rows = compare(load_dataset(cfg), [m for m in cfg["methods"] if m["name"] == "spline"],
+                       band_from_config(cfg), train_samples=cfg["train_samples"],
+                       forecast_samples=cfg["forecast_samples"])
+        assert rows[0].train_rmse == train_rmse
+
+    def test_penalty_memory_grows_with_the_square_of_the_knots(self):
+        # 300 knots: a few MB for rows of the upper triangle; one
+        # (n, n, n - 1) broadcast would need about 215 MB per temporary.
+        knots = np.arange(1.0, 301.0)
+        tracemalloc.start()
+        try:
+            _penalty_matrix(knots)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestSmoothingSpline:
@@ -76,7 +180,6 @@ class TestSmoothingSpline:
         assert all(a <= b + 1e-10 for a, b in zip(errs, errs[1:]))
 
     def test_penalty_matrix_is_symmetric_psd(self, temp24):
-        from daycast.smoothers import _penalty_matrix
         omega = _penalty_matrix(temp24.times)
         np.testing.assert_allclose(omega, omega.T, atol=1e-12)
         eigs = np.linalg.eigvalsh(omega)

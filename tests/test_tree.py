@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from daycast.evalharness import run_single
 from daycast.series import Series
-from daycast.tree import (BagEnsemble, GrowConfig, PeriodicWrapper, bag_fit,
-                          best_split, fit_periodic_ensemble, grow, prune)
+from daycast.tree import (BagEnsemble, GrowConfig, PeriodicWrapper, best_split,
+                          fit_periodic_ensemble, grow, prune)
 
 
 def naive_best_split(X, y):
@@ -199,30 +200,6 @@ class TestPrune:
             assert large <= small
 
 
-class TestBagging:
-    def test_single_member_without_resampling_equals_plain_tree(self, wind24):
-        bag = bag_fit(wind24, 1, GrowConfig(min_node_size=10), seed=0, resample=False)
-        t = grow(wind24, GrowConfig(min_node_size=10))
-        probes = np.linspace(1, 24, 47)
-        np.testing.assert_array_equal(bag.predict(probes), t.predict(probes))
-
-    def test_same_seed_same_ensemble(self, wind24):
-        a = bag_fit(wind24, 5, GrowConfig(min_node_size=5), seed=3)
-        b = bag_fit(wind24, 5, GrowConfig(min_node_size=5), seed=3)
-        probes = np.linspace(0, 30, 61)
-        np.testing.assert_array_equal(a.predict(probes), b.predict(probes))
-
-    def test_constant_targets(self):
-        bag = bag_fit(Series([7.0] * 10), 4, seed=1)
-        assert bag.predict(3.0) == 7.0
-
-    def test_prediction_is_mean_of_members(self, temp24):
-        bag = bag_fit(temp24, 7, GrowConfig(min_node_size=6), seed=9)
-        probes = np.linspace(1, 24, 20)
-        member_mean = np.mean([t.predict(probes) for t in bag.trees], axis=0)
-        np.testing.assert_array_equal(bag.predict(probes), member_mean)
-
-
 class TestPeriodicWrapper:
     def test_worked_example_hour_26_maps_to_2(self, temp24):
         t = grow(temp24, GrowConfig(min_node_size=10))
@@ -246,3 +223,30 @@ class TestPeriodicWrapper:
         day1 = wrapper.inner.trees[0].predict(5.0)
         day2 = wrapper.inner.trees[1].predict(5.0)
         assert wrapper.predict(29.0) == pytest.approx((day1 + day2) / 2.0)
+
+    def test_full_periods_end_at_the_last_sample(self, wind24):
+        # period 20 on 24 samples: the one full period is t = 5..24.
+        wrapper = fit_periodic_ensemble(wind24, 20, GrowConfig(min_node_size=10))
+        assert wrapper.t0 == 5
+        oracle = grow((np.arange(5.0, 25.0), wind24.values[4:]), GrowConfig(min_node_size=10))
+        probes = np.arange(5.0, 49.0)
+        np.testing.assert_array_equal(wrapper.predict(probes),
+                                      oracle.predict(wrapper.base_time(probes)))
+
+    def test_a_dividing_period_keeps_the_trees_oldest_first(self, wind):
+        wrapper = fit_periodic_ensemble(wind, 24, GrowConfig(min_node_size=10))
+        days = [grow((np.arange(1.0, 25.0), wind.values[k * 24:(k + 1) * 24]),
+                     GrowConfig(min_node_size=10)) for k in range(2)]
+        probes = np.arange(1.0, 25.0)
+        assert wrapper.t0 == 1
+        for member, day in zip(wrapper.inner.trees, days):
+            np.testing.assert_array_equal(member.predict(probes), day.predict(probes))
+
+    def test_tree_row_trains_on_the_samples_before_the_forecast(self, wind):
+        # The tree row scores t = 5..24; changing t = 21..24 must change what it learns.
+        block = {"name": "tree", "min_node_size": 10, "period": 20}
+        spiked = wind.values.copy()
+        spiked[20:24] = 99.0
+        before = run_single(wind, block)
+        after = run_single(wind.with_values(spiked), block)
+        assert not np.array_equal(before.forecast.values, after.forecast.values)
