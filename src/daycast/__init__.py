@@ -16,7 +16,7 @@ from .errors import (ConfigError, DaycastError, EstimationError, InstabilityErro
                      UnderdeterminedError, ZeroVarianceError)
 from .evalharness import (Band, EvalReport, compare, consecutive_within, rmse,
                           run_single)
-from .fixtures import FixtureSet, dni48, fixture, load_fixtures, temp48, wind48
+from .fixtures import dni48, fixture, temp48, wind48
 from .linmodels import (BasisFunction, Constant, GaussianBump, LinearFit, Monomial,
                         RbfConfig, Sinusoid, design_matrix, fit_basis, fit_polynomial,
                         fit_rbf, solve_ridge)

@@ -182,15 +182,19 @@ def _min_root_magnitude(poly: np.ndarray) -> float:
     return float(np.min(np.abs(np.roots(trimmed[::-1]))))
 
 
+def _autocorrelations(x: np.ndarray, max_lag: int) -> np.ndarray | None:
+    """Sample autocorrelations of x at lags 1..max_lag, or None when x is constant."""
+    xc = x - x.mean()
+    c0 = float(xc @ xc) / len(xc)
+    if c0 == 0.0:
+        return None
+    return np.array([float(xc[:-k] @ xc[k:]) / len(xc) / c0 for k in range(1, max_lag + 1)])
+
+
 def _yule_walker(z: np.ndarray, p: int) -> np.ndarray:
-    if p == 0:
-        return np.zeros(0)
-    zc = z - z.mean()
-    n = len(z)
-    c0 = float(zc @ zc) / n
-    if c0 <= 0:
+    r = _autocorrelations(z, p) if p > 0 else None
+    if r is None:
         return np.zeros(p)
-    r = np.array([float(zc[:-k] @ zc[k:]) / n / c0 for k in range(1, p + 1)])
     try:
         return np.linalg.solve(toeplitz(np.concatenate([[1.0], r[:-1]])), r)
     except np.linalg.LinAlgError:
@@ -205,13 +209,13 @@ def _split_params(params: np.ndarray, order: ArimaOrder):
 
 
 def css_estimate(series: Series, order: ArimaOrder, init=None, *,
-                 with_drift: bool = False, max_iterations: int | None = None) -> ArimaModel:
+                 max_iterations: int | None = None) -> ArimaModel:
     """Estimate coefficients by conditional sum of squares.
 
-    The differenced series is centered (by its mean for pure ARMA, or
-    when with_drift is set), shocks are computed recursively with zero
-    pre-sample values, and sum(a^2) is minimized by Nelder-Mead from a
-    Yule-Walker start for the AR side and zeros elsewhere. The budget
+    The differenced series is centered by its mean only for pure ARMA, so
+    a differenced fit has no drift (theta0 = 0). Shocks are computed with
+    zero pre-sample values, and sum(a^2) is minimized by Nelder-Mead from
+    a Yule-Walker start for the AR side and zeros elsewhere. The budget
     defaults to 500 iterations per free parameter.
 
     Raises EstimationError (carrying the best model and objective so
@@ -222,8 +226,7 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
     z = difference(series, order.d, (s, D) if order.seasonal else None).values
     m = len(z)
     mu_z = float(z.mean())
-    center = mu_z if (order.d + D == 0 or with_drift) else 0.0
-    zc = z - center
+    zc = z - (mu_z if order.d + D == 0 else 0.0)  # lfilter is slower on read-only z
 
     def build(params, sigma2, trace):
         phi, theta, sphi, stheta = _split_params(np.asarray(params, dtype=float), order)
@@ -233,10 +236,8 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
             warns.append("AR polynomial has a root on or inside the unit circle (non-stationary)")
         if _min_root_magnitude(ma) <= 1.0 + _UNIT_ROOT_TOL:
             warns.append("MA polynomial has a root on or inside the unit circle (non-invertible)")
-        theta0 = center * float(ar.sum()) if (order.d + D > 0 and with_drift) else 0.0
-        return ArimaModel(order, phi, theta, sphi, stheta, theta0=theta0,
-                          sigma2=sigma2, mu=mu_z, warnings=tuple(warns),
-                          fit_trace=tuple(trace))
+        return ArimaModel(order, phi, theta, sphi, stheta, sigma2=sigma2, mu=mu_z,
+                          warnings=tuple(warns), fit_trace=tuple(trace))
 
     def objective(params):
         ar, ma = _operators(order, *_split_params(params, order))
@@ -346,15 +347,10 @@ def acf_pacf(series: Series, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"max_lag must be >= 1, got {max_lag}")
     if max_lag >= len(series):
         raise ValueError(f"max_lag {max_lag} must be below the series length {len(series)}")
-    yc = series.values - series.values.mean()
-    n = len(yc)
-    c0 = float(yc @ yc) / n
-    if c0 == 0.0:
+    r = _autocorrelations(series.values, max_lag)
+    if r is None:
         raise ZeroVarianceError("autocorrelation is undefined for a constant series")
-    acf = np.empty(max_lag + 1)
-    acf[0] = 1.0
-    for k in range(1, max_lag + 1):
-        acf[k] = float(yc[:-k] @ yc[k:]) / n / c0
+    acf = np.concatenate([[1.0], r])
 
     pacf = np.empty(max_lag + 1)
     pacf[0] = 1.0

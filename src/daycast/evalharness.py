@@ -185,8 +185,6 @@ class RidgeParams(_Method):
 
 @dataclass(frozen=True)
 class RbfParams(_Method, linmodels.RbfConfig):
-    centers: tuple | None = field(default=None, init=False)  # set by placement; not a key
-
     def check_window(self, n):
         if self.n_basis + self.include_bias > n:
             raise ValueError(f"{self.n_basis} basis functions need more than {n} samples")
@@ -299,6 +297,11 @@ class NextingParams(_Method):
         at_least(0, max_shift=self.max_shift)
         at_least(1, freeze_after=self.freeze_after, train_periods=self.train_periods)
 
+    def check_window(self, n):
+        if self.max_shift >= self.train_periods * n:
+            raise ValueError(f"max_shift {self.max_shift} must be below the "
+                             f"{self.train_periods * n}-sample training window")
+
     def run(self, train, holdout):
         full = train.with_values(np.concatenate([train.values, holdout.values]))
         run = nexting.run_online([full], nexting.TileCoder(n_signals=1), gamma=self.gamma,
@@ -347,6 +350,9 @@ def run_single(dataset: Series, params: dict, *, train_samples: int = 24,
     method = parse_method(params)
     boundary = len(dataset) - forecast_samples
     window = getattr(method, "train_periods", 1) * train_samples
+    if boundary < 0:
+        raise ValueError(f"the {forecast_samples}-sample forecast window exceeds the "
+                         f"{len(dataset)}-sample dataset")
     if boundary - window < 0:
         raise ValueError(f"{params['name']} needs {window} training samples before the forecast "
                          f"window but only {boundary} are available")

@@ -6,8 +6,6 @@ are the usual training day, the second 24 the forecast day. Values are
 embedded as constants so tests and demos need no external files.
 """
 
-from dataclasses import dataclass
-
 from .series import Series
 
 _WIND48 = (
@@ -42,19 +40,6 @@ def temp48() -> Series:
 
 def dni48() -> Series:
     return Series(_DNI48, t0=1, period_hint=24, unit="Wh/m^2")
-
-
-@dataclass(frozen=True)
-class FixtureSet:
-    """All three embedded signals bundled together."""
-
-    wind48: Series
-    temp48: Series
-    dni48: Series
-
-
-def load_fixtures() -> FixtureSet:
-    return FixtureSet(wind48(), temp48(), dni48())
 
 
 _BY_NAME = {"wind48": wind48, "temp48": temp48, "dni48": dni48}

@@ -101,11 +101,10 @@ def design_matrix(basis: tuple, xs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearFit:
-    """Coefficients over a basis set, plus the regularization that produced them."""
+    """Coefficients over a basis set."""
 
     basis: tuple
     coeffs: np.ndarray
-    reg_lambda: float = 0.0
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
@@ -122,15 +121,13 @@ class LinearFit:
         return float(out) if out.ndim == 0 else out
 
 
-def solve_ridge(X: np.ndarray, y: np.ndarray, reg_lambda: float = 0.0,
-                L: np.ndarray | None = None) -> np.ndarray:
-    """Minimize ||y - X theta||^2 + reg_lambda^2 ||L theta||^2.
+def solve_ridge(X: np.ndarray, y: np.ndarray, reg_lambda: float = 0.0) -> np.ndarray:
+    """Minimize ||y - X theta||^2 + reg_lambda^2 ||theta||^2.
 
     Solved through an orthogonal factorization of the stacked system
-    [X; reg_lambda * L] rather than the normal equations: monomial
+    [X; reg_lambda * I] rather than the normal equations: monomial
     columns on raw hour indices are too ill-conditioned to square.
-    With reg_lambda = 0 this is ordinary least squares. L defaults to
-    the identity.
+    With reg_lambda = 0 this is ordinary least squares.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -142,13 +139,8 @@ def solve_ridge(X: np.ndarray, y: np.ndarray, reg_lambda: float = 0.0,
         raise ValueError(f"reg_lambda must be >= 0, got {reg_lambda}")
 
     if reg_lambda > 0:
-        if L is None:
-            L = np.eye(X.shape[1])
-        L = np.asarray(L, dtype=float)
-        if L.shape[1] != X.shape[1]:
-            raise ValueError("L column count must match X")
-        A = np.vstack([X, reg_lambda * L])
-        b = np.concatenate([y, np.zeros(L.shape[0])])
+        A = np.vstack([X, reg_lambda * np.eye(X.shape[1])])
+        b = np.concatenate([y, np.zeros(X.shape[1])])
     else:
         A, b = X, y
 
@@ -162,12 +154,10 @@ def solve_ridge(X: np.ndarray, y: np.ndarray, reg_lambda: float = 0.0,
     return theta
 
 
-def fit_basis(train: Series, basis: tuple, reg_lambda: float = 0.0,
-              L: np.ndarray | None = None) -> LinearFit:
+def fit_basis(train: Series, basis: tuple, reg_lambda: float = 0.0) -> LinearFit:
     """Ridge fit of an arbitrary basis set against a series."""
     X = design_matrix(basis, train.times)
-    coeffs = solve_ridge(X, train.values, reg_lambda, L)
-    return LinearFit(tuple(basis), coeffs, reg_lambda)
+    return LinearFit(tuple(basis), solve_ridge(X, train.values, reg_lambda))
 
 
 def fit_polynomial(train: Series, degree: int) -> LinearFit:
@@ -185,14 +175,13 @@ def fit_polynomial(train: Series, degree: int) -> LinearFit:
 class RbfConfig:
     """Gaussian radial-basis network with fixed centers and shared width.
 
-    Centers default to even spacing over the training time range,
-    endpoints included; placement="data" instead puts one center on
-    each of the first n_basis sample points.
+    Centers are spaced evenly over the training time range, endpoints
+    included; placement="data" instead puts one center on each of the
+    first n_basis sample points.
     """
 
     n_basis: int
     sigma: float
-    centers: tuple | None = None
     include_bias: bool = True
     placement: str = "even"
 
@@ -201,15 +190,11 @@ class RbfConfig:
             raise ValueError(f"n_basis must be >= 1, got {self.n_basis}")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.centers is not None and len(self.centers) != self.n_basis:
-            raise ValueError("centers length must equal n_basis")
         if self.placement not in ("even", "data"):
             raise ValueError(f"placement must be 'even' or 'data', got {self.placement!r}")
 
 
 def _rbf_centers(config: RbfConfig, times: np.ndarray) -> np.ndarray:
-    if config.centers is not None:
-        return np.asarray(config.centers, dtype=float)
     if config.placement == "data":
         if len(times) < config.n_basis:
             raise UnderdeterminedError("fewer sample points than requested centers")

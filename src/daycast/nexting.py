@@ -110,14 +110,12 @@ class NextingLearner:
 
     Single-writer mutable state: one owner advances it step by step.
     Freezing stops all weight and trace updates while predictions keep
-    flowing. By default the step size is divided by the active-feature
-    count (the usual tile-coding convention, making alpha a fraction of
-    the one-step error corrected per update); divide_alpha=False applies
-    it raw.
+    flowing. The step size is alpha divided by the active-feature count
+    (the usual tile-coding convention, making alpha a fraction of the
+    one-step error corrected per update).
     """
 
-    def __init__(self, coder: TileCoder, gamma, alpha: float, trace_lambda: float,
-                 divide_alpha: bool = True):
+    def __init__(self, coder: TileCoder, gamma, alpha: float, trace_lambda: float):
         if alpha <= 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
         if not 0.0 <= trace_lambda <= 1.0:
@@ -133,7 +131,6 @@ class NextingLearner:
         self.gamma = g
         self.alpha = alpha
         self.trace_lambda = trace_lambda
-        self.divide_alpha = divide_alpha
         self.theta = np.zeros((coder.n_signals, coder.n_features))
         self.e = np.zeros((coder.n_signals, coder.n_features))
         self.frozen = False
@@ -173,8 +170,7 @@ class NextingLearner:
         e *= (self.gamma * self.trace_lambda)[:, None]
         e[:, active] += 1.0
         delta = y_next + self.gamma * theta[:, active_next].sum(axis=1) - preds
-        step = self.alpha / len(active) if self.divide_alpha else self.alpha
-        theta += step * delta[:, None] * e
+        theta += self.alpha / len(active) * delta[:, None] * e
         return preds
 
 
@@ -189,8 +185,7 @@ class NextingRun:
 
 def run_online(signals: list, coder: TileCoder, *, gamma, alpha: float,
                trace_lambda: float, freeze_after: int | None = None,
-               norm_bounds: list | None = None, norm_window: int | None = None,
-               divide_alpha: bool = True) -> NextingRun:
+               norm_bounds: list | None = None, norm_window: int | None = None) -> NextingRun:
     """Stream all signals through one learner, emitting a prediction per step.
 
     Signals are normalized to [0, 1] with bounds taken from the first
@@ -221,7 +216,7 @@ def run_online(signals: list, coder: TileCoder, *, gamma, alpha: float,
         normed.append(normalize_unit(sig, lo, hi).values)
     Y = np.array(normed)
 
-    learner = NextingLearner(coder, gamma, alpha, trace_lambda, divide_alpha)
+    learner = NextingLearner(coder, gamma, alpha, trace_lambda)
     active = tile_indices(Y.T, coder)
     # Steps 0..n_learn-1 update the weights; the rest only predict.
     n_learn = n - 1 if freeze_after is None else min(freeze_after - 1, n - 1)

@@ -5,7 +5,7 @@ A Series is the common currency between all model modules: an immutable
 Index arithmetic is time arithmetic; sample i lives at time t0 + i.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,12 +61,6 @@ class Split:
 
     train: Series
     holdout: Series
-    D: int = field(init=False)
-    F: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "D", len(self.train))
-        object.__setattr__(self, "F", len(self.holdout))
 
 
 def make_sine(amplitude: float, period: float, count: int, phase: float = 0.0) -> Series:

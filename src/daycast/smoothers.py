@@ -82,7 +82,6 @@ class SplineFit:
 
     knots: np.ndarray
     coeffs: np.ndarray
-    smooth_lambda: float
 
     def __post_init__(self):
         object.__setattr__(self, "knots", np.asarray(self.knots, dtype=float))
@@ -119,7 +118,7 @@ def fit_smoothing_spline(train: Series, smooth_lambda: float) -> SplineFit:
                 f"penalized spline system is singular (D={len(train)}, "
                 f"lambda={smooth_lambda})"
             ) from exc
-    return SplineFit(knots, cho_solve(factor, rhs), smooth_lambda)
+    return SplineFit(knots, cho_solve(factor, rhs))
 
 
 @dataclass(frozen=True)

@@ -178,7 +178,7 @@ class TestForecast:
 
     def test_drift_model_continues_linear_trend(self):
         trend = Series(np.arange(1.0, 41.0) * 2.5 + 3.0)
-        model = css_estimate(trend, ArimaOrder(0, 1, 0), with_drift=True)
+        model = model_of(ArimaOrder(0, 1, 0), theta0=2.5)
         out = forecast(model, trend, 10)
         expected = trend.values[-1] + 2.5 * np.arange(1, 11)
         np.testing.assert_allclose(out.values, expected, atol=1e-8)

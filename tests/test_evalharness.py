@@ -208,6 +208,17 @@ class TestRunSingle:
         assert late.train.t0 == 1 and late.holdout.t0 == 25
         assert late.forecast.values.tobytes() == run_single(wind, block).forecast.values.tobytes()
 
+    def test_short_training_window_message_is_unchanged(self, wind):
+        with pytest.raises(ValueError) as err:
+            run_single(wind, {"name": "polynomial", "degree": 6}, train_samples=30)
+        assert str(err.value) == ("polynomial needs 30 training samples before the forecast "
+                                  "window but only 24 are available")
+
+    def test_forecast_window_longer_than_the_dataset_is_named(self, wind):
+        with pytest.raises(ValueError) as err:
+            run_single(wind, {"name": "polynomial", "degree": 6}, forecast_samples=60)
+        assert str(err.value) == "the 60-sample forecast window exceeds the 48-sample dataset"
+
     def test_nexting_settings_echo_alignment(self, wind):
         run = run_single(wind, {"name": "nexting", "gamma": 0.0, "alpha": 0.3,
                                 "trace_lambda": 0.9, "freeze_after": 24})

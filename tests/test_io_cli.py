@@ -504,6 +504,17 @@ class TestCli:
         assert rc == 2
         assert "training-interval" in capsys.readouterr().err
 
+    def test_nexting_max_shift_must_lie_inside_the_training_window(self, tmp_path, capsys):
+        cfg = tmp_path / "nexting.json"
+        block = {"name": "nexting", "gamma": 0.0, "alpha": 0.3, "trace_lambda": 0.9,
+                 "freeze_after": 24}
+        for max_shift, code in ((23, 0), (24, 1)):
+            cfg.write_text(json.dumps({"signal": "wind", "band": {"inner": 1, "outer": 3},
+                                       "methods": [{**block, "max_shift": max_shift}]}))
+            assert run_cli(["fit", "--config", str(cfg)]) == code
+        assert ("methods[0] (nexting): max_shift 24 must be below the 24-sample training window"
+                in capsys.readouterr().err)
+
     def test_nexting_run_streams_whole_dataset(self, capsys):
         cfg = builtin_config_path("nexting_multiperiod_irradiance")
         assert run_cli(["nexting-run", "--config", str(cfg)]) == 0

@@ -44,8 +44,7 @@ class TestSolveRidge:
         np.testing.assert_allclose(theta, [2.0])
 
     def test_identity_with_unit_ridge_halves(self):
-        theta = solve_ridge(np.eye(2), np.array([2.0, 4.0]), reg_lambda=1.0,
-                            L=np.eye(2))
+        theta = solve_ridge(np.eye(2), np.array([2.0, 4.0]), reg_lambda=1.0)
         np.testing.assert_allclose(theta, [1.0, 2.0])
 
     def test_exact_line(self):
@@ -78,16 +77,6 @@ class TestSolveRidge:
         norms = [np.linalg.norm(solve_ridge(X, y, reg_lambda=lam))
                  for lam in (0.0, 0.1, 1.0, 3.0, 10.0, 100.0)]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
-
-    def test_custom_regularization_matrix_matches_oracle(self):
-        # First-difference penalty: shrink coefficient differences, not sizes.
-        X = np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [1.0, 3.0, 4.0],
-                      [1.0, 4.0, 2.0], [1.0, 5.0, 1.0]])
-        y = np.array([2.0, 3.0, 5.0, 4.0, 3.0])
-        L = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
-        theta = solve_ridge(X, y, reg_lambda=2.0, L=L)
-        expected = exact_normal_equations(X, y, 2.0, L)
-        np.testing.assert_allclose(theta, expected, atol=1e-9)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -126,7 +115,7 @@ class TestSolveRidge:
         sv = np.linalg.svd(stacked, compute_uv=False)
         if sv[-1] < 1e-4 * sv[0]:
             return
-        theta = solve_ridge(X, y, reg_lambda=lam, L=L)
+        theta = solve_ridge(X, y, reg_lambda=lam)
         np.testing.assert_allclose(theta, expected, atol=1e-9, rtol=1e-9)
 
 
@@ -166,8 +155,8 @@ class TestLinearPredict:
 
 class TestFitRbf:
     def test_single_point_single_center(self):
-        fit = fit_rbf(Series([5.0]), RbfConfig(n_basis=1, sigma=2.0, centers=(1.0,),
-                                               include_bias=False))
+        # One evenly placed center sits in the middle of t = 1..1.
+        fit = fit_rbf(Series([5.0]), RbfConfig(n_basis=1, sigma=2.0, include_bias=False))
         assert fit.predict(1.0) == pytest.approx(5.0, abs=1e-12)
 
     def test_far_field_approaches_bias(self, wind24):
@@ -187,10 +176,6 @@ class TestFitRbf:
             fit = fit_rbf(train, RbfConfig(n_basis=n, sigma=10.0))
             return float(np.sqrt(np.mean((fit.predict(train.times) - train.values) ** 2)))
         assert train_rmse(8) < train_rmse(2)
-
-    def test_duplicate_centers_are_singular(self, wind24):
-        with pytest.raises(SingularSystemError):
-            fit_rbf(wind24, RbfConfig(n_basis=2, sigma=3.0, centers=(5.0, 5.0)))
 
     def test_underdetermined(self):
         with pytest.raises(UnderdeterminedError):

@@ -8,13 +8,13 @@ from daycast.nexting import (AlignResult, NextingLearner, TileCoder, align_affin
 from daycast.series import Series, make_sine
 
 
-def reference_run(signals, coder, gamma, alpha, trace_lambda, freeze_after, divide_alpha):
+def reference_run(signals, coder, gamma, alpha, trace_lambda, freeze_after):
     """Step-by-step oracle: one learner.step (or predict) per sample."""
     Y = np.array([np.clip((s.values - s.values[:24].min())
                           / (s.values[:24].max() - s.values[:24].min()), 0.0, 1.0)
                   for s in signals])
     n = Y.shape[1]
-    learner = NextingLearner(coder, gamma, alpha, trace_lambda, divide_alpha)
+    learner = NextingLearner(coder, gamma, alpha, trace_lambda)
     preds = np.zeros((coder.n_signals, n))
     for t in range(n):
         if t + 1 == n:
@@ -236,12 +236,11 @@ class TestRunOnlineMatchesStepLoop:
         alpha = data.draw(st.floats(0.01, 1.0))
         trace_lambda = data.draw(st.floats(0.0, 1.0))
         freeze_after = data.draw(st.sampled_from([None, 1, n - 1, n, n + 3]))
-        divide_alpha = data.draw(st.booleans())
 
         run = run_online(signals, coder, gamma=gamma, alpha=alpha, trace_lambda=trace_lambda,
-                         freeze_after=freeze_after, divide_alpha=divide_alpha)
+                         freeze_after=freeze_after)
         preds, learner = reference_run(signals, coder, gamma, alpha, trace_lambda,
-                                       freeze_after, divide_alpha)
+                                       freeze_after)
         for i in range(n_signals):
             assert run.predictions[i].values.tobytes() == preds[i].tobytes()
         assert run.learner.theta.tobytes() == learner.theta.tobytes()
