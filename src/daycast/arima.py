@@ -6,7 +6,9 @@ A model multiplies four operator polynomials in the backshift B:
     theta_q(B) * THETA_Q(B^s)                        on the MA side,
 
 each written with the sign convention 1 - c_1 B - c_2 B^2 - ... .
-Expanding the products gives a single difference equation
+ArimaOrder holds the orders as (p, d, q)(P, D, Q)s, the keys of an arima
+config block; s = 0 means there is no seasonal block. Expanding the
+products gives a single difference equation
 
     y[t] = sum_j phi~_j y[t-j] + const + a[t] - sum_j theta~_j a[t-j]
 
@@ -31,37 +33,31 @@ _UNIT_ROOT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ArimaOrder:
-    """Non-seasonal orders (p, d, q) plus an optional seasonal block (P, D, Q, s)."""
+    """The orders of a (p, d, q)(P, D, Q)s model; s = 0 means no seasonal block."""
 
     p: int
     d: int
     q: int
-    seasonal: tuple[int, int, int, int] | None = None
+    P: int
+    D: int
+    Q: int
+    s: int
 
     def __post_init__(self):
         if min(self.p, self.d, self.q) < 0:
             raise ValueError(f"orders must be >= 0, got {(self.p, self.d, self.q)}")
-        if self.seasonal is not None:
-            P, D, Q, s = self.seasonal
-            if min(P, D, Q) < 0:
-                raise ValueError(f"seasonal orders must be >= 0, got {(P, D, Q)}")
-            if s < 2:
-                raise ValueError(f"seasonality must be >= 2, got {s}")
-
-    @property
-    def seasonal_or_zero(self) -> tuple[int, int, int, int]:
-        """(P, D, Q, s) with a dummy s = 1 when no seasonal block is present."""
-        return self.seasonal if self.seasonal is not None else (0, 0, 0, 1)
+        if min(self.P, self.D, self.Q) < 0:
+            raise ValueError(f"seasonal orders must be >= 0, got {(self.P, self.D, self.Q)}")
+        if (self.P or self.D or self.Q or self.s) and self.s < 2:
+            raise ValueError(f"seasonality must be >= 2, got {self.s}")
 
     @property
     def n_params(self) -> int:
-        P, _, Q, _ = self.seasonal_or_zero
-        return self.p + self.q + P + Q
+        return self.p + self.q + self.P + self.Q
 
     def check_length(self, n: int) -> None:
         """Raise ValueError unless n samples leave 3 * (n_params + 1) after differencing."""
-        _, D, _, s = self.seasonal_or_zero
-        m = n - self.d - s * D
+        m = n - self.d - self.s * self.D
         needed = 3 * (self.n_params + 1)
         if m < needed:
             raise ValueError(f"differencing leaves {m} samples, estimation needs {needed}")
@@ -93,11 +89,10 @@ class ArimaModel:
     fit_trace: tuple[float, ...] = ()
 
     def __post_init__(self):
-        P, _, Q, _ = self.order.seasonal_or_zero
         for name, arr, want in (("phi", self.phi, self.order.p),
                                 ("theta", self.theta, self.order.q),
-                                ("sphi", self.sphi, P),
-                                ("stheta", self.stheta, Q)):
+                                ("sphi", self.sphi, self.order.P),
+                                ("stheta", self.stheta, self.order.Q)):
             a = np.asarray(arr, dtype=float)
             if len(a) != want:
                 raise ValueError(f"{name} must have length {want}, got {len(a)}")
@@ -139,15 +134,14 @@ def _diff_poly(n: int, s: int = 1) -> np.ndarray:
 
 def _operators(order: ArimaOrder, phi, theta, sphi, stheta) -> tuple[np.ndarray, np.ndarray]:
     """The stationary AR product phi(B) PHI(B^s) and the MA product theta(B) THETA(B^s)."""
-    _, _, _, s = order.seasonal_or_zero
+    s = max(order.s, 1)  # s = 0 has P = Q = 0: the seasonal factors are 1 for any s
     return (np.convolve(_op_poly(phi), _op_poly(sphi, s)),
             np.convolve(_op_poly(theta), _op_poly(stheta, s)))
 
 
 def _expand(order: ArimaOrder, ar: np.ndarray, ma: np.ndarray) -> ExpandedForm:
     """Flat lag coefficients of ar(B) (1 - B)^d (1 - B^s)^D and of ma(B)."""
-    _, D, _, s = order.seasonal_or_zero
-    full = np.convolve(np.convolve(ar, _diff_poly(order.d)), _diff_poly(D, s))
+    full = np.convolve(np.convolve(ar, _diff_poly(order.d)), _diff_poly(order.D, order.s))
     return ExpandedForm(ar_full=-full[1:], ma_full=-ma[1:])
 
 
@@ -157,13 +151,10 @@ def expand_polynomials(model: ArimaModel) -> ExpandedForm:
     return _expand(model.order, ar, ma)
 
 
-def difference(series: Series, d: int, s_pair: tuple[int, int] | None = None) -> Series:
-    """Apply (1-B)^d then (1-B^s)^D; the output is shorter by d + s*D samples."""
-    if d < 0:
-        raise ValueError(f"d must be >= 0, got {d}")
-    s, D = (1, 0) if s_pair is None else s_pair
-    if s_pair is not None and (s < 2 or D < 0):
-        raise ValueError(f"seasonal pair needs s >= 2 and D >= 0, got {s_pair}")
+def difference(series: Series, d: int, D: int = 0, s: int = 0) -> Series:
+    """Apply (1-B)^d then (1-B^s)^D (s >= 2 when D > 0); the output is d + s*D shorter."""
+    if min(d, D) < 0 or D and s < 2:
+        raise ValueError(f"need d, D >= 0 and s >= 2 when D > 0, got d = {d}, D = {D}, s = {s}")
     drop = d + s * D
     if len(series) <= drop:
         raise ValueError(f"series of length {len(series)} too short to difference by {drop}")
@@ -202,8 +193,7 @@ def _yule_walker(z: np.ndarray, p: int) -> np.ndarray:
 
 
 def _split_params(params: np.ndarray, order: ArimaOrder):
-    p, q = order.p, order.q
-    P, _, Q, _ = order.seasonal_or_zero
+    p, q, P, Q = order.p, order.q, order.P, order.Q
     return (params[:p], params[p:p + q],
             params[p + q:p + q + P], params[p + q + P:p + q + P + Q])
 
@@ -222,11 +212,10 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
     far) if the simplex exhausts its budget without converging.
     """
     order.check_length(len(series))
-    _, D, _, s = order.seasonal_or_zero
-    z = difference(series, order.d, (s, D) if order.seasonal else None).values
+    z = difference(series, order.d, order.D, order.s).values
     m = len(z)
     mu_z = float(z.mean())
-    zc = z - (mu_z if order.d + D == 0 else 0.0)  # lfilter is slower on read-only z
+    zc = z - (mu_z if order.d + order.D == 0 else 0.0)  # lfilter is slower on read-only z
 
     def build(params, sigma2, trace):
         phi, theta, sphi, stheta = _split_params(np.asarray(params, dtype=float), order)
@@ -288,8 +277,7 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
 
 def _center_of(model: ArimaModel, ar: np.ndarray) -> float:
     """The level the differenced series moves around; ar is the stationary AR product."""
-    _, D, _, _ = model.order.seasonal_or_zero
-    if model.order.d + D == 0:
+    if model.order.d + model.order.D == 0:
         return model.mu
     if model.theta0 == 0.0:
         return 0.0
@@ -306,8 +294,7 @@ def forecast(model: ArimaModel, history: Series, lead: int) -> Series:
     """
     if lead < 1:
         raise ValueError(f"lead must be >= 1, got {lead}")
-    _, D, _, s = model.order.seasonal_or_zero
-    drop = model.order.d + s * D
+    drop = model.order.d + model.order.s * model.order.D
     ar, ma = _operators(model.order, model.phi, model.theta, model.sphi, model.stheta)
     form = _expand(model.order, ar, ma)
     n = len(history)
@@ -318,7 +305,7 @@ def forecast(model: ArimaModel, history: Series, lead: int) -> Series:
 
     center = _center_of(model, ar)
     theta0_eff = center * float(ar.sum())
-    z = difference(history, model.order.d, (s, D) if model.order.seasonal else None).values
+    z = difference(history, model.order.d, model.order.D, model.order.s).values
     shocks = lfilter(ar, ma, z - center)
 
     phis, thetas = form.ar_full, form.ma_full
@@ -377,9 +364,9 @@ def simulate(model: ArimaModel, n: int, seed: int) -> Series:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    _, D, _, s = model.order.seasonal_or_zero
-    ar, ma = _operators(model.order, model.phi, model.theta, model.sphi, model.stheta)
-    if model.order.d + D == 0 and _min_root_magnitude(ar) <= 1.0 + _UNIT_ROOT_TOL:
+    order = model.order
+    ar, ma = _operators(order, model.phi, model.theta, model.sphi, model.stheta)
+    if order.d + order.D == 0 and _min_root_magnitude(ar) <= 1.0 + _UNIT_ROOT_TOL:
         raise InstabilityError(
             "AR root on or inside the unit circle; a stationary simulation would diverge"
         )
@@ -387,11 +374,11 @@ def simulate(model: ArimaModel, n: int, seed: int) -> Series:
     rng = np.random.default_rng(seed)
     shocks = rng.standard_normal(n + burn) * np.sqrt(model.sigma2)
     z = lfilter(ma, ar, shocks)[burn:] + _center_of(model, ar)
-    for _ in range(D):
+    for _ in range(order.D):
         out = z.copy()
-        for t in range(s, len(out)):
-            out[t] += out[t - s]
+        for t in range(order.s, len(out)):
+            out[t] += out[t - order.s]
         z = out
-    for _ in range(model.order.d):
+    for _ in range(order.d):
         z = np.cumsum(z)
     return Series(z, t0=1)

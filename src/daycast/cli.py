@@ -8,11 +8,12 @@ Subcommands:
     nexting-run  stream the online learner over the whole dataset
     acf          print sample autocorrelation and partial autocorrelation
 
-Exit status: 0 on success, 1 on usage or configuration errors, 2 on
-data or estimation errors.
+Exit status: 0 on success, 1 on usage or configuration errors (a flag
+value out of its range among them), 2 on data or estimation errors.
 """
 
 import argparse
+import math
 import sys
 
 from . import __version__
@@ -37,6 +38,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _flag(kind, wants: str, ok):
+    """An argparse type: text parsed by kind, accepted when ok(value) holds."""
+    def parse(text):
+        try:
+            if ok(value := kind(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {wants}, got {text!r}")
+    return parse
+
+
+_FINITE = _flag(float, "a finite number", math.isfinite)
+_POSITIVE = _flag(float, "a finite number > 0", lambda v: math.isfinite(v) and v > 0)
+_COUNT = _flag(int, "an integer >= 1", lambda v: v >= 1)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="daycast", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -44,10 +62,10 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     synth = sub.add_parser("synth", help="emit a sampled sine signal")
-    synth.add_argument("--amplitude", type=float, default=1.0)
-    synth.add_argument("--period", type=float, required=True)
-    synth.add_argument("--count", type=int, required=True)
-    synth.add_argument("--phase", type=float, default=0.0)
+    synth.add_argument("--amplitude", type=_FINITE, default=1.0)
+    synth.add_argument("--period", type=_POSITIVE, required=True)
+    synth.add_argument("--count", type=_COUNT, required=True)
+    synth.add_argument("--phase", type=_FINITE, default=0.0)
     _io_flags(synth)
 
     for name, help_text in (("fit", "print training-sample predictions of one method"),
@@ -70,7 +88,7 @@ def _build_parser() -> _Parser:
     acf_p = sub.add_parser("acf", help="autocorrelation identification aid")
     acf_p.add_argument("--fixture", help="embedded signal name (wind48, temp48, dni48)")
     acf_p.add_argument("--data", help="two-column t,value CSV")
-    acf_p.add_argument("--max-lag", type=int, default=24)
+    acf_p.add_argument("--max-lag", type=_COUNT, default=24)
     acf_p.add_argument("--out")
     return parser
 

@@ -68,7 +68,7 @@ def validate_config(cfg: dict) -> dict:
         for i, block in enumerate(run.methods):
             method = parse_method(block, f"methods[{i}]")
             try:
-                method.check_window(run.train_samples)
+                method.check_window(method.train_periods * run.train_samples)
             except ValueError as exc:
                 raise ValueError(f"methods[{i}] ({block['name']}): {exc}") from None
     except ValueError as exc:
@@ -120,7 +120,7 @@ def load_dataset(cfg: dict, data_path=None) -> Series:
     wind, bulb, dni = parse_tmy3(path)
     series = {"wind": wind, "temperature": bulb, "irradiance": dni}[signal]
     start = cfg.get("day_offset", 0) * 24
-    periods = max(getattr(parse_method(m), "train_periods", 1) for m in cfg["methods"])
+    periods = max(parse_method(m).train_periods for m in cfg["methods"])
     needed = periods * cfg["train_samples"] + cfg["forecast_samples"]
     if start + needed > len(series):
         raise ValueError(

@@ -7,7 +7,7 @@ stay inside an inner and an outer tolerance band. A method that fails,
 or whose window the dataset cannot supply, gets an error row; the others
 are unaffected. Each method is one frozen parameter class in METHODS:
 its fields are its config keys, __post_init__ checks their ranges,
-check_window(n) the training window, and run() fits and forecasts.
+check_window(window) its whole training window, and run() fits and forecasts.
 run_single places a method's predictions on their times and returns its
 unscored EvalReport row; compare scores that row.
 """
@@ -144,8 +144,10 @@ class _Method:
     the last training samples (or None), the forecast and extra report settings.
     """
 
-    def check_window(self, n: int):
-        """Reject up front a training window of n samples per period."""
+    train_periods = 1  # a method trains on train_periods * train_samples samples
+
+    def check_window(self, window: int):
+        """Reject up front a training window of window samples."""
 
 
 @dataclass(frozen=True)
@@ -155,9 +157,9 @@ class PolynomialParams(_Method):
     def __post_init__(self):
         at_least(0, degree=self.degree)
 
-    def check_window(self, n):
-        if self.degree + 1 > n:
-            raise ValueError(f"degree {self.degree} needs {self.degree + 1} samples, have {n}")
+    def check_window(self, window):
+        if self.degree + 1 > window:
+            raise ValueError(f"degree {self.degree} needs {self.degree + 1} samples, have {window}")
 
     def run(self, train, holdout):
         fit = linmodels.fit_polynomial(train, self.degree)
@@ -185,9 +187,9 @@ class RidgeParams(_Method):
 
 @dataclass(frozen=True)
 class RbfParams(_Method, linmodels.RbfConfig):
-    def check_window(self, n):
-        if self.n_basis + self.include_bias > n:
-            raise ValueError(f"{self.n_basis} basis functions need more than {n} samples")
+    def check_window(self, window):
+        if self.n_basis + self.include_bias > window:
+            raise ValueError(f"{self.n_basis} basis functions need more than {window} samples")
 
     def run(self, train, holdout):
         fit = linmodels.fit_rbf(train, self)
@@ -201,8 +203,8 @@ class SplineParams(_Method):
     def __post_init__(self):
         at_least(0, smooth_lambda=self.smooth_lambda)
 
-    def check_window(self, n):
-        if n < 4:
+    def check_window(self, window):
+        if window < 4:
             raise ValueError("splines need at least 4 training samples")
 
     def run(self, train, holdout):
@@ -227,28 +229,18 @@ class KernelParams(_Method):
 
 
 @dataclass(frozen=True)
-class ArimaParams(_Method):
-    p: int
-    d: int
-    q: int
-    P: int
-    D: int
-    Q: int
-    s: int  # 0: no seasonal block
-    train_periods: int
-    order: arima.ArimaOrder = field(init=False, repr=False)  # built from the keys; not a key
+class ArimaParams(_Method, arima.ArimaOrder):
+    train_periods: int = field()  # no default: a required key for arima
 
     def __post_init__(self):
-        seasonal = (self.P, self.D, self.Q, self.s)
-        object.__setattr__(self, "order", arima.ArimaOrder(
-            self.p, self.d, self.q, seasonal if any(seasonal) else None))
+        super().__post_init__()
         at_least(1, train_periods=self.train_periods)
 
-    def check_window(self, n):
-        self.order.check_length(self.train_periods * n)
+    def check_window(self, window):
+        self.check_length(window)
 
     def run(self, train, holdout):
-        model = arima.css_estimate(train, self.order)
+        model = arima.css_estimate(train, self)
         fc = arima.forecast(model, train, len(holdout))
         # No training-interval predictions: the difference equation only runs forward.
         return None, fc.values, {"warnings": list(model.warnings)}
@@ -259,7 +251,7 @@ class TreeParams(_Method):
     min_node_size: int
     period: int
     max_leaves: int | None = None
-    train_periods: int = 1
+    train_periods: int  # default from _Method
     grow_config: tree.GrowConfig = field(init=False, repr=False)  # built from the keys; not a key
 
     def __post_init__(self):
@@ -267,10 +259,10 @@ class TreeParams(_Method):
                            tree.GrowConfig(self.min_node_size, self.max_leaves))
         at_least(1, period=self.period, train_periods=self.train_periods)
 
-    def check_window(self, n):
-        if self.period > self.train_periods * n:
+    def check_window(self, window):
+        if self.period > window:
             raise ValueError(f"period {self.period} is longer than the "
-                             f"{self.train_periods * n}-sample training window")
+                             f"{window}-sample training window")
 
     def run(self, train, holdout):
         wrapper = tree.fit_periodic_ensemble(train, self.period, self.grow_config)
@@ -285,7 +277,7 @@ class NextingParams(_Method):
     trace_lambda: float
     freeze_after: int | None  # required; None: the weights never freeze
     max_shift: int = 2
-    train_periods: int = 1
+    train_periods: int  # default from _Method
 
     def __post_init__(self):
         if not 0 <= self.gamma < 1:
@@ -297,10 +289,10 @@ class NextingParams(_Method):
         at_least(0, max_shift=self.max_shift)
         at_least(1, freeze_after=self.freeze_after, train_periods=self.train_periods)
 
-    def check_window(self, n):
-        if self.max_shift >= self.train_periods * n:
+    def check_window(self, window):
+        if self.max_shift >= window:
             raise ValueError(f"max_shift {self.max_shift} must be below the "
-                             f"{self.train_periods * n}-sample training window")
+                             f"{window}-sample training window")
 
     def run(self, train, holdout):
         full = train.with_values(np.concatenate([train.values, holdout.values]))
@@ -349,13 +341,14 @@ def run_single(dataset: Series, params: dict, *, train_samples: int = 24,
     """
     method = parse_method(params)
     boundary = len(dataset) - forecast_samples
-    window = getattr(method, "train_periods", 1) * train_samples
+    window = method.train_periods * train_samples
     if boundary < 0:
         raise ValueError(f"the {forecast_samples}-sample forecast window exceeds the "
                          f"{len(dataset)}-sample dataset")
     if boundary - window < 0:
         raise ValueError(f"{params['name']} needs {window} training samples before the forecast "
                          f"window but only {boundary} are available")
+    method.check_window(window)
     holdout = Series(dataset.values[boundary:], window + 1, dataset.period_hint, dataset.unit)
     train = Series(dataset.values[boundary - window:boundary], 1, dataset.period_hint,
                    dataset.unit)

@@ -50,7 +50,7 @@ def train_error(predict, series):
 def test_criterion_1_sine_arima_exactness():
     with criterion(1, "sine ARIMA(2,0,0) forecast MSE < 1e-10", 1.0):
         train = make_sine(1, 100, 100, 0)
-        model = css_estimate(train, ArimaOrder(2, 0, 0))
+        model = css_estimate(train, ArimaOrder(2, 0, 0, 0, 0, 0, 0))
         out = forecast(model, train, 100)
         target = np.sin(2 * np.pi * np.arange(101, 201) / 100)
         mse = float(np.mean((out.values - target) ** 2))
@@ -154,7 +154,8 @@ def test_criterion_7_property_substituted_table_rows(tmp_path):
         reports = compare(load_dataset(cfg), cfg["methods"], band_from_config(cfg))
         out = tmp_path / "wind.csv"
         export_report(reports, "csv", out)
-        arima_row = next(r for r in csv.reader(open(out)) if r and r[0] == "arima")
+        rows = csv.reader(out.read_text().splitlines())
+        arima_row = next(r for r in rows if r and r[0] == "arima")
         assert arima_row[1] == ""
 
         # RBF far field approaches the bias weight.
@@ -239,22 +240,20 @@ def test_criterion_8_oracle_equivalence():
             theta = rng.uniform(-1, 1, q)
             sphi = rng.uniform(-1, 1, P)
             stheta = rng.uniform(-1, 1, Q)
-            seasonal = (P, D, Q, s) if (P or D or Q) else None
-            model = ArimaModel(ArimaOrder(p, d, q, seasonal), phi, theta, sphi, stheta)
+            model = ArimaModel(ArimaOrder(p, d, q, P, D, Q, s), phi, theta, sphi, stheta)
             form = expand_polynomials(model)
-            s_eff = s if seasonal else 1
             ar = [1.0] + [0.0] * (p)
             for i, c in enumerate(phi, 1):
                 ar[i] = -c
-            sar = [0.0] * (s_eff * P + 1)
+            sar = [0.0] * (s * P + 1)
             sar[0] = 1.0
             for i, c in enumerate(sphi, 1):
-                sar[i * s_eff] = -c
+                sar[i * s] = -c
             full = loop_convolve(ar, sar)
             for _ in range(d):
                 full = loop_convolve(full, [1.0, -1.0])
-            for _ in range(D if seasonal else 0):
-                full = loop_convolve(full, [1.0] + [0.0] * (s_eff - 1) + [-1.0])
+            for _ in range(D):
+                full = loop_convolve(full, [1.0] + [0.0] * (s - 1) + [-1.0])
             np.testing.assert_allclose(form.ar_full, [-c for c in full[1:]], atol=1e-12)
 
         # Pruning vs brute-force subtree enumeration.

@@ -38,7 +38,7 @@ class TestDifference:
         assert out.t0 == 2
 
     def test_seasonal_difference(self):
-        out = difference(Series([1.0, 2.0, 3.0, 4.0]), 0, (2, 1))
+        out = difference(Series([1.0, 2.0, 3.0, 4.0]), 0, D=1, s=2)
         np.testing.assert_allclose(out.values, [2.0, 2.0])
         assert out.t0 == 3
 
@@ -51,18 +51,23 @@ class TestDifference:
         with pytest.raises(ValueError):
             difference(Series([1.0, 2.0]), 2)
 
+    @pytest.mark.parametrize("d, D, s", [(-1, 0, 0), (0, -1, 2), (0, 1, 0), (0, 1, 1)])
+    def test_bad_orders_rejected(self, d, D, s):
+        with pytest.raises(ValueError, match="need d, D >= 0 and s >= 2 when D > 0"):
+            difference(Series([1.0, 2.0, 3.0, 4.0]), d, D, s)
+
 
 class TestExpandPolynomials:
     def test_ar1_with_one_difference(self):
         a = 0.7
-        model = model_of(ArimaOrder(1, 1, 0), phi=(a,))
+        model = model_of(ArimaOrder(1, 1, 0, 0, 0, 0, 0), phi=(a,))
         form = expand_polynomials(model)
         np.testing.assert_allclose(form.ar_full, [a + 1.0, -a])
         assert form.ma_full.size == 0
 
     def test_multiplicative_seasonal_product(self):
         a, b = 0.5, 0.3
-        model = model_of(ArimaOrder(1, 0, 0, seasonal=(1, 0, 0, 24)),
+        model = model_of(ArimaOrder(1, 0, 0, 1, 0, 0, 24),
                          phi=(a,), sphi=(b,))
         form = expand_polynomials(model)
         expected = np.zeros(25)
@@ -70,7 +75,7 @@ class TestExpandPolynomials:
         np.testing.assert_allclose(form.ar_full, expected)
 
     def test_empty_model(self):
-        form = expand_polynomials(model_of(ArimaOrder(0, 0, 0)))
+        form = expand_polynomials(model_of(ArimaOrder(0, 0, 0, 0, 0, 0, 0)))
         assert form.ar_full.size == 0 and form.ma_full.size == 0
 
     @given(st.data())
@@ -84,13 +89,10 @@ class TestExpandPolynomials:
         d = data.draw(st.integers(0, 2))
         D = data.draw(st.integers(0, 1))
         s = data.draw(st.sampled_from([2, 4, 12]))
-        seasonal = (len(sphi), D, len(stheta), s) if (sphi or stheta or D) else None
-        model = model_of(ArimaOrder(len(phi), d, len(theta), seasonal=seasonal),
+        model = model_of(ArimaOrder(len(phi), d, len(theta), len(sphi), D, len(stheta), s),
                          phi=phi, theta=theta, sphi=sphi, stheta=stheta)
         form = expand_polynomials(model)
-        s_eff = s if seasonal else 1
-        ar_oracle, ma_oracle = sympy_expansion(phi, theta, sphi, stheta, d,
-                                               D if seasonal else 0, s_eff)
+        ar_oracle, ma_oracle = sympy_expansion(phi, theta, sphi, stheta, d, D, s)
         np.testing.assert_allclose(form.ar_full, ar_oracle, atol=1e-12)
         np.testing.assert_allclose(form.ma_full, ma_oracle, atol=1e-12)
 
@@ -99,35 +101,35 @@ class TestCssEstimate:
     def test_noiseless_ar1_identified(self):
         # Long series: the sample-mean centering bias shrinks with length.
         y = 0.5 ** np.arange(2000)
-        model = css_estimate(Series(y), ArimaOrder(1, 0, 0))
+        model = css_estimate(Series(y), ArimaOrder(1, 0, 0, 0, 0, 0, 0))
         assert model.phi[0] == pytest.approx(0.5, abs=1e-6)
 
     def test_sine_ar2_matches_trig_recurrence(self):
         # sin(w t) = 2 cos(w) sin(w (t-1)) - sin(w (t-2)) exactly.
-        model = css_estimate(make_sine(1, 100, 100, 0), ArimaOrder(2, 0, 0))
+        model = css_estimate(make_sine(1, 100, 100, 0), ArimaOrder(2, 0, 0, 0, 0, 0, 0))
         assert model.phi[0] == pytest.approx(2 * np.cos(2 * np.pi / 100), abs=1e-4)
         assert model.phi[1] == pytest.approx(-1.0, abs=1e-4)
         assert any("unit circle" in w for w in model.warnings)
 
     def test_ma1_recovered_from_simulation(self):
-        truth = model_of(ArimaOrder(0, 0, 1), theta=(0.4,), sigma2=1.0)
+        truth = model_of(ArimaOrder(0, 0, 1, 0, 0, 0, 0), theta=(0.4,), sigma2=1.0)
         sim = simulate(truth, 5000, seed=2024)
-        model = css_estimate(sim, ArimaOrder(0, 0, 1))
+        model = css_estimate(sim, ArimaOrder(0, 0, 1, 0, 0, 0, 0))
         assert 0.33 <= model.theta[0] <= 0.47
 
     def test_objective_trace_is_monotone(self, wind):
-        order = ArimaOrder(0, 0, 3, seasonal=(1, 1, 0, 24))
+        order = ArimaOrder(0, 0, 3, 1, 1, 0, 24)
         model = css_estimate(wind, order)
         trace = np.array(model.fit_trace)
         assert np.all(np.diff(trace) <= 1e-12)
 
     def test_too_short_series(self):
         with pytest.raises(ValueError):
-            css_estimate(Series([1.0, 2.0, 3.0]), ArimaOrder(2, 0, 2))
+            css_estimate(Series([1.0, 2.0, 3.0]), ArimaOrder(2, 0, 2, 0, 0, 0, 0))
 
     def test_explicit_init_is_respected(self):
         y = make_sine(1, 100, 100, 0)
-        model = css_estimate(y, ArimaOrder(2, 0, 0),
+        model = css_estimate(y, ArimaOrder(2, 0, 0, 0, 0, 0, 0),
                              init=[2 * np.cos(2 * np.pi / 100), -1.0])
         assert model.phi[1] == pytest.approx(-1.0, abs=1e-6)
 
@@ -135,7 +137,7 @@ class TestCssEstimate:
         from daycast.errors import EstimationError
         y = make_sine(1, 100, 100, 0)
         with pytest.raises(EstimationError) as err:
-            css_estimate(y, ArimaOrder(2, 0, 0), init=[0.0, 0.0], max_iterations=3)
+            css_estimate(y, ArimaOrder(2, 0, 0, 0, 0, 0, 0), init=[0.0, 0.0], max_iterations=3)
         assert err.value.model is not None
         assert err.value.model.phi.shape == (2,)
         assert err.value.objective is not None and err.value.objective >= 0.0
@@ -143,19 +145,19 @@ class TestCssEstimate:
 
 class TestForecast:
     def test_ar1_geometric_decay(self):
-        model = model_of(ArimaOrder(1, 0, 0), phi=(0.5,), mu=0.0)
+        model = model_of(ArimaOrder(1, 0, 0, 0, 0, 0, 0), phi=(0.5,), mu=0.0)
         out = forecast(model, Series([1.0, 2.0, 4.0]), 3)
         np.testing.assert_allclose(out.values, [2.0, 1.0, 0.5])
         assert out.t0 == 4
 
     def test_random_walk_holds_last_value(self):
-        model = model_of(ArimaOrder(0, 1, 0))
+        model = model_of(ArimaOrder(0, 1, 0, 0, 0, 0, 0))
         out = forecast(model, Series([3.0, 5.0, 6.0, 7.0]), 5)
         np.testing.assert_allclose(out.values, np.full(5, 7.0))
 
     def test_sine_next_period_mse_below_1e10(self):
         train = make_sine(1, 100, 100, 0)
-        model = css_estimate(train, ArimaOrder(2, 0, 0))
+        model = css_estimate(train, ArimaOrder(2, 0, 0, 0, 0, 0, 0))
         out = forecast(model, train, 100)
         target = np.sin(2 * np.pi * np.arange(101, 201) / 100)
         mse = float(np.mean((out.values - target) ** 2))
@@ -163,7 +165,7 @@ class TestForecast:
 
     def test_lead_one_equals_hand_unrolled_difference_equation(self):
         # AR(2) with an MA(1) term: unroll one step by hand.
-        model = model_of(ArimaOrder(2, 0, 1), phi=(0.6, -0.2), theta=(0.3,), mu=1.0)
+        model = model_of(ArimaOrder(2, 0, 1, 0, 0, 0, 0), phi=(0.6, -0.2), theta=(0.3,), mu=1.0)
         hist = Series([1.1, 0.6, 1.4, 0.8, 1.3, 0.9, 1.2, 1.05, 0.95, 1.0])
         z = hist.values - model.mu
         a = np.zeros(len(z))
@@ -178,13 +180,13 @@ class TestForecast:
 
     def test_drift_model_continues_linear_trend(self):
         trend = Series(np.arange(1.0, 41.0) * 2.5 + 3.0)
-        model = model_of(ArimaOrder(0, 1, 0), theta0=2.5)
+        model = model_of(ArimaOrder(0, 1, 0, 0, 0, 0, 0), theta0=2.5)
         out = forecast(model, trend, 10)
         expected = trend.values[-1] + 2.5 * np.arange(1, 11)
         np.testing.assert_allclose(out.values, expected, atol=1e-8)
 
     def test_insufficient_history(self):
-        model = model_of(ArimaOrder(0, 0, 0, seasonal=(1, 0, 0, 24)), sphi=(0.5,))
+        model = model_of(ArimaOrder(0, 0, 0, 1, 0, 0, 24), sphi=(0.5,))
         with pytest.raises(ValueError):
             forecast(model, Series([1.0, 2.0, 3.0]), 2)
 
@@ -195,7 +197,7 @@ class TestAcfPacf:
         assert acf[0] == 1.0 and pacf[0] == 1.0
 
     def test_ar1_signature(self):
-        truth = model_of(ArimaOrder(1, 0, 0), phi=(0.6,), sigma2=1.0)
+        truth = model_of(ArimaOrder(1, 0, 0, 0, 0, 0, 0), phi=(0.6,), sigma2=1.0)
         sim = simulate(truth, 20000, seed=99)
         acf, pacf = acf_pacf(sim, 5)
         assert 0.55 <= acf[1] <= 0.65          # theory: acf(1) = phi
@@ -218,37 +220,37 @@ class TestAcfPacf:
 
 class TestSimulate:
     def test_degenerate_model_is_constant(self):
-        model = model_of(ArimaOrder(0, 0, 0), sigma2=0.0, mu=3.25)
+        model = model_of(ArimaOrder(0, 0, 0, 0, 0, 0, 0), sigma2=0.0, mu=3.25)
         out = simulate(model, 10, seed=1)
         np.testing.assert_allclose(out.values, np.full(10, 3.25))
 
     def test_deterministic_given_seed(self):
-        model = model_of(ArimaOrder(1, 0, 1), phi=(0.5,), theta=(0.2,), sigma2=2.0)
+        model = model_of(ArimaOrder(1, 0, 1, 0, 0, 0, 0), phi=(0.5,), theta=(0.2,), sigma2=2.0)
         a = simulate(model, 200, seed=42)
         b = simulate(model, 200, seed=42)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_ar1_variance_matches_theory(self):
-        model = model_of(ArimaOrder(1, 0, 0), phi=(0.5,), sigma2=1.0)
+        model = model_of(ArimaOrder(1, 0, 0, 0, 0, 0, 0), phi=(0.5,), sigma2=1.0)
         out = simulate(model, 10000, seed=7)
         assert 1.2 <= float(np.var(out.values)) <= 1.5   # theory: 1/(1-0.25) = 4/3
 
     def test_explosive_ar_rejected(self):
-        model = model_of(ArimaOrder(1, 0, 0), phi=(1.5,), sigma2=1.0)
+        model = model_of(ArimaOrder(1, 0, 0, 0, 0, 0, 0), phi=(1.5,), sigma2=1.0)
         with pytest.raises(InstabilityError):
             simulate(model, 100, seed=0)
 
     def test_noiseless_drift_integrates_to_linear_trend(self):
-        model = model_of(ArimaOrder(0, 1, 0), sigma2=0.0, theta0=2.5)
+        model = model_of(ArimaOrder(0, 1, 0, 0, 0, 0, 0), sigma2=0.0, theta0=2.5)
         out = simulate(model, 8, seed=0)
         np.testing.assert_allclose(out.values, 2.5 * np.arange(1, 9))
 
     def test_seasonal_path_differences_back_to_its_stationary_draw(self):
         # (1 - B)(1 - B^24) undoes both integrations, so from index 25 on the
         # differenced (1,1,0)(0,1,0)24 path is the (1,0,0) draw of the same seed.
-        seasonal = model_of(ArimaOrder(1, 1, 0, seasonal=(0, 1, 0, 24)), phi=(0.6,), sigma2=1.0)
-        stationary = model_of(ArimaOrder(1, 0, 0), phi=(0.6,), sigma2=1.0)
-        path = difference(simulate(seasonal, 200, seed=5), 1, (24, 1))
+        seasonal = model_of(ArimaOrder(1, 1, 0, 0, 1, 0, 24), phi=(0.6,), sigma2=1.0)
+        stationary = model_of(ArimaOrder(1, 0, 0, 0, 0, 0, 0), phi=(0.6,), sigma2=1.0)
+        path = difference(simulate(seasonal, 200, seed=5), 1, D=1, s=24)
         draw = simulate(stationary, 200, seed=5)
         np.testing.assert_allclose(path.values, draw.values[25:], rtol=0, atol=1e-12)
 
@@ -262,9 +264,9 @@ class TestTableTwoSeasonalOrders:
     """
 
     CASES = {
-        "wind": (ArimaOrder(0, 0, 3, seasonal=(1, 1, 0, 24)), 0.0, 11),
-        "temperature": (ArimaOrder(2, 2, 0, seasonal=(0, 1, 0, 24)), 0.08, 7),
-        "irradiance": (ArimaOrder(0, 0, 1, seasonal=(1, 1, 1, 24)), 0.0, 11),
+        "wind": (ArimaOrder(0, 0, 3, 1, 1, 0, 24), 0.0, 11),
+        "temperature": (ArimaOrder(2, 2, 0, 0, 1, 0, 24), 0.08, 7),
+        "irradiance": (ArimaOrder(0, 0, 1, 1, 1, 1, 24), 0.0, 11),
     }
 
     @pytest.mark.parametrize("label", sorted(CASES))

@@ -157,7 +157,7 @@ class TestCompare:
         reports = compare(wind, [{"name": "tree", "min_node_size": 10, "period": 40}],
                           Band(1, 3))
         assert not reports[0].ok and reports[0].train_rmse is None
-        assert "no full period of 40" in reports[0].error
+        assert reports[0].error == "period 40 is longer than the 24-sample training window"
 
     def test_kernel_method_stays_callable_even_if_unsuited(self, wind):
         # The smoother is excluded from the published comparison but the

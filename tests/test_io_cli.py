@@ -15,7 +15,7 @@ from daycast.cli import run_cli
 from daycast.config import (band_from_config, builtin_config_names, builtin_config_path,
                             load_config, load_dataset, validate_config)
 from daycast.errors import ConfigError, Tmy3ParseError
-from daycast.evalharness import METHODS, compare
+from daycast.evalharness import METHODS, Band, compare
 from daycast.reportio import (export_report, export_series, format_report_table,
                               read_series_csv, report_rows, write_series)
 from daycast.series import Series
@@ -244,13 +244,13 @@ class TestRunConfig:
             assert cfg["methods"]
 
     def test_unknown_top_level_key_rejected(self):
-        cfg = json.load(open(builtin_config_path("table2_wind")))
+        cfg = json.loads(builtin_config_path("table2_wind").read_text())
         cfg["surprise"] = 1
         with pytest.raises(ConfigError):
             validate_config(cfg)
 
     def test_unknown_method_key_rejected(self):
-        cfg = json.load(open(builtin_config_path("table2_wind")))
+        cfg = json.loads(builtin_config_path("table2_wind").read_text())
         cfg["methods"][0]["extra_knob"] = 2
         with pytest.raises(ConfigError) as err:
             validate_config(cfg)
@@ -259,7 +259,7 @@ class TestRunConfig:
     @pytest.mark.parametrize("name", ["table2_wind", "table2_temperature",
                                       "table2_irradiance"])
     def test_every_field_deletion_is_rejected(self, name):
-        base = json.load(open(builtin_config_path(name)))
+        base = json.loads(builtin_config_path(name).read_text())
         for key in ("signal", "band", "methods"):
             broken = copy.deepcopy(base)
             del broken[key]
@@ -273,7 +273,7 @@ class TestRunConfig:
                     validate_config(broken)
 
     def test_module_preconditions_checked_up_front(self):
-        base = json.load(open(builtin_config_path("table2_wind")))
+        base = json.loads(builtin_config_path("table2_wind").read_text())
         base["methods"] = [{"name": "polynomial", "degree": 30}]
         with pytest.raises(ConfigError):      # 31 coefficients from 24 samples
             validate_config(base)
@@ -341,12 +341,44 @@ class TestRunConfig:
         ({"name": "arima", "p": 5, "d": 0, "q": 5, "P": 1, "D": 1, "Q": 1, "s": 24,
           "train_periods": 1},
          "methods[0] (arima): differencing leaves 0 samples, estimation needs 39"),
+        ({"name": "arima", "p": 0, "d": 0, "q": 0, "P": 1, "D": 0, "Q": 0, "s": 1,
+          "train_periods": 2},
+         "methods[0] (arima): seasonality must be >= 2, got 1"),
+        ({"name": "arima", "p": 0, "d": 0, "q": 0, "P": 1, "D": 0, "Q": 0, "s": 0,
+          "train_periods": 2},
+         "methods[0] (arima): seasonality must be >= 2, got 0"),
+        ({"name": "arima", "p": 0, "d": 0, "q": -1, "P": 0, "D": 0, "Q": 0, "s": 0,
+          "train_periods": 2},
+         "methods[0] (arima): orders must be >= 0, got (0, 0, -1)"),
     ])
     def test_method_errors_name_the_block_and_key(self, block, message):
         with pytest.raises(ConfigError) as err:
             validate_config({"signal": "wind", "band": {"inner": 1, "outer": 3},
                              "methods": [block]})
         assert message in str(err.value)
+
+    def test_arima_block_may_name_s_without_seasonal_orders(self):
+        validate_config({"signal": "wind", "band": {"inner": 1, "outer": 3},
+                         "methods": [{"name": "arima", "p": 1, "d": 0, "q": 0, "P": 0,
+                                      "D": 0, "Q": 0, "s": 24, "train_periods": 1}]})
+
+    @pytest.mark.parametrize("block, train_samples", [
+        ({"name": "polynomial", "degree": 24}, 24),
+        ({"name": "rbf", "n_basis": 24, "sigma": 2.0}, 24),
+        ({"name": "spline", "smooth_lambda": 1.0}, 3),
+        ({"name": "tree", "min_node_size": 10, "period": 40}, 24),
+        ({"name": "nexting", "gamma": 0.0, "alpha": 0.3, "trace_lambda": 0.9,
+          "freeze_after": 24, "max_shift": 24}, 24),
+        ({"name": "arima", "p": 5, "d": 0, "q": 5, "P": 1, "D": 1, "Q": 1, "s": 24,
+          "train_periods": 1}, 24),
+    ])
+    def test_library_row_rejects_a_short_window_in_the_config_words(self, wind, block,
+                                                                      train_samples):
+        with pytest.raises(ConfigError) as err:
+            validate_config({"signal": "wind", "band": {"inner": 1, "outer": 3},
+                             "train_samples": train_samples, "methods": [block]})
+        [row] = compare(wind, [block], Band(1, 3), train_samples=train_samples)
+        assert f"methods[0] ({block['name']}): {row.error}" == str(err.value)
 
     def test_readme_key_table_matches_the_registry(self):
         names = {int: "integer", float: "number", str: "string", bool: "boolean"}
@@ -378,7 +410,7 @@ class TestExportReport:
         reports = self.make_reports(wind)
         out = tmp_path / "r.csv"
         export_report(reports, "csv", out)
-        rows = list(csv.reader(open(out)))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["method", "train_rmse", "inner_run", "outer_run"]
         assert len(rows) == 1 + len(reports)
         arima_row = next(r for r in rows if r[0] == "arima")
@@ -391,7 +423,7 @@ class TestExportReport:
         reports = self.make_reports(wind)
         out = tmp_path / "r.json"
         export_report(reports, "json", out)
-        back = json.load(open(out))
+        back = json.loads(out.read_text())
         assert back == report_rows(reports)
         assert back[0]["method"] == "polynomial"
 
@@ -400,7 +432,7 @@ class TestExportReport:
                           band_from_config(load_config(builtin_config_path("table2_wind"))))
         out = tmp_path / "one.csv"
         export_report(reports, "csv", out)
-        assert len(open(out).read().strip().splitlines()) == 2
+        assert len(out.read_text().strip().splitlines()) == 2
 
     def test_empty_reports_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -449,6 +481,23 @@ class TestCli:
         rc = run_cli(["synth", "--period", "4", "--count", "4", "--bogus"])
         assert rc == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["acf", "--fixture", "wind48", "--max-lag", "0"], "--max-lag"),
+        (["synth", "--period", "4", "--count", "0"], "--count"),
+        (["synth", "--period", "-1", "--count", "3"], "--period"),
+        (["synth", "--period", "0", "--count", "3"], "--period"),
+        (["synth", "--period", "inf", "--count", "3"], "--period"),
+        (["synth", "--period", "4", "--count", "3", "--amplitude", "nan"], "--amplitude"),
+        (["synth", "--period", "4", "--count", "3", "--phase", "inf"], "--phase"),
+    ])
+    def test_out_of_range_flag_exits_1_naming_the_flag(self, capsys, argv, flag):
+        assert run_cli(argv) == 1
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+
+    def test_max_lag_beyond_the_series_is_a_data_error(self, capsys):
+        assert run_cli(["acf", "--fixture", "wind48", "--max-lag", "48"]) == 2
+        assert "max_lag 48" in capsys.readouterr().err
 
     def test_invalid_config_schema_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
