@@ -68,7 +68,7 @@ def validate_config(cfg: dict) -> dict:
         for i, block in enumerate(run.methods):
             method = parse_method(block, f"methods[{i}]")
             try:
-                method.check_window(method.train_periods * run.train_samples)
+                method.check_length(method.train_periods * run.train_samples)
             except ValueError as exc:
                 raise ValueError(f"methods[{i}] ({block['name']}): {exc}") from None
     except ValueError as exc:

@@ -7,7 +7,7 @@ stay inside an inner and an outer tolerance band. A method that fails,
 or whose window the dataset cannot supply, gets an error row; the others
 are unaffected. Each method is one frozen parameter class in METHODS:
 its fields are its config keys, __post_init__ checks their ranges,
-check_window(window) its whole training window, and run() fits and forecasts.
+check_length(window) its whole training window, and run() fits and forecasts.
 run_single places a method's predictions on their times and returns its
 unscored EvalReport row; compare scores that row.
 """
@@ -142,11 +142,13 @@ def at_least(lo, **values):
 class _Method:
     """Config keys as fields; run(train, holdout) returns the predictions of
     the last training samples (or None), the forecast and extra report settings.
+    A class that is a module object lists it first and _Method last in its
+    bases, so the object's own checks, check_length included, are the method's.
     """
 
     train_periods = 1  # a method trains on train_periods * train_samples samples
 
-    def check_window(self, window: int):
+    def check_length(self, window: int):
         """Reject up front a training window of window samples."""
 
 
@@ -157,7 +159,7 @@ class PolynomialParams(_Method):
     def __post_init__(self):
         at_least(0, degree=self.degree)
 
-    def check_window(self, window):
+    def check_length(self, window):
         if self.degree + 1 > window:
             raise ValueError(f"degree {self.degree} needs {self.degree + 1} samples, have {window}")
 
@@ -186,8 +188,8 @@ class RidgeParams(_Method):
 
 
 @dataclass(frozen=True)
-class RbfParams(_Method, linmodels.RbfConfig):
-    def check_window(self, window):
+class RbfParams(linmodels.RbfConfig, _Method):
+    def check_length(self, window):
         if self.n_basis + self.include_bias > window:
             raise ValueError(f"{self.n_basis} basis functions need more than {window} samples")
 
@@ -203,7 +205,7 @@ class SplineParams(_Method):
     def __post_init__(self):
         at_least(0, smooth_lambda=self.smooth_lambda)
 
-    def check_window(self, window):
+    def check_length(self, window):
         if window < 4:
             raise ValueError("splines need at least 4 training samples")
 
@@ -229,15 +231,12 @@ class KernelParams(_Method):
 
 
 @dataclass(frozen=True)
-class ArimaParams(_Method, arima.ArimaOrder):
+class ArimaParams(arima.ArimaOrder, _Method):
     train_periods: int = field()  # no default: a required key for arima
 
     def __post_init__(self):
         super().__post_init__()
         at_least(1, train_periods=self.train_periods)
-
-    def check_window(self, window):
-        self.check_length(window)
 
     def run(self, train, holdout):
         model = arima.css_estimate(train, self)
@@ -246,26 +245,23 @@ class ArimaParams(_Method, arima.ArimaOrder):
         return None, fc.values, {"warnings": list(model.warnings)}
 
 
-@dataclass(frozen=True)
-class TreeParams(_Method):
-    min_node_size: int
+@dataclass(frozen=True, kw_only=True)
+class TreeParams(tree.GrowConfig, _Method):
+    min_node_size: int = field()  # no default: a required key for tree
     period: int
-    max_leaves: int | None = None
     train_periods: int  # default from _Method
-    grow_config: tree.GrowConfig = field(init=False, repr=False)  # built from the keys; not a key
 
     def __post_init__(self):
-        object.__setattr__(self, "grow_config",
-                           tree.GrowConfig(self.min_node_size, self.max_leaves))
+        super().__post_init__()
         at_least(1, period=self.period, train_periods=self.train_periods)
 
-    def check_window(self, window):
+    def check_length(self, window):
         if self.period > window:
             raise ValueError(f"period {self.period} is longer than the "
                              f"{window}-sample training window")
 
     def run(self, train, holdout):
-        wrapper = tree.fit_periodic_ensemble(train, self.period, self.grow_config)
+        wrapper = tree.fit_periodic_ensemble(train, self.period, self)
         # Training error over the period closest to the forecast window.
         return wrapper.predict(train.times[-self.period:]), wrapper.predict(holdout.times), {}
 
@@ -280,16 +276,11 @@ class NextingParams(_Method):
     train_periods: int  # default from _Method
 
     def __post_init__(self):
-        if not 0 <= self.gamma < 1:
-            raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not 0 <= self.trace_lambda <= 1:
-            raise ValueError(f"trace_lambda must lie in [0, 1], got {self.trace_lambda}")
+        nexting.check_rates(self.gamma, self.alpha, self.trace_lambda)
         at_least(0, max_shift=self.max_shift)
         at_least(1, freeze_after=self.freeze_after, train_periods=self.train_periods)
 
-    def check_window(self, window):
+    def check_length(self, window):
         if self.max_shift >= window:
             raise ValueError(f"max_shift {self.max_shift} must be below the "
                              f"{window}-sample training window")
@@ -348,7 +339,7 @@ def run_single(dataset: Series, params: dict, *, train_samples: int = 24,
     if boundary - window < 0:
         raise ValueError(f"{params['name']} needs {window} training samples before the forecast "
                          f"window but only {boundary} are available")
-    method.check_window(window)
+    method.check_length(window)
     holdout = Series(dataset.values[boundary:], window + 1, dataset.period_hint, dataset.unit)
     train = Series(dataset.values[boundary - window:boundary], 1, dataset.period_hint,
                    dataset.unit)

@@ -127,7 +127,9 @@ def solve_ridge(X: np.ndarray, y: np.ndarray, reg_lambda: float = 0.0) -> np.nda
     Solved through an orthogonal factorization of the stacked system
     [X; reg_lambda * I] rather than the normal equations: monomial
     columns on raw hour indices are too ill-conditioned to square.
-    With reg_lambda = 0 this is ordinary least squares.
+    With reg_lambda = 0 this is ordinary least squares: fewer rows than
+    columns raise UnderdeterminedError, and a rank-deficient system raises
+    SingularSystemError.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -137,6 +139,9 @@ def solve_ridge(X: np.ndarray, y: np.ndarray, reg_lambda: float = 0.0) -> np.nda
         raise ValueError(f"y length {y.shape} does not match {X.shape[0]} rows of X")
     if reg_lambda < 0:
         raise ValueError(f"reg_lambda must be >= 0, got {reg_lambda}")
+    m, k = X.shape
+    if reg_lambda == 0 and m < k:
+        raise UnderdeterminedError(f"{k} coefficients need at least {k} samples, have {m}")
 
     if reg_lambda > 0:
         A = np.vstack([X, reg_lambda * np.eye(X.shape[1])])
@@ -164,10 +169,6 @@ def fit_polynomial(train: Series, degree: int) -> LinearFit:
     """Least-squares polynomial of the given degree in the time index."""
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    if len(train) < degree + 1:
-        raise UnderdeterminedError(
-            f"degree {degree} needs at least {degree + 1} samples, have {len(train)}"
-        )
     return fit_basis(train, tuple(Monomial(d) for d in range(degree + 1)))
 
 
@@ -206,11 +207,6 @@ def _rbf_centers(config: RbfConfig, times: np.ndarray) -> np.ndarray:
 
 def fit_rbf(train: Series, config: RbfConfig) -> LinearFit:
     """Fit RBF weights (and optional bias) by unregularized least squares."""
-    n_coeff = config.n_basis + (1 if config.include_bias else 0)
-    if len(train) < n_coeff:
-        raise UnderdeterminedError(
-            f"{n_coeff} coefficients need at least {n_coeff} samples, have {len(train)}"
-        )
     centers = _rbf_centers(config, train.times)
     basis: list = [Constant()] if config.include_bias else []
     basis += [GaussianBump(float(c), config.sigma) for c in centers]

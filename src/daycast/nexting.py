@@ -105,6 +105,19 @@ def ideal_return(series: Series, t: int, gamma: float, horizon: int) -> ReturnEs
     return ReturnEstimate(value, bound)
 
 
+def check_rates(gamma, alpha: float, trace_lambda: float) -> None:
+    """Raise ValueError unless gamma (a number, or one per signal) lies in
+    [0, 1), alpha is positive and trace_lambda lies in [0, 1]."""
+    # Plain Python for a scalar gamma: config parsing calls this per nexting block.
+    if not (0 <= gamma < 1 if isinstance(gamma, (int, float))
+            else all(0 <= g < 1 for g in np.ravel(gamma))):
+        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 <= trace_lambda <= 1:
+        raise ValueError(f"trace_lambda must lie in [0, 1], got {trace_lambda}")
+
+
 class NextingLearner:
     """Per-signal TD(lambda) weights over a shared tile-coded feature space.
 
@@ -116,17 +129,12 @@ class NextingLearner:
     """
 
     def __init__(self, coder: TileCoder, gamma, alpha: float, trace_lambda: float):
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
-        if not 0.0 <= trace_lambda <= 1.0:
-            raise ValueError(f"trace_lambda must lie in [0, 1], got {trace_lambda}")
+        check_rates(gamma, alpha, trace_lambda)
         g = np.atleast_1d(np.asarray(gamma, dtype=float))
         if len(g) == 1:
             g = np.repeat(g, coder.n_signals)
         if len(g) != coder.n_signals:
             raise ValueError(f"need one gamma per signal ({coder.n_signals}), got {len(g)}")
-        if np.any(g < 0) or np.any(g >= 1):
-            raise ValueError(f"gamma must lie in [0, 1), got {g}")
         self.coder = coder
         self.gamma = g
         self.alpha = alpha

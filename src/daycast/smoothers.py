@@ -88,9 +88,9 @@ class SplineFit:
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
 
     def predict(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = _basis_matrix(self.knots, x) @ self.coeffs
-        return float(out[0]) if out.size == 1 else out
+        x = np.asarray(x, dtype=float)
+        out = _basis_matrix(self.knots, np.atleast_1d(x)) @ self.coeffs
+        return float(out[0]) if x.ndim == 0 else out
 
 
 def fit_smoothing_spline(train: Series, smooth_lambda: float) -> SplineFit:

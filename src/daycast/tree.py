@@ -208,17 +208,14 @@ def grow(train, config: GrowConfig = GrowConfig()) -> Tree:
 
 
 def _weakest_link(node: Node, out: list, path_id: list):
-    """Collect (g, id, node) for every internal node, preorder."""
+    """Collect (g, id, node) for every internal node, children first;
+    return the leaf sse and leaf count of the subtree at node."""
     if node.is_leaf:
-        return 0.0, 0
+        return node.sse, 1
     left_sse, left_leaves = _weakest_link(node.left, out, path_id)
     right_sse, right_leaves = _weakest_link(node.right, out, path_id)
-    # Leaf stats of a leaf child are its own sse / one leaf.
-    sub_sse = (node.left.sse if node.left.is_leaf else left_sse) \
-        + (node.right.sse if node.right.is_leaf else right_sse)
-    sub_leaves = (1 if node.left.is_leaf else left_leaves) \
-        + (1 if node.right.is_leaf else right_leaves)
-    g = (node.sse - sub_sse) / (sub_leaves - 1) if sub_leaves > 1 else np.inf
+    sub_sse, sub_leaves = left_sse + right_sse, left_leaves + right_leaves
+    g = (node.sse - sub_sse) / (sub_leaves - 1)
     path_id[0] += 1
     out.append((g, path_id[0], node))
     return sub_sse, sub_leaves

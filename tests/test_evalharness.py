@@ -219,6 +219,12 @@ class TestRunSingle:
             run_single(wind, {"name": "polynomial", "degree": 6}, forecast_samples=60)
         assert str(err.value) == "the 60-sample forecast window exceeds the 48-sample dataset"
 
+    def test_one_sample_forecast_window(self, wind):
+        blocks = [m for m in wind_methods() if m["name"] != "arima"]
+        rows = compare(wind, blocks, WIND_BAND, forecast_samples=1)
+        assert [row.error for row in rows] == [None] * len(blocks)
+        assert all(row.forecast.values.shape == (1,) for row in rows)
+
     def test_nexting_settings_echo_alignment(self, wind):
         run = run_single(wind, {"name": "nexting", "gamma": 0.0, "alpha": 0.3,
                                 "trace_lambda": 0.9, "freeze_after": 24})

@@ -350,6 +350,14 @@ class TestRunConfig:
         ({"name": "arima", "p": 0, "d": 0, "q": -1, "P": 0, "D": 0, "Q": 0, "s": 0,
           "train_periods": 2},
          "methods[0] (arima): orders must be >= 0, got (0, 0, -1)"),
+        ({"name": "tree", "min_node_size": 10, "period": 24, "max_leaves": 0},
+         "methods[0] (tree): max_leaves must be >= 1, got 0"),
+        ({"name": "nexting", "gamma": 1.5, "alpha": 0.3, "trace_lambda": 0.9,
+          "freeze_after": 24}, "methods[0] (nexting): gamma must lie in [0, 1), got 1.5"),
+        ({"name": "nexting", "gamma": 0.0, "alpha": 0, "trace_lambda": 0.9,
+          "freeze_after": 24}, "methods[0] (nexting): alpha must be positive, got 0"),
+        ({"name": "nexting", "gamma": 0.0, "alpha": 0.3, "trace_lambda": 2,
+          "freeze_after": 24}, "methods[0] (nexting): trace_lambda must lie in [0, 1], got 2"),
     ])
     def test_method_errors_name_the_block_and_key(self, block, message):
         with pytest.raises(ConfigError) as err:

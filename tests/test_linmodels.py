@@ -62,6 +62,14 @@ class TestSolveRidge:
         with pytest.raises(ValueError):
             solve_ridge(np.ones((3, 1)), np.ones(2))
 
+    def test_fewer_samples_than_coefficients_need_a_ridge(self):
+        train = Series([1.0, 4.0, 2.0])
+        basis = tuple(Monomial(d) for d in range(5))
+        with pytest.raises(UnderdeterminedError) as err:
+            fit_basis(train, basis)
+        assert str(err.value) == "5 coefficients need at least 5 samples, have 3"
+        assert np.all(np.isfinite(fit_basis(train, basis, reg_lambda=0.1).coeffs))
+
     def test_ridge_continuity_at_zero(self):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(12, 3))

@@ -139,6 +139,16 @@ class TestTdStep:
             thetas.append(learner.theta.copy())
         np.testing.assert_array_equal(thetas[0], thetas[1])
 
+    @pytest.mark.parametrize("n_signals, gamma, message", [
+        (1, 1.5, "gamma must lie in [0, 1), got 1.5"),
+        (2, [0.0, 1.0], "gamma must lie in [0, 1), got [0.0, 1.0]"),
+        (2, [0.0, 0.5, 0.5], "need one gamma per signal (2), got 3"),
+    ])
+    def test_gamma_errors_quote_the_value_given(self, n_signals, gamma, message):
+        with pytest.raises(ValueError) as err:
+            NextingLearner(TileCoder(n_signals=n_signals), gamma, alpha=0.1, trace_lambda=0.9)
+        assert str(err.value) == message
+
     def test_bad_input_rejected(self):
         learner = NextingLearner(TileCoder(n_signals=2), gamma=0.0, alpha=0.1,
                                  trace_lambda=0.9)
