@@ -10,10 +10,10 @@ RMSE and consecutive-in-band forecast counts over a one-day holdout.
 __version__ = "0.1.0"
 
 from .arima import (ArimaModel, ArimaOrder, ExpandedForm, acf_pacf, css_estimate,
-                    difference, expand_polynomials, forecast, simulate)
-from .errors import (ConfigError, DaycastError, EstimationError, InstabilityError,
-                     NoSupportError, SingularSystemError, Tmy3ParseError,
-                     UnderdeterminedError, ZeroVarianceError)
+                    difference, expand_polynomials, forecast)
+from .errors import (ConfigError, DaycastError, EstimationError, NoSupportError,
+                     SingularSystemError, Tmy3ParseError, UnderdeterminedError,
+                     ZeroVarianceError)
 from .evalharness import (Band, EvalReport, compare, consecutive_within, rmse,
                           run_single)
 from .fixtures import dni48, fixture, temp48, wind48

@@ -21,11 +21,8 @@ forecast by taking conditional expectations with future shocks zeroed.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
-from scipy.optimize import minimize
-from scipy.signal import lfilter
 
-from .errors import EstimationError, InstabilityError, ZeroVarianceError
+from .errors import EstimationError, ZeroVarianceError
 from .series import Series
 
 _UNIT_ROOT_TOL = 1e-8
@@ -187,7 +184,8 @@ def _yule_walker(z: np.ndarray, p: int) -> np.ndarray:
     if r is None:
         return np.zeros(p)
     try:
-        return np.linalg.solve(toeplitz(np.concatenate([[1.0], r[:-1]])), r)
+        c = np.concatenate([[1.0], r[:-1]])
+        return np.linalg.solve(c[np.abs(np.subtract.outer(np.arange(p), np.arange(p)))], r)
     except np.linalg.LinAlgError:
         return np.zeros(p)
 
@@ -211,6 +209,9 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
     Raises EstimationError (carrying the best model and objective so
     far) if the simplex exhausts its budget without converging.
     """
+    from scipy.optimize import minimize
+    from scipy.signal import lfilter
+
     order.check_length(len(series))
     z = difference(series, order.d, order.D, order.s).values
     m = len(z)
@@ -292,6 +293,8 @@ def forecast(model: ArimaModel, history: Series, lead: int) -> Series:
     future shocks are zero and intermediate future values are the
     previously computed conditional expectations.
     """
+    from scipy.signal import lfilter
+
     if lead < 1:
         raise ValueError(f"lead must be >= 1, got {lead}")
     drop = model.order.d + model.order.s * model.order.D
@@ -354,31 +357,3 @@ def acf_pacf(series: Series, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
         prev = cur
     return acf, pacf
 
-
-def simulate(model: ArimaModel, n: int, seed: int) -> Series:
-    """Draw a sample path; deterministic for a fixed seed.
-
-    Shocks are i.i.d. Gaussian with variance sigma2, filtered through
-    the model after a discarded burn-in. Stationary models (d = D = 0)
-    must have all AR roots outside the unit circle.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    order = model.order
-    ar, ma = _operators(order, model.phi, model.theta, model.sphi, model.stheta)
-    if order.d + order.D == 0 and _min_root_magnitude(ar) <= 1.0 + _UNIT_ROOT_TOL:
-        raise InstabilityError(
-            "AR root on or inside the unit circle; a stationary simulation would diverge"
-        )
-    burn = 100 + 10 * (len(ar) + len(ma))
-    rng = np.random.default_rng(seed)
-    shocks = rng.standard_normal(n + burn) * np.sqrt(model.sigma2)
-    z = lfilter(ma, ar, shocks)[burn:] + _center_of(model, ar)
-    for _ in range(order.D):
-        out = z.copy()
-        for t in range(order.s, len(out)):
-            out[t] += out[t - order.s]
-        z = out
-    for _ in range(order.d):
-        z = np.cumsum(z)
-    return Series(z, t0=1)

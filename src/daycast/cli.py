@@ -98,6 +98,9 @@ def _io_flags(p):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+_PARSER = _build_parser()
+
+
 def _emit_series(series: Series, args) -> None:
     if args.out:
         export_series(series, args.out, args.format)
@@ -188,12 +191,11 @@ _COMMANDS = {
 
 
 def run_cli(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(f"daycast: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        _PARSER.print_usage(sys.stderr)
         return USAGE_ERROR
     except SystemExit as exc:  # --help / --version
         return 0 if exc.code in (0, None) else USAGE_ERROR

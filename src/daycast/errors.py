@@ -26,10 +26,6 @@ class ZeroVarianceError(DaycastError):
     """An operation needed a non-constant series."""
 
 
-class InstabilityError(DaycastError):
-    """An autoregressive polynomial has roots on or inside the unit circle."""
-
-
 class EstimationError(DaycastError):
     """Parameter search stopped before convergence.
 

@@ -19,7 +19,6 @@ of the knot count.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import NoSupportError, SingularSystemError, ZeroVarianceError
 from .series import Series
@@ -95,6 +94,8 @@ class SplineFit:
 
 def fit_smoothing_spline(train: Series, smooth_lambda: float) -> SplineFit:
     """Penalized fit with every training point as a knot (no thinning)."""
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+
     if smooth_lambda < 0:
         raise ValueError(f"smoothing parameter must be >= 0, got {smooth_lambda}")
     if len(train) < 4:

@@ -3,16 +3,50 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import toeplitz
+from scipy.signal import lfilter
 
-from daycast.arima import (ArimaModel, ArimaOrder, acf_pacf, css_estimate, difference,
-                           expand_polynomials, forecast, simulate)
-from daycast.errors import InstabilityError, ZeroVarianceError
+from daycast.arima import (_UNIT_ROOT_TOL, ArimaModel, ArimaOrder, _center_of,
+                           _min_root_magnitude, _operators, _yule_walker, acf_pacf,
+                           css_estimate, difference, expand_polynomials, forecast)
+from daycast.errors import DaycastError, ZeroVarianceError
 from daycast.series import Series, make_sine
 
 
 def model_of(order, phi=(), theta=(), sphi=(), stheta=(), **kw):
     return ArimaModel(order, np.array(phi, dtype=float), np.array(theta, dtype=float),
                       np.array(sphi, dtype=float), np.array(stheta, dtype=float), **kw)
+
+
+class InstabilityError(DaycastError):
+    """An autoregressive polynomial has roots on or inside the unit circle."""
+
+
+def simulate(model: ArimaModel, n: int, seed: int) -> Series:
+    """Draw a sample path; deterministic for a fixed seed.
+
+    Shocks are i.i.d. Gaussian with variance sigma2, filtered through
+    the model after a discarded burn-in. Stationary models (d = D = 0)
+    must have all AR roots outside the unit circle.
+    """
+    order = model.order
+    ar, ma = _operators(order, model.phi, model.theta, model.sphi, model.stheta)
+    if order.d + order.D == 0 and _min_root_magnitude(ar) <= 1.0 + _UNIT_ROOT_TOL:
+        raise InstabilityError(
+            "AR root on or inside the unit circle; a stationary simulation would diverge"
+        )
+    burn = 100 + 10 * (len(ar) + len(ma))
+    rng = np.random.default_rng(seed)
+    shocks = rng.standard_normal(n + burn) * np.sqrt(model.sigma2)
+    z = lfilter(ma, ar, shocks)[burn:] + _center_of(model, ar)
+    for _ in range(order.D):
+        out = z.copy()
+        for t in range(order.s, len(out)):
+            out[t] += out[t - order.s]
+        z = out
+    for _ in range(order.d):
+        z = np.cumsum(z)
+    return Series(z, t0=1)
 
 
 def sympy_expansion(phi, theta, sphi, stheta, d, D, s):
@@ -95,6 +129,26 @@ class TestExpandPolynomials:
         ar_oracle, ma_oracle = sympy_expansion(phi, theta, sphi, stheta, d, D, s)
         np.testing.assert_allclose(form.ar_full, ar_oracle, atol=1e-12)
         np.testing.assert_allclose(form.ma_full, ma_oracle, atol=1e-12)
+
+
+class TestYuleWalker:
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_toeplitz_system_matches_scipy_bit_for_bit(self, p, monkeypatch):
+        solve = np.linalg.solve
+        systems = []
+
+        def spy(a, b):
+            systems.append((a, b))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        rng = np.random.default_rng(p)
+        for _ in range(20):
+            coeffs = _yule_walker(rng.standard_normal(60), p)
+            a, r = systems.pop()
+            reference = toeplitz(np.concatenate([[1.0], r[:-1]]))
+            assert a.tobytes() == reference.tobytes()
+            assert coeffs.tobytes() == solve(reference, r).tobytes()
 
 
 class TestCssEstimate:

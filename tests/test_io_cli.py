@@ -3,7 +3,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import daycast
 from daycast.cli import run_cli
 from daycast.config import (band_from_config, builtin_config_names, builtin_config_path,
                             load_config, load_dataset, validate_config)
@@ -642,6 +646,45 @@ class TestCli:
                       "--out", "/no/such/dir/out.csv"])
         assert rc == 2
         capsys.readouterr()
+
+
+def fresh_python(*args, **env):
+    """Run the interpreter with args in a new process that imports this copy of daycast."""
+    src = str(Path(daycast.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, **env})
+
+
+class TestProcessStart:
+    def test_commands_without_arima_or_spline_fits_load_no_scipy_solver(self):
+        code = f"""
+import contextlib, io, sys
+import daycast, daycast.cli
+argvs = [["synth", "--period", "24", "--count", "3"], ["acf", "--fixture", "wind48"],
+         ["nexting-run", "--config", {str(builtin_config_path("nexting_multiperiod_irradiance"))!r}]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [daycast.cli.run_cli(argv) for argv in argvs]
+print(codes, [m for m in ("scipy.signal", "scipy.optimize", "scipy.stats", "scipy.linalg")
+              if m in sys.modules])
+"""
+        proc = fresh_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0] []"
+
+    def test_the_shared_parser_answers_each_call_as_a_fresh_process(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+        bad_flag = ["synth", "--period", "-1", "--count", "3"]
+        argvs = [bad_flag, ["compare", "--config", str(builtin_config_path("table2_wind"))],
+                 ["--version"], bad_flag, ["acf"]]
+        codes = []
+        for argv in argvs:
+            fresh = fresh_python("-m", "daycast.cli", *argv, COLUMNS="80")
+            codes.append(run_cli(argv))
+            captured = capsys.readouterr()
+            assert (codes[-1], captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr)
+        assert codes == [1, 0, 0, 1, 1]
 
 
 _SMALL_JSON = st.one_of(st.none(), st.booleans(), st.integers(-3, 50),
