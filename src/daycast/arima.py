@@ -346,13 +346,12 @@ def acf_pacf(series: Series, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
     pacf[0] = 1.0
     prev = np.zeros(0)
     for k in range(1, max_lag + 1):
-        num = acf[k] - float(prev @ acf[1:k][::-1]) if k > 1 else acf[1]
-        den = 1.0 - float(prev @ acf[1:k]) if k > 1 else 1.0
+        num = acf[k] - float(prev @ acf[1:k][::-1])
+        den = 1.0 - float(prev @ acf[1:k])
         phi_kk = num / den if den != 0.0 else 0.0
         cur = np.empty(k)
         cur[k - 1] = phi_kk
-        if k > 1:
-            cur[:k - 1] = prev - phi_kk * prev[::-1]
+        cur[:k - 1] = prev - phi_kk * prev[::-1]
         pacf[k] = phi_kk
         prev = cur
     return acf, pacf

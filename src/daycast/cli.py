@@ -68,22 +68,16 @@ def _build_parser() -> _Parser:
     synth.add_argument("--phase", type=_FINITE, default=0.0)
     _io_flags(synth)
 
-    for name, help_text in (("fit", "print training-sample predictions of one method"),
-                            ("forecast", "print holdout forecasts of one method")):
+    one_method = "run config JSON (one method)"
+    for name, help_text, config_help in (
+            ("fit", "print training-sample predictions of one method", one_method),
+            ("forecast", "print holdout forecasts of one method", one_method),
+            ("compare", "full comparison over all configured methods", "run config JSON"),
+            ("nexting-run", "stream the online learner", "run config JSON (one nexting method)")):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="run config JSON (one method)")
+        p.add_argument("--config", required=True, help=config_help)
         p.add_argument("--data", help="TMY3 CSV overriding the config's data path")
         _io_flags(p)
-
-    cmp_p = sub.add_parser("compare", help="full comparison over all configured methods")
-    cmp_p.add_argument("--config", required=True, help="run config JSON")
-    cmp_p.add_argument("--data", help="TMY3 CSV overriding the config's data path")
-    _io_flags(cmp_p)
-
-    nx = sub.add_parser("nexting-run", help="stream the online learner")
-    nx.add_argument("--config", required=True, help="run config JSON (one nexting method)")
-    nx.add_argument("--data", help="TMY3 CSV overriding the config's data path")
-    _io_flags(nx)
 
     acf_p = sub.add_parser("acf", help="autocorrelation identification aid")
     acf_p.add_argument("--fixture", help="embedded signal name (wind48, temp48, dni48)")

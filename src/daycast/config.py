@@ -79,13 +79,14 @@ def validate_config(cfg: dict) -> dict:
 
 def load_config(path) -> dict:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     return validate_config(raw)
 
 

@@ -3,7 +3,7 @@
 One linear machinery covers three predictors: plain polynomial fits,
 ridge fits over arbitrary basis functions, and radial-basis-function
 networks with fixed centers. A fitted model is a coefficient vector
-over a named basis set; prediction is a dot product.
+over a basis set; prediction is a dot product.
 """
 
 from dataclasses import dataclass
@@ -26,10 +26,6 @@ class Constant:
     def __call__(self, x):
         return np.ones_like(np.asarray(x, dtype=float))
 
-    @property
-    def label(self):
-        return "1"
-
 
 @dataclass(frozen=True)
 class Monomial:
@@ -43,10 +39,6 @@ class Monomial:
 
     def __call__(self, x):
         return np.asarray(x, dtype=float) ** self.degree
-
-    @property
-    def label(self):
-        return f"x^{self.degree}"
 
 
 @dataclass(frozen=True)
@@ -63,10 +55,6 @@ class Sinusoid:
     def __call__(self, x):
         return np.cos(2.0 * np.pi * np.asarray(x, dtype=float) / self.period + self.phase)
 
-    @property
-    def label(self):
-        return f"cos(2pi x/{self.period:g} + {self.phase:g})"
-
 
 @dataclass(frozen=True)
 class GaussianBump:
@@ -82,13 +70,6 @@ class GaussianBump:
     def __call__(self, x):
         z = np.asarray(x, dtype=float) - self.center
         return np.exp(-(z * z) / (2.0 * self.width**2))
-
-    @property
-    def label(self):
-        return f"bump(c={self.center:g}, w={self.width:g})"
-
-
-BasisFunction = Constant | Monomial | Sinusoid | GaussianBump
 
 
 def design_matrix(basis: tuple, xs) -> np.ndarray:

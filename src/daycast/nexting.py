@@ -74,43 +74,10 @@ def tile_indices(values, coder: TileCoder) -> np.ndarray:
     return active
 
 
-@dataclass(frozen=True)
-class ReturnEstimate:
-    """Truncated discounted return plus its truncation-error bound."""
-
-    value: float
-    truncation_bound: float
-
-
-def ideal_return(series: Series, t: int, gamma: float, horizon: int) -> ReturnEstimate:
-    """Direct discounted sum of the next `horizon` samples after time t.
-
-    Serves as the ground-truth target that online predictions are
-    compared against; the bound gamma^horizon * max|y| / (1 - gamma)
-    caps what the dropped tail could contribute.
-    """
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    i0 = t - series.t0
-    if i0 < -1 or i0 + horizon >= len(series):
-        raise ValueError(
-            f"need samples at times {t + 1}..{t + horizon}, series covers "
-            f"{series.t0}..{series.t0 + len(series) - 1}"
-        )
-    future = series.values[i0 + 1:i0 + 1 + horizon]
-    value = float(np.dot(gamma ** np.arange(horizon), future))
-    bound = gamma**horizon * float(np.max(np.abs(series.values))) / (1.0 - gamma)
-    return ReturnEstimate(value, bound)
-
-
 def check_rates(gamma, alpha: float, trace_lambda: float) -> None:
     """Raise ValueError unless gamma (a number, or one per signal) lies in
     [0, 1), alpha is positive and trace_lambda lies in [0, 1]."""
-    # Plain Python for a scalar gamma: config parsing calls this per nexting block.
-    if not (0 <= gamma < 1 if isinstance(gamma, (int, float))
-            else all(0 <= g < 1 for g in np.ravel(gamma))):
+    if not all(0 <= g < 1 for g in np.ravel(gamma)):
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")

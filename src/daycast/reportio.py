@@ -9,7 +9,6 @@ bare two-column t,value lines for external plotting tools.
 import csv
 import json
 import math
-import sys
 
 from .evalharness import EvalReport
 from .series import Series
@@ -47,8 +46,7 @@ def export_series(series: Series, path, fmt: str = "csv") -> None:
         write_series(series, fh, fmt)
 
 
-def write_series(series: Series, fh=None, fmt: str = "csv") -> None:
-    fh = fh or sys.stdout
+def write_series(series: Series, fh, fmt: str = "csv") -> None:
     if fmt == "csv":
         # repr round-trips doubles exactly; the parse-export-reparse
         # cycle must be value identical.

@@ -19,7 +19,7 @@ from daycast.evalharness import compare, consecutive_within
 from daycast.fixtures import wind48
 from daycast.linmodels import (Constant, RbfConfig, Sinusoid, fit_basis, fit_polynomial,
                                fit_rbf, solve_ridge)
-from daycast.nexting import TileCoder, align_affine, ideal_return, run_online
+from daycast.nexting import TileCoder, align_affine, run_online
 from daycast.reportio import export_report
 from daycast.series import Series, make_sine, split
 from daycast.smoothers import fit_smoothing_spline
@@ -266,16 +266,6 @@ def test_criterion_8_oracle_equivalence():
             best_cost = min(sse + alpha * k for sse, k in all_pruned_subtrees(t.root))
             got_cost = pruned.leaf_sse() + alpha * pruned.n_leaves
             assert got_cost == pytest.approx(best_cost, abs=1e-9)
-
-        # Discounted returns vs direct summation.
-        series = Series(rng.uniform(-5, 5, 200))
-        for _ in range(30):
-            t0 = int(rng.integers(1, 100))
-            gamma = float(rng.uniform(0, 0.99))
-            horizon = int(rng.integers(1, 80))
-            est = ideal_return(series, t0, gamma, horizon)
-            direct = sum(gamma**k * series.values[t0 - 1 + 1 + k] for k in range(horizon))
-            assert est.value == pytest.approx(direct, abs=1e-12)
 
 
 TMY3_PATH = os.environ.get("DAYCAST_TMY3")

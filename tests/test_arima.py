@@ -263,6 +263,17 @@ class TestAcfPacf:
         acf, _ = acf_pacf(s, 1)
         assert acf[1] == pytest.approx(-1.0, abs=2.0 / n)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 120), walk=st.booleans(),
+           data=st.data())
+    def test_pacf_is_the_last_yule_walker_coefficient(self, seed, n, walk, data):
+        x = np.random.default_rng(seed).standard_normal(n)
+        max_lag = data.draw(st.integers(1, n - 1))
+        acf, pacf = acf_pacf(Series(x.cumsum() if walk else x), max_lag)
+        for k in range(1, max_lag + 1):
+            phi = np.linalg.solve(toeplitz(acf[:k]), acf[1:k + 1])
+            assert pacf[k] == pytest.approx(phi[-1], abs=1e-10)
+
     def test_constant_series_rejected(self):
         with pytest.raises(ZeroVarianceError):
             acf_pacf(Series([2.0] * 10), 3)

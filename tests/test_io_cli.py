@@ -489,6 +489,13 @@ class TestCli:
         assert rc == 1
         assert "/no/such/config.json" in capsys.readouterr().err
 
+    def test_unreadable_config_exits_1_with_path(self, tmp_path, capsys):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe{}")
+        for path in (tmp_path, binary):
+            assert run_cli(["compare", "--config", str(path)]) == 1
+            assert str(path) in capsys.readouterr().err
+
     def test_unknown_flag_exits_1(self, capsys):
         rc = run_cli(["synth", "--period", "4", "--count", "4", "--bogus"])
         assert rc == 1

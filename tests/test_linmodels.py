@@ -196,10 +196,6 @@ class TestFitRbf:
 
 
 class TestBasisFunctions:
-    def test_labels_exist(self):
-        for g in (Constant(), Monomial(3), Sinusoid(24, 0.1), GaussianBump(2, 1)):
-            assert g.label
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             Monomial(-1)

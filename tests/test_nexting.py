@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from daycast.nexting import (AlignResult, NextingLearner, TileCoder, align_affine,
-                             ideal_return, run_online, tile_indices)
+                             run_online, tile_indices)
 from daycast.series import Series, make_sine
 
 
@@ -24,14 +24,6 @@ def reference_run(signals, coder, gamma, alpha, trace_lambda, freeze_after):
             learner.freeze()
         preds[:, t] = learner.step(Y[:, t], Y[:, t + 1], Y[:, t + 1])
     return preds, learner
-
-
-def direct_return(values, i0, gamma, horizon):
-    """Plain loop oracle for the truncated discounted sum."""
-    total = 0.0
-    for k in range(horizon):
-        total += gamma**k * values[i0 + 1 + k]
-    return total
 
 
 class TestTileCoder:
@@ -73,34 +65,6 @@ class TestTileCoder:
         assert batch.shape == (40, coder.n_active)
         for row, sample in zip(batch, samples):
             np.testing.assert_array_equal(row, tile_indices(sample[None], coder)[0])
-
-
-class TestIdealReturn:
-    def test_gamma_zero_is_next_sample(self, wind):
-        est = ideal_return(wind, t=10, gamma=0.0, horizon=1)
-        assert est.value == wind.values[10]  # t0=1: time 11 is index 10
-        assert est.truncation_bound == 0.0
-
-    def test_constant_signal_geometric_sum(self):
-        s = Series([3.0] * 100)
-        est = ideal_return(s, t=1, gamma=0.5, horizon=60)
-        assert est.value == pytest.approx(6.0, rel=1e-15)
-
-    def test_long_horizon_matches_one_over_one_minus_gamma(self):
-        s = Series([1.0] * 400)
-        gamma = 0.9375
-        est = ideal_return(s, t=1, gamma=gamma, horizon=350)
-        assert est.value == pytest.approx(1.0 / (1.0 - gamma), abs=1e-6)
-
-    def test_matches_direct_summation(self, temp):
-        for t, gamma, horizon in ((1, 0.9, 20), (5, 0.5, 30), (10, 0.0, 1)):
-            est = ideal_return(temp, t=t, gamma=gamma, horizon=horizon)
-            oracle = direct_return(temp.values, t - temp.t0, gamma, horizon)
-            assert est.value == pytest.approx(oracle, abs=1e-12)
-
-    def test_insufficient_future(self, wind):
-        with pytest.raises(ValueError):
-            ideal_return(wind, t=40, gamma=0.5, horizon=20)
 
 
 class TestTdStep:
