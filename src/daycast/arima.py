@@ -18,6 +18,7 @@ parameters by minimizing the conditional sum of squared shocks, and to
 forecast by taking conditional expectations with future shocks zeroed.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,11 +130,39 @@ def _diff_poly(n: int, s: int = 1) -> np.ndarray:
     return out
 
 
+def _product(c, C, s: int) -> np.ndarray:
+    """(1 - c1 B - c2 B^2 - ...) (1 - C1 B^s - C2 B^2s - ...) as an ascending array.
+
+    With fewer non-seasonal coefficients than s, every lag of the product
+    has exactly one term, so it is written item by item from plain floats
+    instead of through np.convolve. np.convolve starts each lag's sum at
+    +0.0, so each term is written as 0.0 - x or 0.0 + x: a zero parameter
+    then gives +0.0, as np.convolve does, where a bare -x would give -0.0.
+    """
+    c, C = np.asarray(c, dtype=float), np.asarray(C, dtype=float)
+    if len(c) >= s:
+        return np.convolve(_op_poly(c), _op_poly(C, s))
+    c, C = c.tolist(), C.tolist()
+    out = np.zeros(len(c) + s * len(C) + 1)
+    out[0] = 1.0
+    for i, ci in enumerate(c, 1):
+        out[i] = 0.0 - ci
+    for k, Ck in enumerate(C, 1):
+        out[k * s] = 0.0 - Ck
+        for i, ci in enumerate(c, 1):
+            out[k * s + i] = 0.0 + ci * Ck
+    return out
+
+
 def _operators(order: ArimaOrder, phi, theta, sphi, stheta) -> tuple[np.ndarray, np.ndarray]:
-    """The stationary AR product phi(B) PHI(B^s) and the MA product theta(B) THETA(B^s)."""
+    """The stationary AR product phi(B) PHI(B^s) and the MA product theta(B) THETA(B^s).
+
+    A side with p < s (or q < s) is built term by term and matches
+    np.convolve byte for byte on finite parameters; a side with p >= s
+    (or q >= s) goes through np.convolve.
+    """
     s = max(order.s, 1)  # s = 0 has P = Q = 0: the seasonal factors are 1 for any s
-    return (np.convolve(_op_poly(phi), _op_poly(sphi, s)),
-            np.convolve(_op_poly(theta), _op_poly(stheta, s)))
+    return _product(phi, sphi, s), _product(theta, stheta, s)
 
 
 def _expand(order: ArimaOrder, ar: np.ndarray, ma: np.ndarray) -> ExpandedForm:
@@ -212,6 +241,8 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
     from scipy.optimize import minimize
     from scipy.signal import lfilter
 
+    if max_iterations is not None and max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     order.check_length(len(series))
     z = difference(series, order.d, order.D, order.s).values
     m = len(z)
@@ -234,9 +265,14 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
         # a[t] = zc[t] - sum phi~ zc[t-i] + sum theta~ a[t-j]; lfilter's zero
         # initial state is exactly the zero pre-sample convention.
         a = lfilter(ar, ma, zc)
-        if not np.all(np.isfinite(a)):
-            return 1e300
-        return float(a @ a)
+        # Once a shock leaves the finite range every later one does (each
+        # reads the filter state it wrote), so the last shock is checked
+        # first; squaring the large finite shocks before it would warn.
+        if math.isfinite(a[-1]):
+            v = float(a @ a)
+            if math.isfinite(v) or np.all(np.isfinite(a)):
+                return v
+        return 1e300
 
     if order.n_params == 0:
         obj = objective(np.zeros(0))
@@ -311,12 +347,14 @@ def forecast(model: ArimaModel, history: Series, lead: int) -> Series:
     z = difference(history, model.order.d, model.order.D, model.order.s).values
     shocks = lfilter(ar, ma, z - center)
 
-    phis, thetas = form.ar_full, form.ma_full
-    ye = np.concatenate([history.values, np.zeros(lead)])
+    # The recursion runs on plain floats: numpy scalar indexing costs more
+    # than the arithmetic, and float arithmetic gives the same bits.
+    phis, thetas = form.ar_full.tolist(), form.ma_full.tolist()
+    ye = history.values.tolist() + [0.0] * lead
     # Pre-pad so MA lags reaching before the first sample read the
     # conventional zero pre-sample shocks instead of wrapping.
     pad = len(thetas)
-    ae = np.concatenate([np.zeros(pad + drop), shocks, np.zeros(lead)])
+    ae = [0.0] * (pad + drop) + shocks.tolist() + [0.0] * lead
     for i in range(n, n + lead):
         val = theta0_eff
         for j in range(1, len(phis) + 1):

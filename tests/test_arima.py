@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 from scipy.signal import lfilter
 
+from daycast import arima
 from daycast.arima import (_UNIT_ROOT_TOL, ArimaModel, ArimaOrder, _center_of,
-                           _min_root_magnitude, _operators, _yule_walker, acf_pacf,
-                           css_estimate, difference, expand_polynomials, forecast)
-from daycast.errors import DaycastError, ZeroVarianceError
+                           _min_root_magnitude, _operators, _split_params, _yule_walker,
+                           acf_pacf, css_estimate, difference, expand_polynomials, forecast)
+from daycast.errors import DaycastError, EstimationError, ZeroVarianceError
 from daycast.series import Series, make_sine
 
 
@@ -63,6 +64,36 @@ def sympy_expansion(phi, theta, sphi, stheta, d, D, s):
     ar_deg = len(phi) + s * len(sphi) + d + s * D
     ma_deg = len(theta) + s * len(stheta)
     return coeffs(ar, ar_deg), coeffs(ma, ma_deg)
+
+
+def convolve_operators(order, phi, theta, sphi, stheta):
+    """Reference: both operator products multiplied out by np.convolve."""
+    def op_poly(coeffs, s=1):
+        out = np.zeros(len(coeffs) * s + 1)
+        out[0] = 1.0
+        out[s::s] = -np.asarray(coeffs, dtype=float)
+        return out
+
+    s = max(order.s, 1)
+    return (np.convolve(op_poly(phi), op_poly(sphi, s)),
+            np.convolve(op_poly(theta), op_poly(stheta, s)))
+
+
+def random_operator_case(seed):
+    """A random (p, 0, q)(P, 0, Q)s order, p and q on both sides of s, and its parameters.
+
+    The parameters are drawn at one of the scales 1e-8, 1 and 1e3, and
+    about a third of them are replaced by exact 0.0 or -0.0.
+    """
+    rng = np.random.default_rng(seed)
+    s = int(rng.choice([0, 2, 3, 4, 7, 12, 24]))
+    p, q = (int(rng.integers(0, max(s, 1) + 3)) for _ in range(2))
+    P, Q = (int(rng.integers(0, 3)) if s else 0 for _ in range(2))
+    order = ArimaOrder(p, 0, q, P, 0, Q, s)
+    params = rng.standard_normal(order.n_params) * (1e-8, 1.0, 1e3)[seed % 3]
+    zeros = rng.random(order.n_params) < 0.3
+    params[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+    return order, params
 
 
 class TestDifference:
@@ -131,6 +162,44 @@ class TestExpandPolynomials:
         np.testing.assert_allclose(form.ma_full, ma_oracle, atol=1e-12)
 
 
+class TestOperatorsMatchConvolve:
+    """_operators equals np.convolve byte for byte, signed zeros included.
+
+    Only finite parameters are covered: with NaN or infinite ones the
+    term-by-term product and np.convolve may differ in the sign bit of a
+    NaN, and in the inf * 0 cross terms that np.convolve adds up.
+    """
+
+    @staticmethod
+    def assert_same_bytes(order, params):
+        split = _split_params(params, order)
+        for got, want in zip(_operators(order, *split), convolve_operators(order, *split)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_random_orders_and_scales(self, seed):
+        self.assert_same_bytes(*random_operator_case(seed))
+
+    @pytest.mark.parametrize("order", [
+        ArimaOrder(0, 0, 3, 1, 1, 0, 24), ArimaOrder(2, 2, 0, 0, 1, 0, 24),
+        ArimaOrder(0, 0, 1, 1, 1, 1, 24), ArimaOrder(3, 0, 2, 2, 0, 1, 2),
+        ArimaOrder(1, 0, 4, 1, 0, 2, 3), ArimaOrder(2, 0, 1, 0, 0, 0, 0),
+    ], ids=str)
+    @pytest.mark.parametrize("fill", ["+0", "-0", "mixed"])
+    def test_exact_zero_parameters(self, order, fill):
+        # The all-zero start of a moving-average fit: a bare -c would write -0.0.
+        values = {"+0": [0.0], "-0": [-0.0], "mixed": [0.0, -0.0, 0.5, -0.0, 2.0]}[fill]
+        params = np.resize(np.array(values), order.n_params)
+        self.assert_same_bytes(order, params)
+
+    def test_the_random_orders_reach_both_sides_of_s(self):
+        sides = set()
+        for seed in range(300):
+            order, _ = random_operator_case(seed)
+            sides.add((order.p < max(order.s, 1), order.q < max(order.s, 1), order.s == 0))
+        assert len(sides) == 8
+
+
 class TestYuleWalker:
     @pytest.mark.parametrize("p", range(1, 9))
     def test_toeplitz_system_matches_scipy_bit_for_bit(self, p, monkeypatch):
@@ -195,6 +264,58 @@ class TestCssEstimate:
         assert err.value.model is not None
         assert err.value.model.phi.shape == (2,)
         assert err.value.objective is not None and err.value.objective >= 0.0
+
+    @pytest.mark.parametrize("max_iterations", [0, -3])
+    def test_non_positive_budget_rejected(self, max_iterations):
+        with pytest.raises(ValueError, match=f"max_iterations must be >= 1, got {max_iterations}"):
+            css_estimate(make_sine(1, 100, 100, 0), ArimaOrder(2, 0, 0, 0, 0, 0, 0),
+                         max_iterations=max_iterations)
+
+
+class TestFitMatchesConvolveOperators:
+    """css_estimate then forecast give the same bytes with the np.convolve operators."""
+
+    ORDER = ArimaOrder(0, 0, 3, 1, 1, 0, 24)  # table2_wind
+
+    @classmethod
+    def fit(cls, train, **kw):
+        try:
+            model, message = css_estimate(train, cls.ORDER, **kw), None
+        except EstimationError as err:
+            model, message = err.model, str(err)
+        arrays = (model.phi, model.theta, model.sphi, model.stheta, np.array([model.sigma2]),
+                  np.array(model.fit_trace))
+        return model, ([a.tobytes() for a in arrays], model.warnings, message)
+
+    @classmethod
+    def fit_and_forecast(cls, train, **kw):
+        model, fitted = cls.fit(train, **kw)
+        return fitted, forecast(model, train, 24).values.tobytes()
+
+    @staticmethod
+    def series(seed):
+        rng = np.random.default_rng(seed)
+        profile = 6.0 + 3.0 * np.sin(2 * np.pi * (np.arange(24) + rng.uniform(0, 24)) / 24)
+        return Series(np.tile(profile, 2) + rng.normal(0, rng.uniform(0.2, 2.0), 48),
+                      t0=1, period_hint=24)
+
+    @pytest.mark.parametrize("max_iterations", [None, 15])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_bytes(self, seed, max_iterations, monkeypatch):
+        train = self.series(seed)
+        fast = self.fit_and_forecast(train, max_iterations=max_iterations)
+        monkeypatch.setattr(arima, "_operators", convolve_operators)
+        assert self.fit_and_forecast(train, max_iterations=max_iterations) == fast
+        (_, _, message), _ = fast
+        if max_iterations is not None:
+            assert message.startswith("CSS simplex did not converge within 15 iterations")
+
+    def test_non_finite_start_scores_1e300(self, monkeypatch):
+        train, init = self.series(0), [1e20, 1e20, 1e20, 0.0]
+        model, fast = self.fit(train, init=init, max_iterations=20)
+        assert model.fit_trace[0] == 1e300
+        monkeypatch.setattr(arima, "_operators", convolve_operators)
+        assert self.fit(train, init=init, max_iterations=20)[1] == fast
 
 
 class TestForecast:
