@@ -6,12 +6,19 @@ its current estimate of the discounted return of each signal, then
 nudges the weights toward the one-step bootstrapped target. All signal
 values must be normalized into [0, 1] before coding.
 
-tile_indices is the only encoder. NextingLearner.step and .predict take
-one normalized sample at a time and encode it with the learner's own
-coder; run_online encodes a whole stream at once and runs the same
-update on the precomputed indices.
+Two encoders give the same indices: tile_indices codes a whole stream
+as one array, and sample_indices codes one sample on plain floats.
+run_online encodes its stream with tile_indices and runs the TD(lambda)
+recursion on Python lists of those indices; NextingLearner.step and
+.predict take one normalized sample, code it with sample_indices and run
+the same update. The lists reproduce numpy's results byte for byte: a
+weight sum over one signal's active features adds pairwise, as numpy
+reduces one contiguous row (eight partial sums, then the tail), and with
+several signals it adds left to right, as numpy reduces each row of a
+(P, k) block. Only the frozen tail of run_online sums in numpy.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +65,7 @@ def tile_indices(values, coder: TileCoder) -> np.ndarray:
     if vals.ndim != 2 or vals.shape[1] != coder.n_signals:
         raise ValueError(f"expected {coder.n_signals} signal values per sample, "
                          f"got shape {vals.shape}")
-    if np.any(vals < -1e-9) or np.any(vals > 1.0 + 1e-9):
+    if not np.all((vals >= -1e-9) & (vals <= 1.0 + 1e-9)):  # NaN fails too
         raise ValueError(f"inputs must lie in [0, 1], got {vals}")
     vals = np.clip(vals, 0.0, 1.0)
     m_grid, k = coder.n_tilings, coder.tiles_per_dim
@@ -72,6 +79,66 @@ def tile_indices(values, coder: TileCoder) -> np.ndarray:
         bias = np.full((len(vals), 1), m_grid * k * coder.n_signals)
         active = np.hstack([active, bias])
     return active
+
+
+def sample_indices(values, coder: TileCoder) -> list:
+    """Sorted active-feature indices of one normalized sample, as ints.
+
+    The same indices as tile_indices([values], coder)[0], computed on
+    plain floats, with the same range check (which rejects NaN).
+    """
+    values = _floats(values)
+    if len(values) != coder.n_signals:
+        raise ValueError(f"expected {coder.n_signals} signal values per sample, "
+                         f"got {len(values)}")
+    m_grid, k = coder.n_tilings, coder.tiles_per_dim
+    active = []
+    for p, v in enumerate(values):
+        if not -1e-9 <= v <= 1.0 + 1e-9:
+            raise ValueError(f"inputs must lie in [0, 1], got {values}")
+        v = min(max(v, 0.0), 1.0)
+        active += [(p * m_grid + m) * k + min(int((v + m / (m_grid * k)) * k), k - 1)
+                   for m in range(m_grid)]
+    if coder.include_bias:
+        active.append(m_grid * k * coder.n_signals)
+    return active
+
+
+def _floats(values) -> list:
+    """One float per signal; a bare number stands for one signal."""
+    return [float(v) for v in values] if hasattr(values, "__len__") else [float(values)]
+
+
+def _sequential_sum(terms: list) -> float:
+    """Left to right: numpy's order for a row of a (P, k) block, P >= 2.
+
+    Not builtin sum, which compensates its float sums from Python 3.12.
+    """
+    total = -0.0
+    for x in terms:
+        total += x
+    return total
+
+
+def _pairwise_sum(terms: list) -> float:
+    """numpy's pairwise order for one contiguous row: eight partial sums,
+    combined as a tree, then the tail; halves above 128 terms."""
+    n = len(terms)
+    if n < 8:
+        return _sequential_sum(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    r0, r1, r2, r3, r4, r5, r6, r7 = terms[:8]
+    full = n - n % 8
+    for i in range(8, full, 8):
+        a0, a1, a2, a3, a4, a5, a6, a7 = terms[i:i + 8]
+        r0, r1, r2, r3 = r0 + a0, r1 + a1, r2 + a2, r3 + a3
+        r4, r5, r6, r7 = r4 + a4, r5 + a5, r6 + a6, r7 + a7
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for x in terms[full:]:
+        total += x
+    return total
 
 
 def check_rates(gamma, alpha: float, trace_lambda: float) -> None:
@@ -92,7 +159,9 @@ class NextingLearner:
     Freezing stops all weight and trace updates while predictions keep
     flowing. The step size is alpha divided by the active-feature count
     (the usual tile-coding convention, making alpha a fraction of the
-    one-step error corrected per update).
+    one-step error corrected per update). The weights and traces live in
+    Python lists; theta and e return them as (n_signals, n_features)
+    array copies.
     """
 
     def __init__(self, coder: TileCoder, gamma, alpha: float, trace_lambda: float):
@@ -106,19 +175,31 @@ class NextingLearner:
         self.gamma = g
         self.alpha = alpha
         self.trace_lambda = trace_lambda
-        self.theta = np.zeros((coder.n_signals, coder.n_features))
-        self.e = np.zeros((coder.n_signals, coder.n_features))
         self.frozen = False
+        self._theta = [[0.0] * coder.n_features for _ in g]
+        self._e = [[0.0] * coder.n_features for _ in g]
+        self._gamma = g.tolist()
+        self._decay = [gp * trace_lambda for gp in self._gamma]
+        self._sum = _pairwise_sum if coder.n_signals == 1 else _sequential_sum
+        self._updates = 0
 
-    def _encode(self, values) -> np.ndarray:
-        return tile_indices(np.atleast_1d(values)[None], self.coder)[0]
+    @property
+    def theta(self) -> np.ndarray:
+        return np.array(self._theta)
 
-    def predict(self, values) -> np.ndarray:
-        """Current estimates at one normalized sample (one value per signal)."""
-        return self.theta[:, self._encode(values)].sum(axis=1)
+    @property
+    def e(self) -> np.ndarray:
+        return np.array(self._e)
 
-    def step(self, values, values_next, y_next) -> np.ndarray:
-        """One online update; returns the pre-update predictions at values.
+    def predict(self, values) -> list:
+        """Current estimates at one normalized sample (one value per
+        signal), as a list with one float per signal."""
+        active = sample_indices(values, self.coder)
+        return [self._sum([row[a] for a in active]) for row in self._theta]
+
+    def step(self, values, values_next, y_next) -> list:
+        """One online update; returns the pre-update predictions at values
+        as a list.
 
         values and values_next are consecutive normalized samples and
         y_next holds one target per signal. The eligibility traces decay
@@ -126,26 +207,50 @@ class NextingLearner:
         along them by the step size times the TD error
         y[t+1] + gamma * theta.phi[t+1] - theta.phi[t].
         """
-        y_next = np.atleast_1d(np.asarray(y_next, dtype=float))
+        y_next = _floats(y_next)
         if len(y_next) != self.coder.n_signals:
             raise ValueError(f"expected {self.coder.n_signals} targets, got {len(y_next)}")
-        return self._update(self._encode(values), self._encode(values_next), y_next)
+        return self._update(sample_indices(values, self.coder),
+                            sample_indices(values_next, self.coder), y_next)
 
     def freeze(self):
         self.frozen = True
 
-    def _update(self, active: np.ndarray, active_next: np.ndarray,
-                y_next: np.ndarray) -> np.ndarray:
-        """One TD(lambda) step on active-feature indices; returns the
-        pre-update predictions at `active`."""
-        theta, e = self.theta, self.e
-        preds = theta[:, active].sum(axis=1)
+    def _update(self, active: list, active_next: list, y_next: list) -> list:
+        """One TD(lambda) step on active-feature index lists; returns the
+        pre-update predictions at `active`.
+
+        Every sum adds in numpy's order and every product and sum is the
+        one numpy's array update makes, so the weights and traces keep
+        the bytes of the array form. With gamma * trace_lambda == 0 the
+        decayed trace is exactly the indicator of `active`, so only those
+        weights change: the others would add a zero, and a weight is never
+        -0.0. An update that is not finite raises before any weight moves.
+        """
+        theta, total = self._theta, self._sum
+        preds = [total([row[a] for a in active]) for row in theta]
         if self.frozen:
             return preds
-        e *= (self.gamma * self.trace_lambda)[:, None]
-        e[:, active] += 1.0
-        delta = y_next + self.gamma * theta[:, active_next].sum(axis=1) - preds
-        theta += self.alpha / len(active) * delta[:, None] * e
+        c = self.alpha / len(active)
+        moves = [c * (y + g * total([row[a] for a in active_next]) - pred)
+                 for row, y, g, pred in zip(theta, y_next, self._gamma, preds)]
+        for move in moves:
+            if not math.isfinite(move):
+                raise ValueError(f"the TD update at step {self._updates} is {move}, "
+                                 f"not finite: the weights diverge with alpha = {self.alpha}")
+        for p, (row, move, decay) in enumerate(zip(theta, moves, self._decay)):
+            if decay == 0.0:
+                trace = [0.0] * len(row)
+                for a in active:
+                    row[a] += move
+                    trace[a] = 1.0
+            else:
+                trace = [x * decay for x in self._e[p]]
+                for a in active:
+                    trace[a] += 1.0
+                row[:] = [w + move * x for w, x in zip(row, trace)]
+            self._e[p] = trace
+        self._updates += 1
         return preds
 
 
@@ -193,16 +298,16 @@ def run_online(signals: list, coder: TileCoder, *, gamma, alpha: float,
 
     learner = NextingLearner(coder, gamma, alpha, trace_lambda)
     active = tile_indices(Y.T, coder)
-    # Steps 0..n_learn-1 update the weights; the rest only predict.
+    # Steps 0..n_learn-1 update the weights, on lists; the rest only predict.
     n_learn = n - 1 if freeze_after is None else min(freeze_after - 1, n - 1)
-    preds = np.zeros((coder.n_signals, n))
-    for t in range(n_learn):
-        preds[:, t] = learner._update(active[t], active[t + 1], Y[:, t + 1])
+    rows, targets = active.tolist(), Y.T.tolist()
+    head = [learner._update(rows[t], rows[t + 1], targets[t + 1]) for t in range(n_learn)]
     if n_learn < n - 1:
         learner.freeze()
-    # The same fancy index as predict, so every sum adds in the same order
+    # One fancy-indexed sum adds each row in the order of _update and predict
     # (ndarray.take, for one, changes it when there are several signals).
-    preds[:, n_learn:] = learner.theta[:, active[n_learn:]].sum(axis=2)
+    tail = learner.theta[:, active[n_learn:]].sum(axis=2)
+    preds = np.hstack([np.array(head).reshape(n_learn, coder.n_signals).T, tail])
 
     out = [signals[i].with_values(preds[i]) for i in range(coder.n_signals)]
     return NextingRun(out, bounds, learner)

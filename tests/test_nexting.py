@@ -1,11 +1,45 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from daycast.cli import run_cli
+from daycast.evalharness import Band, compare
 from daycast.nexting import (AlignResult, NextingLearner, TileCoder, align_affine,
-                             run_online, tile_indices)
+                             run_online, sample_indices, tile_indices)
 from daycast.series import Series, make_sine
+
+
+def numpy_update(theta, e, gamma, alpha, trace_lambda, active, active_next, y_next):
+    """One TD(lambda) step on (n_signals, n_features) arrays, in place.
+
+    The array form the learner ran before its update moved to lists, kept
+    as the byte oracle for NextingLearner._update and run_online.
+    """
+    preds = theta[:, active].sum(axis=1)
+    e *= (gamma * trace_lambda)[:, None]
+    e[:, active] += 1.0
+    delta = y_next + gamma * theta[:, active_next].sum(axis=1) - preds
+    theta += alpha / len(active) * delta[:, None] * e
+    return preds
+
+
+def numpy_run(Y, coder, gamma, alpha, trace_lambda, freeze_after):
+    """run_online's recursion on arrays over already normalized rows Y."""
+    n = Y.shape[1]
+    gamma = np.broadcast_to(np.asarray(gamma, dtype=float), (coder.n_signals,))
+    theta = np.zeros((coder.n_signals, coder.n_features))
+    e = np.zeros_like(theta)
+    active = tile_indices(Y.T, coder)
+    n_learn = n - 1 if freeze_after is None else min(freeze_after - 1, n - 1)
+    preds = np.zeros((coder.n_signals, n))
+    for t in range(n_learn):
+        preds[:, t] = numpy_update(theta, e, gamma, alpha, trace_lambda,
+                                   active[t], active[t + 1], Y[:, t + 1])
+    preds[:, n_learn:] = theta[:, active[n_learn:]].sum(axis=2)
+    return preds, theta, e
 
 
 def reference_run(signals, coder, gamma, alpha, trace_lambda, freeze_after):
@@ -51,6 +85,8 @@ class TestTileCoder:
         coder = TileCoder()
         with pytest.raises(ValueError):
             tile_indices([[1.2]], coder)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            tile_indices([[0.5], [float("nan")]], coder)
         # A hair outside is forgiven (clipped).
         tile_indices([[1.0 + 1e-10]], coder)
 
@@ -220,6 +256,120 @@ class TestRunOnlineMatchesStepLoop:
         assert run.learner.theta.tobytes() == learner.theta.tobytes()
         assert run.learner.e.tobytes() == learner.e.tobytes()
         assert run.learner.frozen == learner.frozen
+
+
+
+# n_active = n_tilings * n_signals + bias: below 8, 8 to 15, 16 and above,
+# and past 128, where numpy halves a one-signal row before summing it.
+CODER_SHAPES = [(1, 4, True), (1, 7, False), (1, 8, False), (1, 8, True), (1, 15, True),
+                (1, 20, True), (1, 130, True), (2, 3, False), (2, 4, True), (2, 8, True),
+                (3, 2, True), (3, 4, True), (3, 8, True)]
+
+
+class TestMatchesNumpyReference:
+    @pytest.mark.parametrize("n_signals, n_tilings, include_bias", CODER_SHAPES)
+    @pytest.mark.parametrize("gamma, trace_lambda", [
+        (0.0, 0.9),          # gamma * trace_lambda == 0: the sparse update
+        (0.7, 0.0),
+        (0.5, 0.9),          # the dense trace update
+        ([0.0, 0.5, 0.8], 0.9),   # mixed, per signal
+    ])
+    def test_run_online_bytes(self, n_signals, n_tilings, include_bias, gamma, trace_lambda):
+        coder = TileCoder(n_tilings=n_tilings, tiles_per_dim=8, n_signals=n_signals,
+                          include_bias=include_bias)
+        if isinstance(gamma, list):
+            gamma = gamma[:n_signals]
+        n = 40
+        rng = np.random.default_rng(n_signals * 1000 + n_tilings)
+        Y = rng.uniform(0.0, 1.0, (n_signals, n))
+        signals = [Series(row, t0=1) for row in Y]
+        for freeze_after in (None, 1, 2, n // 2, n - 1, n, n + 3):
+            run = run_online(signals, coder, gamma=gamma, alpha=0.7, trace_lambda=trace_lambda,
+                             freeze_after=freeze_after, norm_bounds=[(0.0, 1.0)] * n_signals)
+            preds, theta, e = numpy_run(Y, coder, gamma, 0.7, trace_lambda, freeze_after)
+            got = np.array([s.values for s in run.predictions])
+            assert got.tobytes() == preds.tobytes(), freeze_after
+            assert run.learner.theta.tobytes() == theta.tobytes(), freeze_after
+            assert run.learner.e.tobytes() == e.tobytes(), freeze_after
+
+    @pytest.mark.parametrize("n_signals, n_tilings, include_bias", CODER_SHAPES)
+    def test_step_and_predict_bytes(self, n_signals, n_tilings, include_bias):
+        coder = TileCoder(n_tilings=n_tilings, tiles_per_dim=8, n_signals=n_signals,
+                          include_bias=include_bias)
+        gamma = np.linspace(0.0, 0.6, n_signals)
+        learner = NextingLearner(coder, gamma, alpha=0.5, trace_lambda=0.8)
+        theta, e = np.zeros_like(learner.theta), np.zeros_like(learner.e)
+        Y = np.random.default_rng(n_tilings).uniform(0.0, 1.0, (30, n_signals))
+        for t in range(len(Y) - 1):
+            expected = numpy_update(theta, e, gamma, 0.5, 0.8, tile_indices(Y[t:t + 1], coder)[0],
+                                    tile_indices(Y[t + 1:t + 2], coder)[0], Y[t + 1])
+            assert np.array(learner.step(Y[t], Y[t + 1], Y[t + 1])).tobytes() == expected.tobytes()
+            assert np.array(learner.predict(Y[t + 1])).tobytes() == (
+                theta[:, tile_indices(Y[t + 1:t + 2], coder)[0]].sum(axis=1).tobytes())
+        assert learner.theta.tobytes() == theta.tobytes()
+        assert learner.e.tobytes() == e.tobytes()
+
+
+class TestSampleIndices:
+    @pytest.mark.parametrize("n_signals, n_tilings, include_bias", CODER_SHAPES)
+    def test_equals_tile_indices_rows(self, n_signals, n_tilings, include_bias):
+        coder = TileCoder(n_tilings=n_tilings, tiles_per_dim=7, n_signals=n_signals,
+                          include_bias=include_bias)
+        rng = np.random.default_rng(n_tilings)
+        # Tile edges, the ends, a hair outside them, and random points.
+        edges = [m / (n_tilings * 7) + j / 7 for m in range(n_tilings) for j in range(7)]
+        points = [0.0, -0.0, 1.0, -1e-10, 1.0 + 1e-10, *edges, *rng.uniform(0, 1, 50)]
+        samples = np.array([rng.choice(points, n_signals) for _ in range(200)])
+        batch = tile_indices(samples, coder)
+        for row, sample in zip(batch, samples):
+            assert sample_indices(sample, coder) == row.tolist()
+            assert sample_indices(sample.tolist(), coder) == row.tolist()
+
+    @pytest.mark.parametrize("values, message", [
+        ([1.2], r"inputs must lie in \[0, 1\], got \[1.2\]"),
+        ([-1e-8], r"inputs must lie in \[0, 1\]"),
+        ([float("nan")], r"inputs must lie in \[0, 1\], got \[nan\]"),
+        ([0.5, 0.5], "expected 1 signal values per sample, got 2"),
+    ])
+    def test_rejects_what_tile_indices_rejects(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            sample_indices(values, TileCoder())
+
+
+DIVERGING = {"name": "nexting", "gamma": 0.0, "alpha": 1e300, "trace_lambda": 0.9,
+             "freeze_after": 24}
+DIVERGED = ("the TD update at step 1 is -inf, not finite: "
+            "the weights diverge with alpha = 1e+300")
+
+
+class TestNonFiniteTdError:
+    def test_run_online_names_the_step_and_alpha(self, wind):
+        with pytest.raises(ValueError) as err:
+            run_online([wind], TileCoder(), gamma=0.0, alpha=1e300, trace_lambda=0.9)
+        assert str(err.value) == DIVERGED
+
+    def test_update_is_not_applied(self):
+        learner = NextingLearner(TileCoder(n_signals=2), [0.0, 0.5], alpha=1e300,
+                                 trace_lambda=0.9)
+        learner.step([0.2, 0.2], [0.3, 0.3], [1.0, 1.0])
+        theta, e = learner.theta, learner.e
+        with pytest.raises(ValueError, match="step 1 is"):
+            learner.step([0.3, 0.3], [0.4, 0.4], [1.0, 1.0])
+        assert learner.theta.tobytes() == theta.tobytes()
+        assert learner.e.tobytes() == e.tobytes()
+
+    def test_compare_row_fails_with_the_message(self, wind):
+        row, = compare(wind, [DIVERGING], Band(1.0, 3.0))
+        assert row.error == DIVERGED
+
+    def test_nexting_run_exits_without_runtime_warnings(self, tmp_path, capsys):
+        cfg = tmp_path / "diverging.json"
+        cfg.write_text(json.dumps({"signal": "wind", "band": {"inner": 1, "outer": 3},
+                                   "methods": [DIVERGING]}))
+        assert run_cli(["nexting-run", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"daycast: {DIVERGED}\n"
 
 
 class TestAlignAffine:
