@@ -286,17 +286,22 @@ class NextingParams(_Method):
                              f"{window}-sample training window")
 
     def run(self, train, holdout):
-        full = train.with_values(np.concatenate([train.values, holdout.values]))
-        run = nexting.run_online([full], nexting.TileCoder(n_signals=1), gamma=self.gamma,
+        if self.gamma > 0:
+            raise ValueError(f"gamma {self.gamma} > 0 estimates a discounted return, not the "
+                             f"next sample, so it cannot be rolled out into a forecast")
+        run = nexting.run_online([train], nexting.TileCoder(n_signals=1), gamma=self.gamma,
                                  alpha=self.alpha, trace_lambda=self.trace_lambda,
                                  freeze_after=self.freeze_after, norm_window=len(train))
-        preds, d = run.predictions[0].values, len(train)
+        # Closed loop past the training window: each estimate of the next
+        # normalized sample, clamped to [0, 1], is the learner's next input.
+        run.learner.freeze()
+        preds = run.predictions[0].values.tolist()
+        for _ in range(len(holdout) + self.max_shift):
+            preds += run.learner.predict([min(max(preds[-1], 0.0), 1.0)])
+        preds, d = np.array(preds), len(train)
         align = nexting.align_affine(Series(preds[:d], train.t0), train,
                                      max_shift=self.max_shift)
-        # Apply the training-window transform to both windows; the final
-        # `shift` positions reuse the last available prediction.
-        n = len(preds)
-        out = align.scale * preds[np.minimum(np.arange(n) + align.shift, n - 1)] + align.offset
+        out = align.scale * preds[align.shift:align.shift + d + len(holdout)] + align.offset
         return out[:d], out[d:], {
             "align_scale": align.scale, "align_offset": align.offset,
             "align_shift": align.shift, "bounds": run.bounds[0],

@@ -232,6 +232,13 @@ class TestRunSingle:
                                 "trace_lambda": 0.9, "freeze_after": 24})
         assert "align_scale" in run.settings and "align_shift" in run.settings
 
+    def test_nexting_forecast_rejects_a_discounted_return(self, wind):
+        block = {"name": "nexting", "gamma": 0.5, "alpha": 0.3, "trace_lambda": 0.9,
+                 "freeze_after": 24}
+        row, = compare(wind, [block], WIND_BAND)
+        assert row.error == ("gamma 0.5 > 0 estimates a discounted return, not the next "
+                             "sample, so it cannot be rolled out into a forecast")
+
     def test_unknown_method_raises(self, wind):
         with pytest.raises(ValueError):
             run_single(wind, {"name": "nope"})
@@ -252,16 +259,12 @@ def forecast_and_train_rmse(dataset, block):
 
 
 @pytest.mark.parametrize("name", [
-    "polynomial", "ridge", "rbf", "spline", "kernel", "arima", "tree",
-    pytest.param("nexting", marks=pytest.mark.xfail(
-        raises=AssertionError,
-        reason="ROADMAP item 1: the nexting row streams the holdout through the learner")),
+    "polynomial", "ridge", "rbf", "spline", "kernel", "arima", "tree", "nexting",
 ])
 def test_no_row_reads_the_holdout(name):
     # Hypothesis runs inside a plain test, and does not shrink: for a failing
     # hypothesis item its pytest plugin imports libcst to write an example
-    # patch, which the DeprecationWarning filter turns into an INTERNALERROR,
-    # and shrinking the xfailed case would take seconds on every run.
+    # patch, which the DeprecationWarning filter turns into an INTERNALERROR.
     @settings(max_examples=5, deadline=None, phases=(Phase.generate,))
     @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.1, 100.0))
     def perturb_the_holdout(seed, scale):
