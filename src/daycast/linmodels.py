@@ -110,7 +110,8 @@ def solve_ridge(X: np.ndarray, y: np.ndarray, reg_lambda: float = 0.0) -> np.nda
     columns on raw hour indices are too ill-conditioned to square.
     With reg_lambda = 0 this is ordinary least squares: fewer rows than
     columns raise UnderdeterminedError, and a rank-deficient system raises
-    SingularSystemError.
+    SingularSystemError. So does a design too small against y for the
+    solution to fit in a float, for example a column of subnormals.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -136,6 +137,11 @@ def solve_ridge(X: np.ndarray, y: np.ndarray, reg_lambda: float = 0.0) -> np.nda
             f"rank-deficient system: {X.shape[0]}x{X.shape[1]} design, "
             f"reg_lambda={reg_lambda}, singular values span "
             f"[{sv[-1] if sv.size else 0:.3e}, {sv[0] if sv.size else 0:.3e}]"
+        )
+    if not np.all(np.isfinite(theta)):
+        raise SingularSystemError(
+            f"least-squares solution overflows: {X.shape[0]}x{X.shape[1]} design, "
+            f"reg_lambda={reg_lambda}, largest singular value {sv[0]:.3e}"
         )
     return theta
 

@@ -99,9 +99,27 @@ class TestSolveRidge:
         sv = np.linalg.svd(X, compute_uv=False)
         if sv[0] == 0 or sv[-1] / sv[0] < 1e-6:
             return
-        theta = solve_ridge(X, y)
+        try:
+            theta = solve_ridge(X, y)
+        except SingularSystemError:
+            # Refused only when the exact solution lies at the edge of the
+            # float range. Scaling X by a power of two is exact, so the
+            # scaled solve gives the magnitude without overflowing.
+            exponent = -np.frexp(sv[0])[1]
+            scaled = np.linalg.lstsq(np.ldexp(X, exponent), y, rcond=None)[0]
+            assert np.log2(np.abs(scaled).max()) + exponent > 1000
+            return
         resid = y - X @ theta
         assert np.linalg.norm(X.T @ resid) <= 1e-8 * max(np.linalg.norm(y), 1e-30)
+
+    @pytest.mark.parametrize("column, y", [
+        ([2.0 ** -1023, 5e-324, 2.0 ** -1023], [0.0, 0.0, 5.0]),
+        ([0.0, 0.0, 2.0 ** -1023], [0.0, 0.0, 2.0]),
+        ([2.0 ** -1022], [5.0]),
+    ])
+    def test_overflowing_solution_is_refused(self, column, y):
+        with pytest.raises(SingularSystemError, match="overflows"):
+            solve_ridge(np.array(column)[:, None], np.array(y))
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
