@@ -85,7 +85,7 @@ def load_config(path) -> dict:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal past Python's digit limit
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     return validate_config(raw)
 

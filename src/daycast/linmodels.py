@@ -64,8 +64,8 @@ class GaussianBump:
     width: float
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError(f"bump width must be positive, got {self.width}")
+        if not 1e-150 <= self.width <= 1e150:  # beyond, width**2 or z*z / (2 width**2) overflows
+            raise ValueError(f"bump width must lie in [1e-150, 1e150], got {self.width}")
 
     def __call__(self, x):
         z = np.asarray(x, dtype=float) - self.center
@@ -122,6 +122,10 @@ def solve_ridge(X: np.ndarray, y: np.ndarray, reg_lambda: float = 0.0) -> np.nda
     if reg_lambda < 0:
         raise ValueError(f"reg_lambda must be >= 0, got {reg_lambda}")
     m, k = X.shape
+    for name, a in (("X", X), ("y", y)):  # LAPACK would print to the terminal, then fail
+        if not np.isfinite(a).all():
+            where = np.argwhere(~np.isfinite(a))[0]
+            raise ValueError(f"{name}{where.tolist()} is {a[tuple(where)]}, not finite")
     if reg_lambda == 0 and m < k:
         raise UnderdeterminedError(f"{k} coefficients need at least {k} samples, have {m}")
 
@@ -176,8 +180,7 @@ class RbfConfig:
     def __post_init__(self):
         if self.n_basis < 1:
             raise ValueError(f"n_basis must be >= 1, got {self.n_basis}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        GaussianBump(0.0, self.sigma)  # the width rule
         if self.placement not in ("even", "data"):
             raise ValueError(f"placement must be 'even' or 'data', got {self.placement!r}")
 

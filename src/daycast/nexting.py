@@ -7,15 +7,14 @@ nudges the weights toward the one-step bootstrapped target. All signal
 values must be normalized into [0, 1] before coding.
 
 Two encoders give the same indices: tile_indices codes a whole stream
-as one array, and sample_indices codes one sample on plain floats.
-run_online encodes its stream with tile_indices and runs the TD(lambda)
-recursion on Python lists of those indices; NextingLearner.step and
-.predict take one normalized sample, code it with sample_indices and run
-the same update. The lists reproduce numpy's results byte for byte: a
-weight sum over one signal's active features adds pairwise, as numpy
-reduces one contiguous row (eight partial sums, then the tail), and with
-several signals it adds left to right, as numpy reduces each row of a
-(P, k) block. Only the frozen tail of run_online sums in numpy.
+as one array (run_online), and sample_indices codes one sample on plain
+floats (NextingLearner.step and .predict). One list routine,
+NextingLearner._predict, makes every prediction, streamed, frozen or
+rolled out, and the TD(lambda) update runs on the same lists. They give
+numpy's results byte for byte: a weight sum over one signal's active
+features adds pairwise, as numpy reduces one contiguous row (eight
+partial sums, then the tail), and with several signals it adds left to
+right, as numpy reduces each row of a (P, k) block.
 """
 
 import math
@@ -166,19 +165,18 @@ class NextingLearner:
 
     def __init__(self, coder: TileCoder, gamma, alpha: float, trace_lambda: float):
         check_rates(gamma, alpha, trace_lambda)
-        g = np.atleast_1d(np.asarray(gamma, dtype=float))
+        g = _floats(gamma)
         if len(g) == 1:
-            g = np.repeat(g, coder.n_signals)
+            g *= coder.n_signals
         if len(g) != coder.n_signals:
             raise ValueError(f"need one gamma per signal ({coder.n_signals}), got {len(g)}")
         self.coder = coder
-        self.gamma = g
         self.alpha = alpha
         self.trace_lambda = trace_lambda
         self.frozen = False
         self._theta = [[0.0] * coder.n_features for _ in g]
         self._e = [[0.0] * coder.n_features for _ in g]
-        self._gamma = g.tolist()
+        self._gamma = g
         self._decay = [gp * trace_lambda for gp in self._gamma]
         self._sum = _pairwise_sum if coder.n_signals == 1 else _sequential_sum
         self._updates = 0
@@ -194,8 +192,7 @@ class NextingLearner:
     def predict(self, values) -> list:
         """Current estimates at one normalized sample (one value per
         signal), as a list with one float per signal."""
-        active = sample_indices(values, self.coder)
-        return [self._sum([row[a] for a in active]) for row in self._theta]
+        return self._predict(sample_indices(values, self.coder))
 
     def step(self, values, values_next, y_next) -> list:
         """One online update; returns the pre-update predictions at values
@@ -216,6 +213,10 @@ class NextingLearner:
     def freeze(self):
         self.frozen = True
 
+    def _predict(self, active: list) -> list:
+        """Each signal's weight sum over the `active` indices, in numpy's order."""
+        return [self._sum([row[a] for a in active]) for row in self._theta]
+
     def _update(self, active: list, active_next: list, y_next: list) -> list:
         """One TD(lambda) step on active-feature index lists; returns the
         pre-update predictions at `active`.
@@ -227,18 +228,17 @@ class NextingLearner:
         weights change: the others would add a zero, and a weight is never
         -0.0. An update that is not finite raises before any weight moves.
         """
-        theta, total = self._theta, self._sum
-        preds = [total([row[a] for a in active]) for row in theta]
+        preds = self._predict(active)
         if self.frozen:
             return preds
         c = self.alpha / len(active)
-        moves = [c * (y + g * total([row[a] for a in active_next]) - pred)
-                 for row, y, g, pred in zip(theta, y_next, self._gamma, preds)]
+        moves = [c * (y + g * nxt - pred) for y, g, nxt, pred
+                 in zip(y_next, self._gamma, self._predict(active_next), preds)]
         for move in moves:
             if not math.isfinite(move):
                 raise ValueError(f"the TD update at step {self._updates} is {move}, "
                                  f"not finite: the weights diverge with alpha = {self.alpha}")
-        for p, (row, move, decay) in enumerate(zip(theta, moves, self._decay)):
+        for p, (row, move, decay) in enumerate(zip(self._theta, moves, self._decay)):
             if decay == 0.0:
                 trace = [0.0] * len(row)
                 for a in active:
@@ -297,19 +297,15 @@ def run_online(signals: list, coder: TileCoder, *, gamma, alpha: float,
     Y = np.array(normed)
 
     learner = NextingLearner(coder, gamma, alpha, trace_lambda)
-    active = tile_indices(Y.T, coder)
-    # Steps 0..n_learn-1 update the weights, on lists; the rest only predict.
+    # Steps 0..n_learn-1 update the weights; the rest only predict.
     n_learn = n - 1 if freeze_after is None else min(freeze_after - 1, n - 1)
-    rows, targets = active.tolist(), Y.T.tolist()
-    head = [learner._update(rows[t], rows[t + 1], targets[t + 1]) for t in range(n_learn)]
+    rows, targets = tile_indices(Y.T, coder).tolist(), Y.T.tolist()
+    preds = [learner._update(rows[t], rows[t + 1], targets[t + 1]) for t in range(n_learn)]
     if n_learn < n - 1:
         learner.freeze()
-    # One fancy-indexed sum adds each row in the order of _update and predict
-    # (ndarray.take, for one, changes it when there are several signals).
-    tail = learner.theta[:, active[n_learn:]].sum(axis=2)
-    preds = np.hstack([np.array(head).reshape(n_learn, coder.n_signals).T, tail])
+    preds += [learner._predict(row) for row in rows[n_learn:]]
 
-    out = [signals[i].with_values(preds[i]) for i in range(coder.n_signals)]
+    out = [sig.with_values([p[i] for p in preds]) for i, sig in enumerate(signals)]
     return NextingRun(out, bounds, learner)
 
 
@@ -326,8 +322,8 @@ def align_affine(pred: Series, target: Series, max_shift: int = 0) -> AlignResul
     searched over integer time advances 0..max_shift.
 
     Advancing by s compares pred[s:] against target[:n-s]. A constant
-    prediction gets scale 0 and the target mean as offset. Ties in the
-    residual prefer the smaller shift.
+    prediction (or one whose variance underflows to 0) gets scale 0 and
+    the target mean as offset. Ties in the residual prefer the smaller shift.
     """
     n = len(pred)
     if len(target) != n:
@@ -339,11 +335,11 @@ def align_affine(pred: Series, target: Series, max_shift: int = 0) -> AlignResul
         p = pred.values[s:]
         tg = target.values[:n - s]
         # max == min is the exact constancy test; np.var of a constant
-        # array can round away from zero.
-        if p.max() == p.min():
+        # array can round away from zero, and of a tiny spread underflow to it.
+        var = float(np.var(p))
+        if p.max() == p.min() or var == 0.0:
             scale, offset = 0.0, float(tg.mean())
         else:
-            var = float(np.var(p))
             scale = float(np.mean((p - p.mean()) * (tg - tg.mean())) / var)
             offset = float(tg.mean() - scale * p.mean())
         resid = scale * p + offset - tg

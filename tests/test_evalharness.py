@@ -239,6 +239,14 @@ class TestRunSingle:
         assert row.error == ("gamma 0.5 > 0 estimates a discounted return, not the next "
                              "sample, so it cannot be rolled out into a forecast")
 
+    def test_nexting_with_a_subnormal_step_size_forecasts_the_training_mean(self, wind):
+        # alpha = 1e-320 moves the predictions by subnormals, whose variance
+        # underflows to 0: the alignment treats them as constant.
+        run = run_single(wind, {"name": "nexting", "gamma": 0.0, "alpha": 1e-320,
+                                "trace_lambda": 0.9, "freeze_after": 24})
+        assert run.settings["align_scale"] == 0.0
+        np.testing.assert_array_equal(run.forecast.values, np.mean(wind.values[:24]))
+
     def test_unknown_method_raises(self, wind):
         with pytest.raises(ValueError):
             run_single(wind, {"name": "nope"})

@@ -496,6 +496,25 @@ class TestCli:
             assert run_cli(["compare", "--config", str(path)]) == 1
             assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python has no integer string conversion limit")
+    def test_config_with_an_overlong_integer_exits_1_with_path(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text('{"signal": ' + "1" * (sys.get_int_max_str_digits() + 1) + "}")
+        assert run_cli(["compare", "--config", str(cfg)]) == 1
+        assert f"daycast: {cfg}: invalid JSON (Exceeds the limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "forecast"])
+    def test_rbf_sigma_whose_square_overflows_is_one_error_line(self, tmp_path, capsys,
+                                                                command):
+        cfg = tmp_path / "rbf.json"
+        cfg.write_text(json.dumps({"signal": "wind", "band": {"inner": 1, "outer": 3},
+                                   "methods": [{"name": "rbf", "n_basis": 4,
+                                                "sigma": 1e300}]}))
+        assert run_cli([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", "daycast: methods[0] (rbf): bump width must lie "
+                                           "in [1e-150, 1e150], got 1e+300\n")
+
     def test_unknown_flag_exits_1(self, capsys):
         rc = run_cli(["synth", "--period", "4", "--count", "4", "--bogus"])
         assert rc == 1

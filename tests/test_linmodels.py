@@ -121,6 +121,19 @@ class TestSolveRidge:
         with pytest.raises(SingularSystemError, match="overflows"):
             solve_ridge(np.array(column)[:, None], np.array(y))
 
+    @pytest.mark.parametrize("where", [(2, 1), (0, 0), (1,)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_system_is_refused_before_lapack(self, capfd, where, bad):
+        X = np.column_stack([np.ones(4), np.arange(4.0)])
+        y = np.arange(4.0)
+        name, target = ("X", X) if len(where) == 2 else ("y", y)
+        target[where] = bad
+        for reg_lambda in (0.0, 0.1):
+            with pytest.raises(ValueError) as err:
+                solve_ridge(X, y, reg_lambda)
+            assert str(err.value) == f"{name}{list(where)} is {bad}, not finite"
+        assert capfd.readouterr() == ("", "")
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_exact_normal_equation_oracle(self, data):
@@ -221,6 +234,17 @@ class TestBasisFunctions:
             Sinusoid(0)
         with pytest.raises(ValueError):
             GaussianBump(0, 0)
+
+    @pytest.mark.parametrize("width", [1e300, 1.0000001e150, 9.999999e-151, 1e-320,
+                                       -1.0, np.inf, np.nan])
+    def test_bump_width_outside_its_range_is_refused(self, width):
+        with pytest.raises(ValueError, match=r"must lie in \[1e-150, 1e150\]"):
+            GaussianBump(0.0, width)
+
+    @pytest.mark.parametrize("width", [1e150, 1e-150])
+    def test_bump_width_at_the_ends_of_its_range_evaluates(self, width):
+        values = GaussianBump(0.0, width)(np.arange(-48.0, 49.0))
+        assert values[48] == 1.0 and np.all(np.isfinite(values))
 
     def test_design_matrix_shape(self):
         X = design_matrix((Constant(), Monomial(1), Monomial(2)), [1.0, 2.0, 3.0, 4.0])

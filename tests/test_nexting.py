@@ -392,6 +392,12 @@ class TestAlignAffine:
         assert out.offset == pytest.approx(float(wind24.values.mean()))
         assert out.rmse == pytest.approx(float(wind24.values.std()))
 
+    def test_variance_underflowing_to_zero_counts_as_constant(self):
+        target = Series([1.0, 2.0, 3.0, 6.0], t0=1)
+        out = align_affine(Series([0.0, 5e-324, 0.0, 5e-324], t0=1), target, max_shift=0)
+        assert out.scale == 0.0
+        assert out.offset == 3.0
+
     def test_result_type(self, wind24):
         assert isinstance(align_affine(wind24, wind24, 0), AlignResult)
 
