@@ -49,8 +49,8 @@ class Sinusoid:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError(f"sinusoid period must be positive, got {self.period}")
+        if not 1e-150 <= self.period <= 1e150:  # below, 2*pi*x / period overflows
+            raise ValueError(f"sinusoid period must lie in [1e-150, 1e150], got {self.period}")
 
     def __call__(self, x):
         return np.cos(2.0 * np.pi * np.asarray(x, dtype=float) / self.period + self.phase)

@@ -7,9 +7,8 @@ vintages, so the extractor tries each field's known headers in order.
 """
 
 import csv
-import itertools
+import io
 import math
-import operator
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +26,10 @@ _HEADERS = {
 # Values at or below this are NREL missing-data sentinels (-9900 family).
 _SENTINEL_FLOOR = -9000.0
 
+# loadtxt strips the separators \x1c-\x1f from a cell and float() does not,
+# and csv before Python 3.11 refuses a NUL anywhere in a row.
+_LOADTXT_ONLY = "\0\x1c\x1d\x1e\x1f"
+
 
 def _resolve_column(header: list[str], key: str) -> int:
     for name in _HEADERS[key]:
@@ -38,12 +41,14 @@ def _resolve_column(header: list[str], key: str) -> int:
     )
 
 
-def _raise_parse_error(path: Path, header: list[str], cols: dict) -> None:
-    """Raise for the first bad cell in file order, or for a file without data.
+def _scan(path: Path, header: list[str], cols: dict) -> np.ndarray:
+    """The picked cells of every data row, read with csv and float().
 
+    Raises for the first bad cell in file order, or for a file without data.
     Rows are numbered from 1 counting the two header lines, blank lines
     included; within a row the cells are checked in the order of cols.
     """
+    values = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -70,7 +75,10 @@ def _raise_parse_error(path: Path, header: list[str], cols: dict) -> None:
                     raise Tmy3ParseError(
                         f"{path}: missing-data sentinel {value} for {key} at row {row_no}",
                         row=row_no, column=header[col])
-    raise Tmy3ParseError(f"{path}: no data rows", row=3)
+                values.append(value)
+    if not values:
+        raise Tmy3ParseError(f"{path}: no data rows", row=3)
+    return np.array(values).reshape(-1, len(cols))
 
 
 def parse_tmy3(path) -> tuple[Series, Series, Series]:
@@ -93,18 +101,22 @@ def parse_tmy3(path) -> tuple[Series, Series, Series]:
                 f"{path}: line 1 does not look like station metadata: {station}", row=1)
 
         cols = {key: _resolve_column(header, key) for key in _HEADERS}
-        pick = operator.itemgetter(*cols.values())
-        # One flat list of the picked cells, converted in one call: no
-        # per-row object outlives its row, so parsing triggers no garbage
-        # collection. Any failure falls back to a per-row scan for the error.
+        # loadtxt's C reader splits rows and quoted cells as csv does and
+        # converts a cell as float() does, or refuses it. _scan gives the
+        # exact result where loadtxt could read differently (_LOADTXT_ONLY),
+        # where there are only blank lines (loadtxt would warn), and where
+        # loadtxt refuses the file or yields a bad value.
         try:
-            cells = list(itertools.chain.from_iterable(pick(row) for row in reader if row))
-            table = np.array(cells, dtype=float).reshape(-1, len(cols))
-        except (IndexError, ValueError):
+            text = fh.read()
+            table = None
+            if text.strip("\r\n") and not any(c in text for c in _LOADTXT_ONLY):
+                table = np.loadtxt(io.StringIO(text), delimiter=",", usecols=tuple(cols.values()),
+                                   comments=None, quotechar='"', ndmin=2)
+        except ValueError:
             table = None
     if table is None or not table.size or not np.all(
             np.isfinite(table) & (table > _SENTINEL_FLOOR)):
-        _raise_parse_error(path, header, cols)
+        table = _scan(path, header, cols)
     wind, bulb, dni = table.T
     return (Series(wind, t0=1, period_hint=24, unit="m/s"),
             Series(bulb, t0=1, period_hint=24, unit="degC"),

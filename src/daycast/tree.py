@@ -166,7 +166,11 @@ class Tree:
                 stack.append(node.left)
 
     def leaf_sse(self) -> float:
-        return sum(n.sse for n in self.walk() if n.is_leaf)
+        total = 0.0  # left to right: builtin sum compensates float sums from Python 3.12
+        for n in self.walk():
+            if n.is_leaf:
+                total += n.sse
+        return total
 
 
 def grow(train, config: GrowConfig = GrowConfig()) -> Tree:

@@ -1,13 +1,16 @@
 import copy
 import csv
 import dataclasses
+import itertools
 import json
 import math
+import operator
 import os
 import re
 import subprocess
 import sys
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import daycast
+from daycast import tmy3
 from daycast.cli import run_cli
 from daycast.config import (band_from_config, builtin_config_names, builtin_config_path,
                             load_config, load_dataset, validate_config)
@@ -223,6 +227,232 @@ class TestParseTmy3:
         export_series(wind, out)
         back = read_series_csv(out)
         np.testing.assert_array_equal(back.values, wind.values)
+
+
+def csv_reference_parse(path):
+    """The csv plus float() TMY3 reader that np.loadtxt replaced, kept as the oracle.
+
+    Returns the wind, dry-bulb and DNI arrays, or raises exactly what
+    parse_tmy3 must raise.
+    """
+    path = Path(path)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            station = next(reader)
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise Tmy3ParseError(f"{path}: fewer than two header lines", row=1) from None
+        if len(station) < 2:
+            raise Tmy3ParseError(
+                f"{path}: line 1 does not look like station metadata: {station}", row=1)
+        cols = {key: tmy3._resolve_column(header, key) for key in tmy3._HEADERS}
+        pick = operator.itemgetter(*cols.values())
+        try:
+            cells = list(itertools.chain.from_iterable(pick(row) for row in reader if row))
+            table = np.array(cells, dtype=float).reshape(-1, len(cols))
+        except (IndexError, ValueError):
+            table = None
+    if table is None or not table.size or not np.all(
+            np.isfinite(table) & (table > tmy3._SENTINEL_FLOOR)):
+        _reference_error(path, header, cols)
+    return tuple(table.T)
+
+
+def _reference_error(path, header, cols):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        next(reader)
+        for row_no, row in enumerate(reader, start=3):
+            if not row:
+                continue
+            for key, col in cols.items():
+                if col >= len(row):
+                    raise Tmy3ParseError(
+                        f"{path}: row {row_no} has no column {col} ({key})",
+                        row=row_no, column=header[col])
+                try:
+                    value = float(row[col])
+                except ValueError:
+                    raise Tmy3ParseError(
+                        f"{path}: non-numeric {key} value {row[col]!r} at row {row_no}",
+                        row=row_no, column=header[col]) from None
+                if not math.isfinite(value):
+                    raise Tmy3ParseError(
+                        f"{path}: non-finite {key} value {row[col]!r} at row {row_no}",
+                        row=row_no, column=header[col])
+                if value <= tmy3._SENTINEL_FLOOR:
+                    raise Tmy3ParseError(
+                        f"{path}: missing-data sentinel {value} for {key} at row {row_no}",
+                        row=row_no, column=header[col])
+    raise Tmy3ParseError(f"{path}: no data rows", row=3)
+
+
+def parse_outcome(parse, path):
+    """The value bytes of each column, or the exception's type, row, column and message."""
+    try:
+        columns = parse(path)
+    except Exception as exc:
+        return type(exc), getattr(exc, "row", None), getattr(exc, "column", None), str(exc)
+    return tuple((c.values if isinstance(c, Series) else c).tobytes() for c in columns)
+
+
+def assert_parses_as_reference(path, text):
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    assert parse_outcome(parse_tmy3, path) == parse_outcome(csv_reference_parse, path)
+
+
+def data_row(wind="3.5", bulb="15.0", dni="100", date="01/01/1988", time="01:00"):
+    return ",".join((date, time, wind, bulb, dni))
+
+
+GOOD = data_row()
+# Cells that csv plus float() and np.loadtxt might read differently.
+ODD_CELLS = [
+    '"3.5"', ' "3.5"', '"3.5" ', '"3""5"', '"""3.5"""', '"3.5"5', '"3,5"', '"3\n5"', '""',
+    "1_0", "1__0", "_10", "١٢", "٣.٥", "３",
+    "\xa03.5", "3.5\xa0", "\x0b3.5", "\x0c3.5", "\t3.5 ", " 3.5", "\x853.5",
+    "\x1c3.5", "3.5\x1f", "\x1d", "3#5", "#", "3.5#", "3\x005", "\x00", "",  " ",
+    "Infinity", "-Infinity", "inf", "iNfInItY", "nan", "-nan", "NaN", "1e400", "-1e400",
+    "1e-400", "-9900", "-9999", "-9000", "-9000.0000000001", "-8999.9", "+3.5", ".5",
+    "5.", "0x1p1", "3.5e", "1d5", "3.5\"", '3"5',
+]
+# Whole data sections after the two header lines.
+ODD_DATA = {
+    "good rows": f"{GOOD}\n{GOOD}\n",
+    "no final line end": f"{GOOD}\n{GOOD}",
+    "whitespace-only line": f"{GOOD}\n   \n{GOOD}\n",
+    "tab line": f"{GOOD}\n\t\n{GOOD}\n",
+    "form-feed line": f"{GOOD}\n\x0c\n{GOOD}\n",
+    "vertical-tab line": f"{GOOD}\n\x0b\n{GOOD}\n",
+    "NBSP line": f"{GOOD}\n\xa0\n{GOOD}\n",
+    "separator line": f"{GOOD}\n\x1e\n{GOOD}\n",
+    "quoted empty line": f'{GOOD}\n""\n{GOOD}\n',
+    "lone comma line": f"{GOOD}\n,\n{GOOD}\n",
+    "CR-only line ends": f"{GOOD}\r{GOOD}\r",
+    "CRLF line ends": f"{GOOD}\r\n{GOOD}\r\n",
+    "mixed line ends": f"{GOOD}\r\n{GOOD}\r{GOOD}\n",
+    "CR-only blank lines": f"\r{GOOD}\r\r{GOOD}\r",
+    "CRLF blank lines": f"\r\n{GOOD}\r\n\r\n{GOOD}\r\n",
+    "blank lines between rows": f"\n{GOOD}\n\n\n{GOOD}\n\n",
+    "blank lines only": "\n\n\n",
+    "CRLF blank lines only": "\r\n\r\n",
+    "CR blank lines only": "\r\r",
+    "header lines only": "",
+    "whitespace only": "  \n \n",
+    "longer row": f"{GOOD},7,8\n{GOOD}\n",
+    "shorter row": f"{GOOD}\n01/01/1988,01:00,3.5,15.0\n",
+    "two-cell row": f"{GOOD}\n01/01/1988,01:00\n{GOOD}\n",
+    "trailing comma": f"{GOOD},\n{GOOD},\n",
+    "quoted comma, not picked": data_row(date='"01,01"') + f"\n{GOOD}\n",
+    "quoted newline, not picked": data_row(date='"01\n01"') + "\n" + data_row(dni="dark") + "\n",
+    "quoted CRLF, not picked": data_row(time='"01\r\n"') + f"\n{GOOD}\n",
+    "quoted CR, not picked": data_row(time='"01\r"') + f"\r{GOOD}\r",
+    "unclosed quote, not picked": data_row(date='"01') + f"\n{GOOD}\n",
+    "quote inside a cell, not picked": data_row(date='01"01') + f"\n{GOOD}\n",
+    "NUL, not picked": data_row(date="01\x00") + f"\n{GOOD}\n",
+    "separator, not picked": data_row(date="\x1c01") + f"\n{GOOD}\n",
+    "hash, not picked": data_row(date="#01") + f"\n{GOOD}\n",
+    "bad cell after blank lines": f"{GOOD}\n\n\n{data_row(bulb='n/a')}\n",
+    "sentinel after a quoted newline": (data_row(date='"\n"') + "\n"
+                                        + data_row(wind="-9900") + "\n"),
+}
+
+
+class TestParseMatchesCsvReference:
+    """parse_tmy3 gives the csv plus float() reader's values or error, byte for byte."""
+
+    @pytest.mark.parametrize("column", ["wind", "bulb", "dni"])
+    @pytest.mark.parametrize("cell", ODD_CELLS)
+    def test_odd_cell(self, tmp_path, cell, column):
+        text = HEADER + f"{GOOD}\n{data_row(**{column: cell})}\n{GOOD}\n"
+        assert_parses_as_reference(tmp_path / "cell.csv", text)
+
+    @pytest.mark.parametrize("data", ODD_DATA.values(), ids=ODD_DATA.keys())
+    def test_odd_lines(self, tmp_path, data):
+        assert_parses_as_reference(tmp_path / "lines.csv", HEADER + data)
+
+    @pytest.mark.parametrize("data", ["3.5,15.0,100\n-1,2,3\n", "3.5,15.0,100\n-1,2,dark\n",
+                                      '"3.5",15,100\n'])
+    def test_columns_in_another_order(self, tmp_path, data):
+        header = HEADER.splitlines()[0] + "\nDNI (W/m^2),Dry-bulb (C),Wind Speed (m/s)\n"
+        assert_parses_as_reference(tmp_path / "order.csv", header + data)
+
+    def test_undecodable_bytes_past_the_first_read(self, tmp_path):
+        path = tmp_path / "bytes.csv"
+        path.write_bytes((HEADER + f"{GOOD}\n" * 500).encode() + b"01/01/1988,\xff\xfe,1,2,3\n")
+        assert parse_outcome(parse_tmy3, path) == parse_outcome(csv_reference_parse, path)
+
+    def test_a_field_past_the_csv_size_limit_is_read_where_it_is_not_picked(self, tmp_path):
+        # The one known difference: csv refuses the file outright, loadtxt
+        # reads it because it never converts that cell.
+        path = tmp_path / "wide.csv"
+        path.write_text(HEADER + data_row(date="x" * (csv.field_size_limit() + 1)) + "\n")
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            csv_reference_parse(path)
+        assert [s.values.tolist() for s in parse_tmy3(path)] == [[3.5], [15.0], [100.0]]
+
+    def test_a_generated_year_never_reaches_the_scan(self, tmp_path, monkeypatch):
+        path = write_tmy3(tmp_path / "year.csv", weather_year(days=30))
+        expected = parse_outcome(csv_reference_parse, path)
+        monkeypatch.setattr(tmy3, "_scan", None)
+        assert parse_outcome(parse_tmy3, path) == expected
+
+    def test_blank_data_lines_give_one_error_line_and_no_warning(self, tmp_path, capsys):
+        path = tmp_path / "blank.csv"
+        path.write_text(HEADER + "\n\n\n")
+        cfg = builtin_config_path("nexting_multiperiod_irradiance")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(["nexting-run", "--config", str(cfg), "--data", str(path)]) == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr() == ("", f"daycast: {path}: no data rows\n")
+
+
+# A number with the decorations csv plus float() accept: whitespace, quotes,
+# underscores and non-ASCII digits.
+_WHITESPACE = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\xa0", " ", "\x85", "\x1c"])
+
+
+@st.composite
+def decorated_numbers(draw):
+    text = draw(st.sampled_from(["3.5", "15", "-2.25", "100", "0", "1e3", "-9000", "-9900",
+                                 "12.5e-1", ".5", "7."]))
+    if draw(st.booleans()):
+        text = text.translate({ord(d): 0x0660 + int(d) for d in "0123456789"})
+    if draw(st.booleans()) and len(text) > 1 and text[:2].isdigit():
+        text = text[0] + "_" + text[1:]
+    text = draw(_WHITESPACE) + text + draw(_WHITESPACE)
+    if draw(st.booleans()):
+        outside = st.sampled_from(["", " "])
+        text = draw(outside) + '"' + text + '"' + draw(outside)
+    return text
+
+
+_CELLS = st.one_of(decorated_numbers(), st.sampled_from(ODD_CELLS),
+                   st.text("0123456789.-+e_ \t\x0b\x0c\xa0\x1c\x1f\x00#\",\r\n٣in", max_size=5))
+
+
+@st.composite
+def tmy3_data(draw):
+    """The data lines of a TMY3 file: rows of generated cells and odd lines,
+    each ended by LF, CRLF or CR; the last line end may be missing."""
+    lines = draw(st.lists(st.one_of(
+        st.lists(_CELLS, min_size=0, max_size=7).map(",".join),
+        st.sampled_from(["", "   ", "\x0c", '""', ",", GOOD])), max_size=6))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[:-1] if text and draw(st.booleans()) else text
+
+
+@given(tmy3_data())
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_parse_matches_the_csv_reference_on_generated_data(tmp_path, data):
+    assert_parses_as_reference(tmp_path / "generated.csv", HEADER + data)
 
 
 class TestRunConfig:
@@ -514,6 +744,17 @@ class TestCli:
         assert run_cli([command, "--config", str(cfg)]) == 1
         assert capsys.readouterr() == ("", "daycast: methods[0] (rbf): bump width must lie "
                                            "in [1e-150, 1e150], got 1e+300\n")
+
+    @pytest.mark.parametrize("command", ["fit", "forecast"])
+    def test_ridge_period_whose_frequency_overflows_is_one_error_line(self, tmp_path, capsys,
+                                                                      command):
+        cfg = tmp_path / "ridge.json"
+        cfg.write_text(json.dumps({"signal": "wind", "band": {"inner": 1, "outer": 3},
+                                   "methods": [{"name": "ridge", "reg_lambda": 0.1,
+                                                "g1": {"period": 1e-320, "phase": 0.0}}]}))
+        assert run_cli([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", "daycast: methods[0] (ridge).g1: sinusoid period "
+                                           "must lie in [1e-150, 1e150], got 1e-320\n")
 
     def test_unknown_flag_exits_1(self, capsys):
         rc = run_cli(["synth", "--period", "4", "--count", "4", "--bogus"])

@@ -246,6 +246,17 @@ class TestBasisFunctions:
         values = GaussianBump(0.0, width)(np.arange(-48.0, 49.0))
         assert values[48] == 1.0 and np.all(np.isfinite(values))
 
+    @pytest.mark.parametrize("period", [1e-320, 9.999999e-151, 1.0000001e150, 1e300, 0.0,
+                                        -1.0, np.inf, np.nan])
+    def test_sinusoid_period_outside_its_range_is_refused(self, period):
+        with pytest.raises(ValueError, match=r"period must lie in \[1e-150, 1e150\]"):
+            Sinusoid(period)
+
+    @pytest.mark.parametrize("period", [1e150, 1e-150])
+    def test_sinusoid_period_at_the_ends_of_its_range_evaluates(self, period):
+        values = Sinusoid(period)(np.arange(0.0, 8761.0))
+        assert values[0] == 1.0 and np.all(np.isfinite(values))
+
     def test_design_matrix_shape(self):
         X = design_matrix((Constant(), Monomial(1), Monomial(2)), [1.0, 2.0, 3.0, 4.0])
         assert X.shape == (4, 3)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from daycast.evalharness import run_single
 from daycast.series import Series
-from daycast.tree import (BagEnsemble, GrowConfig, PeriodicWrapper, best_split,
+from daycast.tree import (BagEnsemble, GrowConfig, Node, PeriodicWrapper, Tree, best_split,
                           fit_periodic_ensemble, grow, prune)
 
 
@@ -176,6 +176,18 @@ class TestPrune:
         options = all_pruned_subtrees(t.root)
         best_cost = min(sse + alpha * k for sse, k in options)
         assert pruned.leaf_sse() + alpha * pruned.n_leaves == pytest.approx(best_cost, abs=1e-9)
+
+    def test_leaf_sse_adds_left_to_right_in_preorder(self):
+        # 1e16 + 1 rounds back to 1e16, so a compensated sum (builtin sum from
+        # Python 3.12) would give 1e16 + 2.
+        def leaf(sse):
+            return Node(n=1, mean=0.0, sse=sse)
+
+        inner = Node(n=2, mean=0.0, sse=0.0, split_var=0, split_point=1.0,
+                     left=leaf(1.0), right=leaf(1.0))
+        root = Node(n=3, mean=0.0, sse=0.0, split_var=0, split_point=0.0,
+                    left=leaf(1e16), right=inner)
+        assert Tree(root).leaf_sse() == 1e16
 
     def test_leaf_count_monotone_and_nested_in_alpha(self, wind24):
         t = grow(wind24)
