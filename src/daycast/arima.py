@@ -225,20 +225,131 @@ def _split_params(params: np.ndarray, order: ArimaOrder):
             params[p + q:p + q + P], params[p + q + P:p + q + P + Q])
 
 
+class _BudgetSpent(Exception):
+    """The simplex asked for one objective evaluation more than its budget allows."""
+
+
+def _nelder_mead(f, x0: list, maxiter: int, maxfev: int, callback):
+    """Minimize f from x0 with the Nelder-Mead simplex, on lists of floats.
+
+    This is scipy.optimize.minimize(method="Nelder-Mead") with its default
+    coefficients (adaptive=False, no bounds) and xatol 1e-10, fatol 1e-14,
+    written to make the same floating-point operations in the same order,
+    so it returns the same bits; scipy spends as long on the bookkeeping of
+    its few small arrays as a CSS objective takes. As in scipy, the
+    evaluation count is checked before every call to f, and a stop in
+    mid-iteration (a shrink included) keeps the partly updated simplex, does
+    not count the iteration, and still sorts and calls callback() once.
+
+    Returns (x, f(x), spent), where spent is None on convergence, else
+    the budget that ran out: "objective evaluations" or "iterations"
+    (scipy's status 1 and 2).
+    """
+    n = len(x0)
+    # Vertex k + 1 moves coordinate k by 5 %, or to 0.00025 from zero.
+    sim = [list(x0)]
+    for k in range(n):
+        y = list(x0)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [math.inf] * (n + 1)
+    nfev = 0
+
+    def call(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return f(x)
+
+    def by_value():
+        # np.argsort is not stable and may order tied vertices unlike
+        # sorted(); ties occur (a wind fit has one at its first sort).
+        ind = np.argsort(fsim).tolist()
+        return [sim[i] for i in ind], [fsim[i] for i in ind]
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = call(sim[k])
+    except _BudgetSpent:
+        pass
+    # scipy sorts twice here; an unstable sort need not leave sorted ties alone.
+    sim, fsim = by_value()
+    sim, fsim = by_value()
+
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        try:
+            x_0, f_0 = sim[0], fsim[0]
+            if (all(abs(v - a) <= 1e-10 for x in sim[1:] for v, a in zip(x, x_0))
+                    and all(abs(f_0 - fv) <= 1e-14 for fv in fsim[1:])):
+                break
+
+            # Centroid of all but the worst vertex: the rows added left to
+            # right starting from the first (as np.add.reduce over axis 0),
+            # then divided by n. The steps below keep scipy's coefficients.
+            xbar = list(x_0)
+            for x in sim[1:-1]:
+                xbar = [a + v for a, v in zip(xbar, x)]
+            xbar = [a / n for a in xbar]
+            x_h = sim[-1]
+
+            xr = [2 * a - 1 * h for a, h in zip(xbar, x_h)]
+            fxr = call(xr)
+            doshrink = False
+            if fxr < f_0:
+                xe = [3 * a - 2 * h for a, h in zip(xbar, x_h)]
+                fxe = call(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:  # outside contraction
+                xc = [1.5 * a - 0.5 * h for a, h in zip(xbar, x_h)]
+                fxc = call(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    doshrink = True
+            else:  # inside contraction
+                xcc = [0.5 * a + 0.5 * h for a, h in zip(xbar, x_h)]
+                fxcc = call(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    doshrink = True
+            if doshrink:
+                for j in range(1, n + 1):
+                    sim[j] = [a + 0.5 * (v - a) for a, v in zip(x_0, sim[j])]
+                    fsim[j] = call(sim[j])
+            iterations += 1
+        except _BudgetSpent:
+            pass
+        sim, fsim = by_value()
+        callback()
+
+    spent = ("objective evaluations" if nfev >= maxfev
+             else "iterations" if iterations >= maxiter else None)
+    return sim[0], fsim[0], spent
+
+
 def css_estimate(series: Series, order: ArimaOrder, init=None, *,
                  max_iterations: int | None = None) -> ArimaModel:
     """Estimate coefficients by conditional sum of squares.
 
     The differenced series is centered by its mean only for pure ARMA, so
     a differenced fit has no drift (theta0 = 0). Shocks are computed with
-    zero pre-sample values, and sum(a^2) is minimized by Nelder-Mead from
-    a Yule-Walker start for the AR side and zeros elsewhere. The budget
-    defaults to 500 iterations per free parameter.
+    zero pre-sample values, and sum(a^2) is minimized by the Nelder-Mead
+    simplex of _nelder_mead (scipy's, ported to plain floats with the same
+    arithmetic; xatol 1e-10, fatol 1e-14) from a Yule-Walker start for the
+    AR side and zeros elsewhere. The budget defaults to 500 iterations per
+    free parameter, with twice as many objective evaluations.
 
     Raises EstimationError (carrying the best model and objective so
     far) if the simplex exhausts its budget without converging.
     """
-    from scipy.optimize import minimize
     from scipy.signal import lfilter
 
     if max_iterations is not None and max_iterations < 1:
@@ -296,18 +407,15 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
         return val
 
     maxiter = max_iterations if max_iterations is not None else 500 * order.n_params
-    result = minimize(
-        tracked, x0, method="Nelder-Mead",
-        callback=lambda xk: trace.append(best[0]),
-        options={"xatol": 1e-10, "fatol": 1e-14,
-                 "maxiter": maxiter, "maxfev": 2 * maxiter},
-    )
-    model = build(result.x, result.fun / m, trace)
-    if not result.success:
+    x, fun, spent = _nelder_mead(tracked, x0.tolist(), maxiter, 2 * maxiter,
+                                 lambda: trace.append(best[0]))
+    model = build(x, fun / m, trace)
+    if spent is not None:
+        limit = maxiter if spent == "iterations" else 2 * maxiter
         raise EstimationError(
-            f"CSS simplex did not converge within {maxiter} iterations "
-            f"(final objective {result.fun:.6g})",
-            model=model, objective=float(result.fun),
+            f"CSS simplex did not converge within {limit} {spent} "
+            f"(final objective {fun:.6g})",
+            model=model, objective=float(fun),
         )
     return model
 

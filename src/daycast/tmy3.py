@@ -41,6 +41,20 @@ def _resolve_column(header: list[str], key: str) -> int:
     )
 
 
+def _records(path: Path, fh):
+    """(row number, cells) for each csv record of fh, numbered from 1.
+
+    csv's own refusals (a cell past csv.field_size_limit(), or a NUL
+    before Python 3.11) are raised as Tmy3ParseError naming the row.
+    """
+    row_no = 0
+    try:
+        for row_no, row in enumerate(csv.reader(fh), start=1):
+            yield row_no, row
+    except csv.Error as exc:
+        raise Tmy3ParseError(f"{path}: row {row_no + 1}: {exc}", row=row_no + 1) from None
+
+
 def _scan(path: Path, header: list[str], cols: dict) -> np.ndarray:
     """The picked cells of every data row, read with csv and float().
 
@@ -50,11 +64,8 @@ def _scan(path: Path, header: list[str], cols: dict) -> np.ndarray:
     """
     values = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        next(reader)
-        for row_no, row in enumerate(reader, start=3):
-            if not row:
+        for row_no, row in _records(path, fh):
+            if row_no < 3 or not row:
                 continue
             for key, col in cols.items():
                 if col >= len(row):
@@ -86,14 +97,15 @@ def parse_tmy3(path) -> tuple[Series, Series, Series]:
 
     Parsing is strict: a short row, a non-numeric or non-finite cell and
     a missing-data sentinel are each rejected with the offending row
-    number (1-based, counting the two header lines) and column name.
+    number (1-based, counting the two header lines) and column name; a
+    line that csv itself refuses is rejected with its row number.
     """
     path = Path(path)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        records = _records(path, fh)
         try:
-            station = next(reader)
-            header = [h.strip() for h in next(reader)]
+            station = next(records)[1]
+            header = [h.strip() for h in next(records)[1]]
         except StopIteration:
             raise Tmy3ParseError(f"{path}: fewer than two header lines", row=1) from None
         if len(station) < 2:

@@ -318,6 +318,93 @@ class TestFitMatchesConvolveOperators:
         assert self.fit(train, init=init, max_iterations=20)[1] == fast
 
 
+def scipy_nelder_mead(f, x0, maxiter, maxfev, callback):
+    """Reference for arima._nelder_mead: the scipy call css_estimate made before the port."""
+    from scipy.optimize import minimize
+    result = minimize(f, np.array(x0), method="Nelder-Mead", callback=lambda xk: callback(),
+                      options={"xatol": 1e-10, "fatol": 1e-14,
+                               "maxiter": maxiter, "maxfev": maxfev})
+    spent = {0: None, 1: "objective evaluations", 2: "iterations"}[result.status]
+    return result.x, result.fun, spent
+
+
+def fit_outcome(train, order, **kw):
+    """The bytes of a fit: coefficients, sigma2, fit_trace, warnings, and message and objective."""
+    try:
+        model, message, objective = css_estimate(train, order, **kw), None, None
+    except EstimationError as err:
+        model, message, objective = err.model, str(err), np.float64(err.objective).tobytes()
+    arrays = (model.phi, model.theta, model.sphi, model.stheta, np.float64(model.sigma2),
+              np.array(model.fit_trace))
+    return [a.tobytes() for a in arrays], model.warnings, message, objective
+
+
+class TestSimplexMatchesScipy:
+    """css_estimate gives the same bytes with scipy's Nelder-Mead as with _nelder_mead."""
+
+    ORDERS = {
+        "wind": ArimaOrder(0, 0, 3, 1, 1, 0, 24),
+        "temperature": ArimaOrder(2, 2, 0, 0, 1, 0, 24),
+        "irradiance": ArimaOrder(0, 0, 1, 1, 1, 1, 24),
+        "arma": ArimaOrder(2, 0, 1, 0, 0, 0, 0),  # pure ARMA: the mean is removed
+    }
+
+    @staticmethod
+    def series(label, seed):
+        rng = np.random.default_rng(seed)
+        profile = 6.0 + 3.0 * np.sin(2 * np.pi * (np.arange(24) + rng.uniform(0, 24)) / 24)
+        trend = 0.08 * np.arange(48) if label == "temperature" else 0.0
+        noise = rng.normal(0, rng.uniform(0.05, 2.0), 48)
+        return Series(np.tile(profile, 2) + trend + noise, t0=1, period_hint=24)
+
+    @staticmethod
+    def assert_same_as_scipy(monkeypatch, train, order, **kw):
+        ported = fit_outcome(train, order, **kw)
+        monkeypatch.setattr(arima, "_nelder_mead", scipy_nelder_mead)
+        assert fit_outcome(train, order, **kw) == ported
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 3, 7, 15, None])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("label", sorted(ORDERS))
+    def test_same_bytes(self, label, seed, max_iterations, monkeypatch):
+        self.assert_same_as_scipy(monkeypatch, self.series(label, seed), self.ORDERS[label],
+                                  max_iterations=max_iterations)
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 20, None])
+    def test_start_scoring_1e300(self, max_iterations, monkeypatch):
+        self.assert_same_as_scipy(monkeypatch, self.series("wind", 0), self.ORDERS["wind"],
+                                  init=[1e20, 1e20, 1e20, 0.0], max_iterations=max_iterations)
+
+    @pytest.mark.parametrize("max_iterations, budget", [(1, "2 objective evaluations"),
+                                                        (15, "15 iterations")])
+    def test_message_names_the_budget_that_ran_out(self, max_iterations, budget):
+        _, _, message, _ = fit_outcome(self.series("wind", 0), self.ORDERS["wind"],
+                                       max_iterations=max_iterations)
+        assert message.startswith(f"CSS simplex did not converge within {budget} (")
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("maxiter", [2, 3, 5, 10, 400])
+    @pytest.mark.parametrize("digits", [0, 1])
+    def test_tied_plateaus_match_scipy_directly(self, digits, maxiter, n):
+        # Rounding the objective makes ties at every step, so the unstable
+        # np.argsort order, the shrink and both budgets all matter. Every
+        # evaluated point is compared, so a shrink cut short by the
+        # evaluation budget must stop where scipy's stops.
+        runs = []
+        for minimizer in (arima._nelder_mead, scipy_nelder_mead):
+            points, calls = [], []
+
+            def f(x):
+                points.append(np.asarray(x, dtype=float).tobytes())
+                return round(sum((v - 0.3 * i) ** 2 for i, v in enumerate(x)), digits)
+
+            x, fun, spent = minimizer(f, [0.0, 1.0, -2.0, 0.0, 5.0][:n], maxiter, 2 * maxiter,
+                                      lambda: calls.append(None))
+            runs.append((np.asarray(x, dtype=float).tobytes(), float(fun), spent, len(calls),
+                         points))
+        assert runs[0] == runs[1]
+
+
 class TestForecast:
     def test_ar1_geometric_decay(self):
         model = model_of(ArimaOrder(1, 0, 0, 0, 0, 0, 0), phi=(0.5,), mu=0.0)

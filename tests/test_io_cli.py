@@ -233,7 +233,8 @@ def csv_reference_parse(path):
     """The csv plus float() TMY3 reader that np.loadtxt replaced, kept as the oracle.
 
     Returns the wind, dry-bulb and DNI arrays, or raises exactly what
-    parse_tmy3 must raise.
+    parse_tmy3 must raise. A csv.Error is raised as a Tmy3ParseError
+    naming the csv record it stopped at.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -243,6 +244,9 @@ def csv_reference_parse(path):
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise Tmy3ParseError(f"{path}: fewer than two header lines", row=1) from None
+        except csv.Error as exc:
+            raise Tmy3ParseError(f"{path}: row {reader.line_num}: {exc}",
+                                 row=reader.line_num) from None
         if len(station) < 2:
             raise Tmy3ParseError(
                 f"{path}: line 1 does not look like station metadata: {station}", row=1)
@@ -251,7 +255,7 @@ def csv_reference_parse(path):
         try:
             cells = list(itertools.chain.from_iterable(pick(row) for row in reader if row))
             table = np.array(cells, dtype=float).reshape(-1, len(cols))
-        except (IndexError, ValueError):
+        except (IndexError, ValueError, csv.Error):
             table = None
     if table is None or not table.size or not np.all(
             np.isfinite(table) & (table > tmy3._SENTINEL_FLOOR)):
@@ -262,30 +266,35 @@ def csv_reference_parse(path):
 def _reference_error(path, header, cols):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        next(reader)
-        for row_no, row in enumerate(reader, start=3):
-            if not row:
-                continue
-            for key, col in cols.items():
-                if col >= len(row):
-                    raise Tmy3ParseError(
-                        f"{path}: row {row_no} has no column {col} ({key})",
-                        row=row_no, column=header[col])
-                try:
-                    value = float(row[col])
-                except ValueError:
-                    raise Tmy3ParseError(
-                        f"{path}: non-numeric {key} value {row[col]!r} at row {row_no}",
-                        row=row_no, column=header[col]) from None
-                if not math.isfinite(value):
-                    raise Tmy3ParseError(
-                        f"{path}: non-finite {key} value {row[col]!r} at row {row_no}",
-                        row=row_no, column=header[col])
-                if value <= tmy3._SENTINEL_FLOOR:
-                    raise Tmy3ParseError(
-                        f"{path}: missing-data sentinel {value} for {key} at row {row_no}",
-                        row=row_no, column=header[col])
+        row_no = 2
+        try:
+            next(reader)
+            next(reader)
+            for row_no, row in enumerate(reader, start=3):
+                if not row:
+                    continue
+                for key, col in cols.items():
+                    if col >= len(row):
+                        raise Tmy3ParseError(
+                            f"{path}: row {row_no} has no column {col} ({key})",
+                            row=row_no, column=header[col])
+                    try:
+                        value = float(row[col])
+                    except ValueError:
+                        raise Tmy3ParseError(
+                            f"{path}: non-numeric {key} value {row[col]!r} at row {row_no}",
+                            row=row_no, column=header[col]) from None
+                    if not math.isfinite(value):
+                        raise Tmy3ParseError(
+                            f"{path}: non-finite {key} value {row[col]!r} at row {row_no}",
+                            row=row_no, column=header[col])
+                    if value <= tmy3._SENTINEL_FLOOR:
+                        raise Tmy3ParseError(
+                            f"{path}: missing-data sentinel {value} for {key} at row {row_no}",
+                            row=row_no, column=header[col])
+        except csv.Error as exc:
+            raise Tmy3ParseError(f"{path}: row {row_no + 1}: {exc}",
+                                 row=row_no + 1) from None
     raise Tmy3ParseError(f"{path}: no data rows", row=3)
 
 
@@ -390,9 +399,25 @@ class TestParseMatchesCsvReference:
         # reads it because it never converts that cell.
         path = tmp_path / "wide.csv"
         path.write_text(HEADER + data_row(date="x" * (csv.field_size_limit() + 1)) + "\n")
-        with pytest.raises(csv.Error, match="field larger than field limit"):
+        with pytest.raises(Tmy3ParseError, match="field larger than field limit"):
             csv_reference_parse(path)
         assert [s.values.tolist() for s in parse_tmy3(path)] == [[3.5], [15.0], [100.0]]
+
+    @pytest.mark.parametrize("row", [1, 2, 4], ids=["station line", "column names", "wind cell"])
+    def test_a_line_csv_refuses_is_one_error_line_naming_its_row(self, tmp_path, capsys, row):
+        # A cell past csv.field_size_limit() in a line parse_tmy3 reads with csv.
+        wide = "1" * 200_000
+        lines = (HEADER + f"{GOOD}\n{GOOD}\n{GOOD}\n").splitlines()
+        lines[row - 1] = (data_row(wind=wide) if row > 2
+                          else f"{lines[row - 1]},{wide}" if row == 1 else f"{wide},{lines[1]}")
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join(lines) + "\n")
+        message = f"{path}: row {row}: field larger than field limit ({csv.field_size_limit()})"
+        assert parse_outcome(parse_tmy3, path) == (Tmy3ParseError, row, None, message)
+        assert parse_outcome(csv_reference_parse, path) == (Tmy3ParseError, row, None, message)
+        cfg = builtin_config_path("nexting_multiperiod_irradiance")
+        assert run_cli(["nexting-run", "--config", str(cfg), "--data", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"daycast: {message}\n")
 
     def test_a_generated_year_never_reaches_the_scan(self, tmp_path, monkeypatch):
         path = write_tmy3(tmp_path / "year.csv", weather_year(days=30))
