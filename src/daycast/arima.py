@@ -235,15 +235,17 @@ def _nelder_mead(f, x0: list, maxiter: int, maxfev: int, callback):
     This is scipy.optimize.minimize(method="Nelder-Mead") with its default
     coefficients (adaptive=False, no bounds) and xatol 1e-10, fatol 1e-14,
     written to make the same floating-point operations in the same order,
-    so it returns the same bits; scipy spends as long on the bookkeeping of
-    its few small arrays as a CSS objective takes. As in scipy, the
-    evaluation count is checked before every call to f, and a stop in
-    mid-iteration (a shrink included) keeps the partly updated simplex, does
-    not count the iteration, and still sorts and calls callback() once.
+    so it returns the same bits (checked against scipy 1.17); scipy spends
+    as long on the bookkeeping of its few small arrays as a CSS objective
+    takes. As in scipy, the evaluation count is checked before every call
+    to f, and a stop in mid-iteration (a shrink included) keeps the partly
+    updated simplex, does not count the iteration, and still sorts and
+    calls callback() once. Stopping on convergence calls back no more, as
+    in scipy 1.17 (older scipy called back once more from a finally clause).
 
-    Returns (x, f(x), spent), where spent is None on convergence, else
-    the budget that ran out: "objective evaluations" or "iterations"
-    (scipy's status 1 and 2).
+    Returns (x, f(x), spent), where spent is None on convergence, else the
+    budget that ran out with its name: (maxfev, "objective evaluations")
+    or (maxiter, "iterations") (scipy's status 1 and 2).
     """
     n = len(x0)
     # Vertex k + 1 moves coordinate k by 5 %, or to 0.00025 from zero.
@@ -273,8 +275,6 @@ def _nelder_mead(f, x0: list, maxiter: int, maxfev: int, callback):
             fsim[k] = call(sim[k])
     except _BudgetSpent:
         pass
-    # scipy sorts twice here; an unstable sort need not leave sorted ties alone.
-    sim, fsim = by_value()
     sim, fsim = by_value()
 
     iterations = 1
@@ -330,8 +330,8 @@ def _nelder_mead(f, x0: list, maxiter: int, maxfev: int, callback):
         sim, fsim = by_value()
         callback()
 
-    spent = ("objective evaluations" if nfev >= maxfev
-             else "iterations" if iterations >= maxiter else None)
+    spent = ((maxfev, "objective evaluations") if nfev >= maxfev
+             else (maxiter, "iterations") if iterations >= maxiter else None)
     return sim[0], fsim[0], spent
 
 
@@ -411,9 +411,8 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
                                  lambda: trace.append(best[0]))
     model = build(x, fun / m, trace)
     if spent is not None:
-        limit = maxiter if spent == "iterations" else 2 * maxiter
         raise EstimationError(
-            f"CSS simplex did not converge within {limit} {spent} "
+            f"CSS simplex did not converge within {spent[0]} {spent[1]} "
             f"(final objective {fun:.6g})",
             model=model, objective=float(fun),
         )

@@ -319,13 +319,31 @@ class TestFitMatchesConvolveOperators:
 
 
 def scipy_nelder_mead(f, x0, maxiter, maxfev, callback):
-    """Reference for arima._nelder_mead: the scipy call css_estimate made before the port."""
+    """Reference for arima._nelder_mead: the scipy call css_estimate made before the port.
+
+    Each pass of scipy's loop that does not stop on convergence evaluates f
+    before it calls back. Older scipy (before its loop lost a finally
+    clause) also called back once after the converging test, with no
+    evaluation since the last callback; that call is dropped, so the
+    reference means the same under every scipy version.
+    """
     from scipy.optimize import minimize
-    result = minimize(f, np.array(x0), method="Nelder-Mead", callback=lambda xk: callback(),
+    evaluations = [0, 0]  # made so far, made by the last callback passed on
+
+    def counted(x):
+        evaluations[0] += 1
+        return f(x)
+
+    def on_iteration(xk):
+        if evaluations[0] > evaluations[1]:
+            evaluations[1] = evaluations[0]
+            callback()
+
+    result = minimize(counted, np.array(x0), method="Nelder-Mead", callback=on_iteration,
                       options={"xatol": 1e-10, "fatol": 1e-14,
                                "maxiter": maxiter, "maxfev": maxfev})
-    spent = {0: None, 1: "objective evaluations", 2: "iterations"}[result.status]
-    return result.x, result.fun, spent
+    spent = {0: None, 1: (maxfev, "objective evaluations"), 2: (maxiter, "iterations")}
+    return result.x, result.fun, spent[result.status]
 
 
 def fit_outcome(train, order, **kw):
