@@ -116,7 +116,11 @@ def _one_method(cfg: dict, command: str) -> dict:
 
 
 def _cmd_synth(args) -> int:
-    _emit_series(make_sine(args.amplitude, args.period, args.count, args.phase), args)
+    try:
+        sine = make_sine(args.amplitude, args.period, args.count, args.phase)
+    except ValueError as exc:  # a period outside make_sine's range
+        raise _UsageError(f"argument --period: {exc}") from None
+    _emit_series(sine, args)
     return 0
 
 

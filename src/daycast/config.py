@@ -29,8 +29,8 @@ class _Synthetic:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError(f"period must be positive, got {self.period}")
+        if not 1e-150 <= self.period <= 1e150:  # as series.make_sine
+            raise ValueError(f"period must lie in [1e-150, 1e150], got {self.period}")
         at_least(1, count=self.count)
 
 

@@ -10,11 +10,9 @@ Two encoders give the same indices: tile_indices codes a whole stream
 as one array (run_online), and sample_indices codes one sample on plain
 floats (NextingLearner.step and .predict). One list routine,
 NextingLearner._predict, makes every prediction, streamed, frozen or
-rolled out, and the TD(lambda) update runs on the same lists. They give
-numpy's results byte for byte: a weight sum over one signal's active
-features adds pairwise, as numpy reduces one contiguous row (eight
-partial sums, then the tail), and with several signals it adds left to
-right, as numpy reduces each row of a (P, k) block.
+rolled out, and the TD(lambda) update runs on the same lists. Each weight
+sum adds the active features left to right in index order, whatever the
+signal count.
 """
 
 import math
@@ -108,38 +106,6 @@ def _floats(values) -> list:
     return [float(v) for v in values] if hasattr(values, "__len__") else [float(values)]
 
 
-def _sequential_sum(terms: list) -> float:
-    """Left to right: numpy's order for a row of a (P, k) block, P >= 2.
-
-    Not builtin sum, which compensates its float sums from Python 3.12.
-    """
-    total = -0.0
-    for x in terms:
-        total += x
-    return total
-
-
-def _pairwise_sum(terms: list) -> float:
-    """numpy's pairwise order for one contiguous row: eight partial sums,
-    combined as a tree, then the tail; halves above 128 terms."""
-    n = len(terms)
-    if n < 8:
-        return _sequential_sum(terms)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-    r0, r1, r2, r3, r4, r5, r6, r7 = terms[:8]
-    full = n - n % 8
-    for i in range(8, full, 8):
-        a0, a1, a2, a3, a4, a5, a6, a7 = terms[i:i + 8]
-        r0, r1, r2, r3 = r0 + a0, r1 + a1, r2 + a2, r3 + a3
-        r4, r5, r6, r7 = r4 + a4, r5 + a5, r6 + a6, r7 + a7
-    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for x in terms[full:]:
-        total += x
-    return total
-
-
 def check_rates(gamma, alpha: float, trace_lambda: float) -> None:
     """Raise ValueError unless gamma (a number, or one per signal) lies in
     [0, 1), alpha is positive and trace_lambda lies in [0, 1]."""
@@ -178,7 +144,6 @@ class NextingLearner:
         self._e = [[0.0] * coder.n_features for _ in g]
         self._gamma = g
         self._decay = [gp * trace_lambda for gp in self._gamma]
-        self._sum = _pairwise_sum if coder.n_signals == 1 else _sequential_sum
         self._updates = 0
 
     @property
@@ -214,19 +179,28 @@ class NextingLearner:
         self.frozen = True
 
     def _predict(self, active: list) -> list:
-        """Each signal's weight sum over the `active` indices, in numpy's order."""
-        return [self._sum([row[a] for a in active]) for row in self._theta]
+        """Each signal's weight sum over the `active` indices, added left to
+        right from -0.0 (not builtin sum, which compensates its float sums
+        from Python 3.12)."""
+        preds = []
+        for row in self._theta:
+            total = -0.0
+            for a in active:
+                total += row[a]
+            preds.append(total)
+        return preds
 
     def _update(self, active: list, active_next: list, y_next: list) -> list:
         """One TD(lambda) step on active-feature index lists; returns the
         pre-update predictions at `active`.
 
-        Every sum adds in numpy's order and every product and sum is the
-        one numpy's array update makes, so the weights and traces keep
-        the bytes of the array form. With gamma * trace_lambda == 0 the
-        decayed trace is exactly the indicator of `active`, so only those
-        weights change: the others would add a zero, and a weight is never
-        -0.0. An update that is not finite raises before any weight moves.
+        Every weight sum adds left to right, and every product and sum is
+        the one an array update with left-to-right row sums makes, so the
+        weights and traces keep the bytes of that array form. With
+        gamma * trace_lambda == 0 the decayed trace is exactly the
+        indicator of `active`, so only those weights change: the others
+        would add a zero, and a weight is never -0.0. An update that is not
+        finite raises before any weight moves.
         """
         preds = self._predict(active)
         if self.frozen:

@@ -105,7 +105,11 @@ def fit_smoothing_spline(train: Series, smooth_lambda: float) -> SplineFit:
         raise ValueError("knots must be strictly increasing and distinct")
 
     X = _basis_matrix(knots, knots)
-    A = X.T @ X + smooth_lambda * _penalty_matrix(knots)
+    with np.errstate(over="ignore"):
+        A = X.T @ X + smooth_lambda * _penalty_matrix(knots)
+    if not np.isfinite(A).all():
+        raise SingularSystemError(f"penalized spline system overflows (D={len(train)}, "
+                                  f"lambda={smooth_lambda})")
     rhs = X.T @ train.values
     try:
         factor = cho_factor(A)
@@ -140,8 +144,9 @@ class KernelConfig:
 
 def kernel_predict(train: Series, config: KernelConfig, x: float) -> float:
     """Nadaraya-Watson estimate: kernel-weighted average of training targets."""
-    d = (float(x) - train.times) / config.bandwidth
-    weights = np.exp(-0.5 * d * d) / np.sqrt(2.0 * np.pi)
+    with np.errstate(over="ignore"):  # a distance past the float range weighs 0
+        d = (float(x) - train.times) / config.bandwidth
+        weights = np.exp(-0.5 * d * d) / np.sqrt(2.0 * np.pi)
     denom = weights.sum()
     if denom <= 0.0 or not np.isfinite(denom):
         raise NoSupportError(

@@ -781,6 +781,22 @@ class TestCli:
         assert capsys.readouterr() == ("", "daycast: methods[0] (ridge).g1: sinusoid period "
                                            "must lie in [1e-150, 1e150], got 1e-320\n")
 
+    @pytest.mark.parametrize("period", ["1e-320", "1e+200"])
+    def test_synth_period_out_of_the_sine_range_is_one_error_line(self, capsys, period):
+        assert run_cli(["synth", "--period", period, "--count", "3"]) == 1
+        assert capsys.readouterr() == ("", "daycast: argument --period: period must lie in "
+                                           f"[1e-150, 1e150], got {period}\n")
+
+    def test_synthetic_config_period_out_of_the_sine_range_is_one_error_line(self, tmp_path,
+                                                                             capsys):
+        cfg = tmp_path / "synthetic.json"
+        cfg.write_text(json.dumps({"signal": "synthetic", "band": {"inner": 1, "outer": 3},
+                                   "synthetic": {"amplitude": 1, "period": 1e-320, "count": 72},
+                                   "methods": [{"name": "polynomial", "degree": 2}]}))
+        assert run_cli(["compare", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", "daycast: config.synthetic: period must lie in "
+                                           "[1e-150, 1e150], got 1e-320\n")
+
     def test_unknown_flag_exits_1(self, capsys):
         rc = run_cli(["synth", "--period", "4", "--count", "4", "--bogus"])
         assert rc == 1

@@ -16,12 +16,14 @@ def numpy_update(theta, e, gamma, alpha, trace_lambda, active, active_next, y_ne
     """One TD(lambda) step on (n_signals, n_features) arrays, in place.
 
     The array form the learner ran before its update moved to lists, kept
-    as the byte oracle for NextingLearner._update and run_online.
+    as the byte oracle for NextingLearner._update and run_online. Each
+    weight sum is np.add.accumulate's last column: left to right by
+    definition, whatever numpy's own reduction order.
     """
-    preds = theta[:, active].sum(axis=1)
+    preds = np.add.accumulate(theta[:, active], axis=1)[:, -1]
     e *= (gamma * trace_lambda)[:, None]
     e[:, active] += 1.0
-    delta = y_next + gamma * theta[:, active_next].sum(axis=1) - preds
+    delta = y_next + gamma * np.add.accumulate(theta[:, active_next], axis=1)[:, -1] - preds
     theta += alpha / len(active) * delta[:, None] * e
     return preds
 
@@ -38,7 +40,7 @@ def numpy_run(Y, coder, gamma, alpha, trace_lambda, freeze_after):
     for t in range(n_learn):
         preds[:, t] = numpy_update(theta, e, gamma, alpha, trace_lambda,
                                    active[t], active[t + 1], Y[:, t + 1])
-    preds[:, n_learn:] = theta[:, active[n_learn:]].sum(axis=2)
+    preds[:, n_learn:] = np.add.accumulate(theta[:, active[n_learn:]], axis=2)[..., -1]
     return preds, theta, e
 
 
@@ -260,7 +262,8 @@ class TestRunOnlineMatchesStepLoop:
 
 
 # n_active = n_tilings * n_signals + bias: below 8, 8 to 15, 16 and above,
-# and past 128, where numpy halves a one-signal row before summing it.
+# and past 128, the bounds of numpy's pairwise reduction of one row, which
+# the learner's left-to-right sums must not follow.
 CODER_SHAPES = [(1, 4, True), (1, 7, False), (1, 8, False), (1, 8, True), (1, 15, True),
                 (1, 20, True), (1, 130, True), (2, 3, False), (2, 4, True), (2, 8, True),
                 (3, 2, True), (3, 4, True), (3, 8, True)]
@@ -305,9 +308,23 @@ class TestMatchesNumpyReference:
                                     tile_indices(Y[t + 1:t + 2], coder)[0], Y[t + 1])
             assert np.array(learner.step(Y[t], Y[t + 1], Y[t + 1])).tobytes() == expected.tobytes()
             assert np.array(learner.predict(Y[t + 1])).tobytes() == (
-                theta[:, tile_indices(Y[t + 1:t + 2], coder)[0]].sum(axis=1).tobytes())
+                np.add.accumulate(theta[:, tile_indices(Y[t + 1:t + 2], coder)[0]],
+                                  axis=1)[:, -1].tobytes())
         assert learner.theta.tobytes() == theta.tobytes()
         assert learner.e.tobytes() == e.tobytes()
+
+
+class TestSumsLeftToRight:
+    def test_one_signal_predict_is_not_pairwise(self):
+        # Pairwise (eight partial sums) gives 1e16 + (1 + 1) = 1.0000000000000002e16;
+        # left to right each 1 rounds away against 1e16.
+        coder = TileCoder(n_tilings=8, n_signals=1, include_bias=True)
+        learner = NextingLearner(coder, gamma=0.0, alpha=0.1, trace_lambda=0.9)
+        active = sample_indices([0.3], coder)
+        assert len(active) == 9
+        for a, w in zip(active, [1e16, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]):
+            learner._theta[0][a] = w
+        assert learner.predict([0.3]) == [1e16]
 
 
 class TestSampleIndices:

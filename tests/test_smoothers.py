@@ -5,8 +5,8 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from daycast.config import band_from_config, builtin_config_path, load_config, load_dataset
-from daycast.errors import NoSupportError, ZeroVarianceError
-from daycast.evalharness import compare
+from daycast.errors import NoSupportError, SingularSystemError, ZeroVarianceError
+from daycast.evalharness import Band, compare
 from daycast.linmodels import fit_polynomial
 from daycast.series import Series, make_sine
 from daycast.smoothers import (KernelConfig, _basis_matrix, _penalty_matrix, default_bandwidth,
@@ -193,6 +193,14 @@ class TestSmoothingSpline:
         with pytest.raises(ValueError):
             fit_smoothing_spline(Series(GENERIC_Y), -1.0)
 
+    def test_lambda_whose_penalty_overflows_is_a_singular_system(self, wind, capfd):
+        with pytest.raises(SingularSystemError) as err:
+            fit_smoothing_spline(Series(GENERIC_Y), 1e308)
+        assert str(err.value) == "penalized spline system overflows (D=6, lambda=1e+308)"
+        row, = compare(wind, [{"name": "spline", "smooth_lambda": 1e308}], Band(1.0, 3.0))
+        assert row.error == "penalized spline system overflows (D=24, lambda=1e+308)"
+        assert capfd.readouterr() == ("", "")
+
 
 class TestKernelRegression:
     def test_constant_targets_predict_the_constant(self):
@@ -239,6 +247,13 @@ class TestKernelRegression:
     def test_bad_bandwidth(self):
         with pytest.raises(ValueError):
             KernelConfig(bandwidth=0.0)
+
+    @pytest.mark.parametrize("bandwidth", [1e-320, 1e-300])
+    def test_distances_past_the_float_range_fail_the_row_quietly(self, wind, capfd, bandwidth):
+        row, = compare(wind, [{"name": "kernel", "bandwidth": bandwidth}], Band(1.0, 3.0))
+        assert row.error == (f"no kernel support at x=25.0 (all weights underflowed; "
+                             f"bandwidth={bandwidth})")
+        assert capfd.readouterr() == ("", "")
 
 
 class TestDefaultBandwidth:
