@@ -18,6 +18,7 @@ parameters by minimizing the conditional sum of squared shocks, and to
 forecast by taking conditional expectations with future shocks zeroed.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -225,6 +226,109 @@ def _split_params(params: np.ndarray, order: ArimaOrder):
             params[p + q:p + q + P], params[p + q + P:p + q + P + Q])
 
 
+# Above this many differenced samples lfilter's C loop beats the unrolled
+# plain-float recursion of _shock_function, whose source also grows with m.
+_UNROLL_MAX_SAMPLES = 64
+
+
+def _lag_coefficients(name: str, c: list, C: list, s: int) -> tuple[list, dict]:
+    """Source lines naming the lag coefficients of _product(c, C, s), and {lag: name}.
+
+    c and C are the names of the parameters. With no seasonal term, or
+    fewer non-seasonal terms than s, every lag has one term, written as
+    0.0 - c or 0.0 + c * C as _product writes it (np.convolve, which
+    _product calls when C is empty and c is not shorter than s, gives the
+    same but for the sign of a zero). Otherwise the coefficients come from
+    _product itself. Lags with no term are left out.
+    """
+    if len(c) >= s and C:
+        names = [f"{name}{k}" for k in range(len(c) + s * len(C) + 1)]
+        line = f"{', '.join(names)}, = _product([{', '.join(c)}], [{', '.join(C)}], {s}).tolist()"
+        return [line], {k: names[k] for k in range(1, len(names))}
+    terms = {i: f"0.0 - {ci}" for i, ci in enumerate(c, 1)}
+    for k, Ck in enumerate(C, 1):
+        terms[k * s] = f"0.0 - {Ck}"
+        terms.update({k * s + i: f"0.0 + {ci} * {Ck}" for i, ci in enumerate(c, 1)})
+    return [f"{name}{k} = {v}" for k, v in terms.items()], {k: f"{name}{k}" for k in terms}
+
+
+@functools.lru_cache(maxsize=32)
+def _shock_function(order: ArimaOrder, m: int):
+    """Compile shocks(params, x): the m CSS shocks as lfilter(ar, ma, zc) computes them.
+
+    With an MA side, lfilter runs a transposed direct form: each shock adds
+    the lags from the longest to the shortest, the AR term (x[t-k] * b[k],
+    b = ar) before the MA term (y[t-k] * a[k], a = ma) at one lag, then
+    x[t]. The compiled function makes those operations in that order on
+    plain floats (x is zc.tolist()), unrolled over the m samples. It leaves
+    out the lags no sample reaches (k >= m) and the coefficients that are
+    structurally zero: such a term can only change the sign of a zero
+    shock, which squaring removes, or turn into NaN a shock that is not
+    finite anyway. Without an MA side lfilter calls np.convolve(ar, zc),
+    whose sums are BLAS's (fused on some CPUs), so the function makes that
+    call, on the array zc.
+    """
+    p, q, P = order.p, order.q, order.P
+    params = ([f"phi{i}" for i in range(1, p + 1)] + [f"theta{i}" for i in range(1, q + 1)]
+              + [f"Phi{i}" for i in range(1, P + 1)] + [f"Theta{i}" for i in range(1, order.Q + 1)])
+    s = max(order.s, 1)
+    ar_lines, ar = _lag_coefficients("b", params[:p], params[p + q:p + q + P], s)
+    ma_lines, ma = _lag_coefficients("a", params[p:p + q], params[p + q + P:], s)
+    body = [f"{', '.join(params)}, = map(float, params)"] if params else []
+    body += ar_lines
+    if not ma:
+        coeffs = ["1.0"] + [ar.get(k, "0.0") for k in range(1, p + s * P + 1)]
+        body.append(f"return _convolve(_array([{', '.join(coeffs)}]), x)[:{m}]")
+    else:
+        body += ma_lines
+        body.append(f"{', '.join(f'x{t}' for t in range(m))}, = x")
+        lags = sorted((k for k in ar.keys() | ma.keys() if k < m), reverse=True)
+        for t in range(m):
+            expr = ""
+            for k in (k for k in lags if k <= t):
+                if k in ar:
+                    expr += f" + x{t - k} * {ar[k]}"
+                if k in ma:
+                    expr += f" - y{t - k} * {ma[k]}"
+            expr += f" + x{t}"  # Python adds left to right, as lfilter does
+            # Drop the leading " + ", or write a leading " - " as a unary minus.
+            body.append(f"y{t} = {expr[3:] if expr[1] == '+' else '-' + expr[3:]}")
+        body.append(f"return _array([{', '.join(f'y{t}' for t in range(m))}])")
+    namespace = {"_product": _product, "_convolve": np.convolve, "_array": np.array}
+    exec("def shocks(params, x):\n" + "".join(f"    {line}\n" for line in body), namespace)
+    return namespace["shocks"]
+
+
+def _css_objective(order: ArimaOrder, zc: np.ndarray):
+    """The objective of css_estimate: params -> the sum of squared CSS shocks of zc.
+
+    The shocks are those of lfilter(ar, ma, zc), bit for bit where they are
+    not zero: lfilter's zero initial state is exactly the zero pre-sample
+    convention. The sum is one BLAS dot, as a @ a was; np.vdot gives the
+    same bits but, not being a ufunc, does not warn when it overflows to
+    inf. A shock that is not finite scores 1e300.
+    """
+    m = len(zc)
+    if m <= _UNROLL_MAX_SAMPLES:
+        shock_function = _shock_function(order, m)
+        x = zc.tolist() if order.q + order.Q else zc
+
+        def shocks(params):
+            return shock_function(params, x)
+    else:
+        from scipy.signal import lfilter
+
+        def shocks(params):
+            return lfilter(*_operators(order, *_split_params(np.asarray(params, dtype=float),
+                                                             order)), zc)
+
+    def objective(params):
+        a = shocks(params)
+        v = float(np.vdot(a, a))
+        return v if math.isfinite(v) or np.isfinite(a).all() else 1e300
+    return objective
+
+
 class _BudgetSpent(Exception):
     """The simplex asked for one objective evaluation more than its budget allows."""
 
@@ -242,6 +346,8 @@ def _nelder_mead(f, x0: list, maxiter: int, maxfev: int, callback):
     updated simplex, does not count the iteration, and still sorts and
     calls callback() once. Stopping on convergence calls back no more, as
     in scipy 1.17 (older scipy called back once more from a finally clause).
+    The vertices are ordered by sorted() when their values are distinct,
+    and by np.argsort, as in scipy, when they tie or one is NaN.
 
     Returns (x, f(x), spent), where spent is None on convergence, else the
     budget that ran out with its name: (maxfev, "objective evaluations")
@@ -265,9 +371,13 @@ def _nelder_mead(f, x0: list, maxiter: int, maxfev: int, callback):
         return f(x)
 
     def by_value():
-        # np.argsort is not stable and may order tied vertices unlike
-        # sorted(); ties occur (a wind fit has one at its first sort).
-        ind = np.argsort(fsim).tolist()
+        # Distinct values have one order, which sorted() finds faster than
+        # np.argsort. np.argsort is not stable and may order tied vertices
+        # unlike sorted(), so ties and NaN (a wind fit ties at its first
+        # sort) go to np.argsort.
+        ind = sorted(range(n + 1), key=fsim.__getitem__)
+        if not all(fsim[i] < fsim[j] for i, j in zip(ind, ind[1:])):
+            ind = np.argsort(fsim).tolist()
         return [sim[i] for i in ind], [fsim[i] for i in ind]
 
     try:
@@ -344,14 +454,15 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
     zero pre-sample values, and sum(a^2) is minimized by the Nelder-Mead
     simplex of _nelder_mead (scipy's, ported to plain floats with the same
     arithmetic; xatol 1e-10, fatol 1e-14) from a Yule-Walker start for the
-    AR side and zeros elsewhere. The budget defaults to 500 iterations per
-    free parameter, with twice as many objective evaluations.
+    AR side and zeros elsewhere. The objective, _css_objective, gives the
+    bits of the lfilter shocks and a @ a it replaces, computing the shocks
+    of up to _UNROLL_MAX_SAMPLES differenced samples on plain floats. The
+    budget defaults to 500 iterations per free parameter, with twice as
+    many objective evaluations.
 
     Raises EstimationError (carrying the best model and objective so
     far) if the simplex exhausts its budget without converging.
     """
-    from scipy.signal import lfilter
-
     if max_iterations is not None and max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     order.check_length(len(series))
@@ -359,6 +470,7 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
     m = len(z)
     mu_z = float(z.mean())
     zc = z - (mu_z if order.d + order.D == 0 else 0.0)  # lfilter is slower on read-only z
+    objective = _css_objective(order, zc)
 
     def build(params, sigma2, trace):
         phi, theta, sphi, stheta = _split_params(np.asarray(params, dtype=float), order)
@@ -371,22 +483,8 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
         return ArimaModel(order, phi, theta, sphi, stheta, sigma2=sigma2, mu=mu_z,
                           warnings=tuple(warns), fit_trace=tuple(trace))
 
-    def objective(params):
-        ar, ma = _operators(order, *_split_params(params, order))
-        # a[t] = zc[t] - sum phi~ zc[t-i] + sum theta~ a[t-j]; lfilter's zero
-        # initial state is exactly the zero pre-sample convention.
-        a = lfilter(ar, ma, zc)
-        # Once a shock leaves the finite range every later one does (each
-        # reads the filter state it wrote), so the last shock is checked
-        # first; squaring the large finite shocks before it would warn.
-        if math.isfinite(a[-1]):
-            v = float(a @ a)
-            if math.isfinite(v) or np.all(np.isfinite(a)):
-                return v
-        return 1e300
-
     if order.n_params == 0:
-        obj = objective(np.zeros(0))
+        obj = objective([])
         return build(np.zeros(0), obj / m, [obj])
 
     if init is not None:

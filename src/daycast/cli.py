@@ -30,12 +30,12 @@ USAGE_ERROR, DATA_ERROR = 1, 2
 
 
 class _UsageError(Exception):
-    pass
+    """A refused command line; args are the message and, when known, the refusing parser."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise _UsageError(message, self)
 
 
 def _flag(kind, wants: str, ok):
@@ -55,7 +55,8 @@ _POSITIVE = _flag(float, "a finite number > 0", lambda v: math.isfinite(v) and v
 _COUNT = _flag(int, "an integer >= 1", lambda v: v >= 1)
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict]:
+    """The daycast parser and its subcommand parsers by name."""
     parser = _Parser(prog="daycast", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"daycast {__version__}")
@@ -84,7 +85,7 @@ def _build_parser() -> _Parser:
     acf_p.add_argument("--data", help="two-column t,value CSV")
     acf_p.add_argument("--max-lag", type=_COUNT, default=24)
     acf_p.add_argument("--out")
-    return parser
+    return parser, sub.choices
 
 
 def _io_flags(p):
@@ -92,7 +93,7 @@ def _io_flags(p):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-_PARSER = _build_parser()
+_PARSER, _SUBPARSERS = _build_parser()
 
 
 def _emit_series(series: Series, args) -> None:
@@ -188,19 +189,25 @@ _COMMANDS = {
 }
 
 
+def _refuse(message: str, parser: _Parser) -> int:
+    print(f"daycast: {message}", file=sys.stderr)
+    parser.print_usage(sys.stderr)
+    return USAGE_ERROR
+
+
 def run_cli(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-    except _UsageError as exc:
-        print(f"daycast: {exc}", file=sys.stderr)
-        _PARSER.print_usage(sys.stderr)
-        return USAGE_ERROR
+    except _UsageError as exc:  # raised by the parser, or subcommand parser, that refused
+        return _refuse(*exc.args)
     except SystemExit as exc:  # --help / --version
         return 0 if exc.code in (0, None) else USAGE_ERROR
 
     try:
         return _COMMANDS[args.command](args)
-    except (_UsageError, ConfigError) as exc:
+    except _UsageError as exc:  # a flag value refused after parsing
+        return _refuse(exc.args[0], _SUBPARSERS[args.command])
+    except ConfigError as exc:
         print(f"daycast: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (DaycastError, ValueError, OSError) as exc:

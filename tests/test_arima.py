@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 import sympy
@@ -265,6 +268,18 @@ class TestCssEstimate:
         assert err.value.model.phi.shape == (2,)
         assert err.value.objective is not None and err.value.objective >= 0.0
 
+    def test_an_overflowing_sum_of_squares_is_inf_without_a_warning(self):
+        # Every shock is finite and their squares overflow: the objective is
+        # inf, as before, and numpy's overflow flag is not raised as a warning.
+        train = TestSimplexMatchesScipy.series("temperature", 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError) as err:
+                css_estimate(train, ArimaOrder(2, 2, 0, 0, 1, 0, 24), init=[1e200, 1e200],
+                             max_iterations=5)
+        assert err.value.objective == math.inf
+        assert err.value.model.fit_trace == (1e300, 1e300, 1e300)
+
     @pytest.mark.parametrize("max_iterations", [0, -3])
     def test_non_positive_budget_rejected(self, max_iterations):
         with pytest.raises(ValueError, match=f"max_iterations must be >= 1, got {max_iterations}"):
@@ -273,7 +288,12 @@ class TestCssEstimate:
 
 
 class TestFitMatchesConvolveOperators:
-    """css_estimate then forecast give the same bytes with the np.convolve operators."""
+    """css_estimate then forecast give the same bytes with the np.convolve operators.
+
+    _operators reaches the model that css_estimate builds (its root checks)
+    and forecast; the CSS objective computes its coefficients itself, and
+    TestObjectiveMatchesLfilter checks it.
+    """
 
     ORDER = ArimaOrder(0, 0, 3, 1, 1, 0, 24)  # table2_wind
 
@@ -421,6 +441,109 @@ class TestSimplexMatchesScipy:
             runs.append((np.asarray(x, dtype=float).tobytes(), float(fun), spent, len(calls),
                          points))
         assert runs[0] == runs[1]
+
+
+def lfilter_objective(order, zc):
+    """Reference for arima._css_objective: the lfilter call and a @ a of css_estimate before.
+
+    The overflow of a @ a is silenced here, as np.vdot is silent.
+    """
+    def objective(params):
+        split = _split_params(np.asarray(params, dtype=float), order)
+        a = lfilter(*convolve_operators(order, *split), zc)
+        if math.isfinite(a[-1]):
+            with np.errstate(over="ignore"):
+                v = float(a @ a)
+            if math.isfinite(v) or np.all(np.isfinite(a)):
+                return v
+        return 1e300
+    return objective
+
+
+class TestObjectiveMatchesLfilter:
+    """css_estimate gives the same bytes with the lfilter objective as with _css_objective."""
+
+    ORDERS = {**TestSimplexMatchesScipy.ORDERS,
+              "p>=s": ArimaOrder(3, 0, 1, 1, 0, 0, 2),  # the AR product goes through np.convolve
+              "q>=s": ArimaOrder(1, 0, 3, 0, 0, 1, 2)}  # the MA product goes through np.convolve
+
+    @staticmethod
+    def series(label, seed, n=48, variant=None):
+        rng = np.random.default_rng(seed)
+        profile = 6.0 + 3.0 * np.sin(2 * np.pi * (np.arange(24) + rng.uniform(0, 24)) / 24)
+        trend = 0.08 * np.arange(n) if label == "temperature" else 0.0
+        values = np.tile(profile, n // 24) + trend + rng.normal(0, rng.uniform(0.05, 2.0), n)
+        if variant == "zero runs":  # lag-24 differences of zero, and runs of zero shocks
+            values[4:30] = 0.0
+        elif variant == "signed zeros":
+            values[::3] = -0.0
+            values[1::3] = 0.0
+        elif variant == "constant":
+            values[:] = 0.0
+        return Series(values, t0=1, period_hint=24)
+
+    @staticmethod
+    def assert_same_as_lfilter(monkeypatch, train, order, **kw):
+        m = len(train) - order.d - order.s * order.D
+        assert m <= arima._UNROLL_MAX_SAMPLES  # the compiled shocks, not lfilter, are tested
+        fast = fit_outcome(train, order, **kw)
+        monkeypatch.setattr(arima, "_css_objective", lfilter_objective)
+        assert fit_outcome(train, order, **kw) == fast
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 3, 7, 15, None])
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("label", sorted(TestSimplexMatchesScipy.ORDERS))
+    def test_same_bytes(self, label, seed, max_iterations, monkeypatch):
+        self.assert_same_as_lfilter(monkeypatch, self.series(label, seed), self.ORDERS[label],
+                                    max_iterations=max_iterations)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("label", ["irradiance", "temperature", "wind"])
+    def test_72_sample_windows_reach_the_seasonal_lags(self, label, seed, monkeypatch):
+        # 48 differenced samples: irradiance then has AR and MA terms at lag 24.
+        self.assert_same_as_lfilter(monkeypatch, self.series(label, seed, n=72),
+                                    self.ORDERS[label])
+
+    @pytest.mark.parametrize("max_iterations", [7, None])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("label", ["p>=s", "q>=s"])
+    def test_products_through_np_convolve(self, label, seed, max_iterations, monkeypatch):
+        self.assert_same_as_lfilter(monkeypatch, self.series(label, seed), self.ORDERS[label],
+                                    max_iterations=max_iterations)
+
+    @pytest.mark.parametrize("variant", ["zero runs", "signed zeros", "constant"])
+    @pytest.mark.parametrize("label", sorted(ORDERS))
+    def test_zero_samples(self, label, variant, monkeypatch):
+        self.assert_same_as_lfilter(monkeypatch, self.series(label, 0, variant=variant),
+                                    self.ORDERS[label])
+
+    # From a 1e200 start the p>=s and q>=s fits end with an infinite product
+    # coefficient, and the root check of the model css_estimate builds then
+    # fails inside np.roots (with either objective), so they start at 1e20.
+    @pytest.mark.parametrize("label, start", [
+        *((label, start) for label in sorted(ORDERS) for start in (1e20, 0.0)),
+        *((label, 1e200) for label in sorted(TestSimplexMatchesScipy.ORDERS))])
+    def test_starts(self, label, start, monkeypatch):
+        order = self.ORDERS[label]
+        self.assert_same_as_lfilter(monkeypatch, self.series(label, 1), order,
+                                    init=[start] * order.n_params, max_iterations=40)
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_objective_values_on_random_parameters(self, seed):
+        # Random (p, 0, q)(P, 0, Q)s orders on both sides of s, 1 to 80
+        # samples (lfilter itself runs above _UNROLL_MAX_SAMPLES), samples
+        # with exact zeros, and parameters from 1e-8 to 1e200 with zeros.
+        order, params = random_operator_case(seed)
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 81))
+        zc = rng.standard_normal(m) * rng.choice([1e-3, 1.0, 1e3, 1e150])
+        zc[rng.random(m) < 0.2] = rng.choice([0.0, -0.0])
+        fast, reference = arima._css_objective(order, zc), lfilter_objective(order, zc)
+        for scale in (1.0, 3.0, 1e20, 1e200):
+            for x in (params * scale, rng.standard_normal(order.n_params) * scale):
+                want = np.float64(reference(x)).tobytes()
+                assert np.float64(fast(x)).tobytes() == want
+                assert np.float64(fast(x.tolist())).tobytes() == want
 
 
 class TestForecast:

@@ -781,11 +781,39 @@ class TestCli:
         assert capsys.readouterr() == ("", "daycast: methods[0] (ridge).g1: sinusoid period "
                                            "must lie in [1e-150, 1e150], got 1e-320\n")
 
-    @pytest.mark.parametrize("period", ["1e-320", "1e+200"])
-    def test_synth_period_out_of_the_sine_range_is_one_error_line(self, capsys, period):
-        assert run_cli(["synth", "--period", period, "--count", "3"]) == 1
-        assert capsys.readouterr() == ("", "daycast: argument --period: period must lie in "
-                                           f"[1e-150, 1e150], got {period}\n")
+    SYNTH_USAGE = ("usage: daycast synth [-h] [--amplitude AMPLITUDE] --period PERIOD "
+                   "--count COUNT [--phase PHASE] [--out OUT] [--format {csv,json}]\n")
+
+    @pytest.mark.parametrize("argv, message, usage", [
+        (["synth", "--period", "0", "--count", "3"],
+         "argument --period: must be a finite number > 0, got '0'", SYNTH_USAGE),
+        (["synth", "--period", "1e-320", "--count", "3"],
+         "argument --period: period must lie in [1e-150, 1e150], got 1e-320", SYNTH_USAGE),
+        (["synth", "--period", "1e+200", "--count", "3"],
+         "argument --period: period must lie in [1e-150, 1e150], got 1e+200", SYNTH_USAGE),
+        (["compare"], "the following arguments are required: --config",
+         "usage: daycast compare [-h] --config CONFIG [--data DATA] [--out OUT] "
+         "[--format {csv,json}]\n"),
+        (["acf"], "acf needs exactly one of --fixture or --data",
+         "usage: daycast acf [-h] [--fixture FIXTURE] [--data DATA] [--max-lag MAX_LAG] "
+         "[--out OUT]\n"),
+    ], ids=["synth-period-0", "synth-period-1e-320", "synth-period-1e+200", "compare-no-config",
+            "acf-no-source"])
+    def test_refused_flag_prints_its_subcommand_usage(
+            self, capsys, monkeypatch, argv, message, usage):
+        # The period 0 fails its argparse type, 1e-320 and 1e+200 fail make_sine's
+        # range after parsing, and the acf sources are checked after parsing too.
+        monkeypatch.setenv("COLUMNS", "200")  # one usage line, unwrapped
+        assert run_cli(argv) == 1
+        assert capsys.readouterr() == ("", f"daycast: {message}\n{usage}")
+
+    def test_a_refused_top_level_command_prints_the_top_level_usage(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        assert run_cli(["bogus"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("daycast: argument command: invalid choice: 'bogus'")
+        assert err.endswith("\nusage: daycast [-h] [--version] "
+                            "{synth,fit,forecast,compare,nexting-run,acf} ...\n")
 
     def test_synthetic_config_period_out_of_the_sine_range_is_one_error_line(self, tmp_path,
                                                                              capsys):
@@ -979,6 +1007,19 @@ print(codes, [m for m in ("scipy.signal", "scipy.optimize", "scipy.stats", "scip
         proc = fresh_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[0, 0, 0] []"
+
+    def test_an_arima_fit_loads_no_scipy_signal(self):
+        # The CSS objective runs on plain floats; only forecast calls lfilter.
+        code = """
+import sys
+from daycast.arima import ArimaOrder, css_estimate
+from daycast.fixtures import wind48
+model = css_estimate(wind48(), ArimaOrder(0, 0, 3, 1, 1, 0, 24))
+print(len(model.fit_trace) > 1, "scipy.signal" in sys.modules)
+"""
+        proc = fresh_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True False"
 
     def test_the_shared_parser_answers_each_call_as_a_fresh_process(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
