@@ -302,11 +302,12 @@ def _shock_function(order: ArimaOrder, m: int):
 def _css_objective(order: ArimaOrder, zc: np.ndarray):
     """The objective of css_estimate: params -> the sum of squared CSS shocks of zc.
 
-    The shocks are those of lfilter(ar, ma, zc), bit for bit where they are
-    not zero: lfilter's zero initial state is exactly the zero pre-sample
-    convention. The sum is one BLAS dot, as a @ a was; np.vdot gives the
-    same bits but, not being a ufunc, does not warn when it overflows to
-    inf. A shock that is not finite scores 1e300.
+    The shocks are those of lfilter(ar, ma, zc), bit for bit but for the
+    sign of a zero shock at a -0.0 sample, which squaring removes (and the
+    NaN or inf of a shock that is not finite): lfilter's zero initial state
+    is exactly the zero pre-sample convention. The sum is one BLAS dot, as
+    a @ a was; np.vdot gives the same bits but, not being a ufunc, does not
+    warn when it overflows to inf. A shock that is not finite scores 1e300.
     """
     m = len(zc)
     if m <= _UNROLL_MAX_SAMPLES:
@@ -476,10 +477,11 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
         phi, theta, sphi, stheta = _split_params(np.asarray(params, dtype=float), order)
         ar, ma = _operators(order, phi, theta, sphi, stheta)
         warns = []
-        if _min_root_magnitude(ar) <= 1.0 + _UNIT_ROOT_TOL:
-            warns.append("AR polynomial has a root on or inside the unit circle (non-stationary)")
-        if _min_root_magnitude(ma) <= 1.0 + _UNIT_ROOT_TOL:
-            warns.append("MA polynomial has a root on or inside the unit circle (non-invertible)")
+        for side, poly, flaw in (("AR", ar, "non-stationary"), ("MA", ma, "non-invertible")):
+            if not np.isfinite(poly).all():  # np.roots would raise on it
+                warns.append(f"{side} polynomial is not finite")
+            elif _min_root_magnitude(poly) <= 1.0 + _UNIT_ROOT_TOL:
+                warns.append(f"{side} polynomial has a root on or inside the unit circle ({flaw})")
         return ArimaModel(order, phi, theta, sphi, stheta, sigma2=sigma2, mu=mu_z,
                           warnings=tuple(warns), fit_trace=tuple(trace))
 
@@ -532,7 +534,8 @@ def forecast(model: ArimaModel, history: Series, lead: int) -> Series:
 
     Known samples and reconstructed in-sample shocks feed the recursion;
     future shocks are zero and intermediate future values are the
-    previously computed conditional expectations.
+    previously computed conditional expectations. The shocks are lfilter's:
+    a forecast can carry the zero sign that those of _css_objective miss.
     """
     from scipy.signal import lfilter
 

@@ -24,11 +24,12 @@ from .series import Series
 
 
 def rmse(pred: Series, target: Series) -> float:
-    """Root mean square error between two equal-length series."""
+    """Root mean square error between two equal-length series; inf if the squares overflow."""
     if len(pred) != len(target):
         raise ValueError(f"length mismatch: {len(pred)} vs {len(target)}")
-    d = pred.values - target.values
-    return float(np.sqrt(np.mean(d * d)))
+    with np.errstate(over="ignore"):
+        d = pred.values - target.values
+        return float(np.sqrt(np.mean(d * d)))
 
 
 def consecutive_within(pred: Series, target: Series, half_width: float) -> int:
@@ -383,6 +384,9 @@ def compare(dataset: Series, methods: list, band: Band, *,
             if row.fitted is not None:
                 target = row.train.values[row.fitted.t0 - row.train.t0:]
                 train_rmse = rmse(row.fitted, row.fitted.with_values(target))
+                if not math.isfinite(train_rmse):  # JSON has no Infinity
+                    raise ValueError(f"train_rmse overflows: the squared training errors of "
+                                     f"{len(target)} samples exceed the float range")
             reports.append(replace(
                 row, train_rmse=train_rmse,
                 inner_run=consecutive_within(row.forecast, row.holdout, band.inner),

@@ -239,15 +239,14 @@ class NextingRun:
 
 def run_online(signals: list, coder: TileCoder, *, gamma, alpha: float,
                trace_lambda: float, freeze_after: int | None = None,
-               norm_bounds: list | None = None, norm_window: int | None = None) -> NextingRun:
+               norm_window: int | None = None) -> NextingRun:
     """Stream all signals through one learner, emitting a prediction per step.
 
     Signals are normalized to [0, 1] with bounds taken from the first
     norm_window samples (default: one period if the signal carries a
-    period hint, else the whole series), clamping afterwards; pass
-    norm_bounds to pin them explicitly. With freeze_after = k the
-    weights stop changing once the first k samples have been consumed.
-    The whole run is a pure function of its inputs.
+    period hint, else the whole series), clamping afterwards. With
+    freeze_after = k the weights stop changing once the first k samples
+    have been consumed. The whole run is a pure function of its inputs.
     """
     if len(signals) != coder.n_signals:
         raise ValueError(f"coder expects {coder.n_signals} signals, got {len(signals)}")
@@ -258,17 +257,10 @@ def run_online(signals: list, coder: TileCoder, *, gamma, alpha: float,
         raise ValueError(f"freeze_after must be >= 1, got {freeze_after}")
 
     bounds = []
-    normed = []
-    for i, sig in enumerate(signals):
-        if norm_bounds is not None:
-            lo, hi = norm_bounds[i]
-        else:
-            window = norm_window or sig.period_hint or n
-            head = sig.values[:min(window, n)]
-            lo, hi = float(head.min()), float(head.max())
-        bounds.append((lo, hi))
-        normed.append(normalize_unit(sig, lo, hi).values)
-    Y = np.array(normed)
+    for sig in signals:
+        head = sig.values[:min(norm_window or sig.period_hint or n, n)]
+        bounds.append((float(head.min()), float(head.max())))
+    Y = np.array([normalize_unit(sig, *b).values for sig, b in zip(signals, bounds)])
 
     learner = NextingLearner(coder, gamma, alpha, trace_lambda)
     # Steps 0..n_learn-1 update the weights; the rest only predict.

@@ -127,9 +127,8 @@ def test_criterion_6_nexting_convergence_trend():
         last = float(np.sqrt(np.mean((pred[900:999] - normalized[901:1000]) ** 2)))
         assert last < first, f"first {first:.4f} vs last {last:.4f}"
 
-        constant = Series([0.5] * 2000)
-        run2 = run_online([constant], TileCoder(), gamma=0.0, alpha=0.1,
-                          trace_lambda=0.9, norm_bounds=[(0.0, 1.0)])
+        constant = Series([0.0, 1.0] + [0.5] * 1998)  # the bounds are 0 and 1
+        run2 = run_online([constant], TileCoder(), gamma=0.0, alpha=0.1, trace_lambda=0.9)
         assert run2.predictions[0].values[-1] == pytest.approx(0.5, abs=1e-2)
 
 

@@ -280,6 +280,17 @@ class TestCssEstimate:
         assert err.value.objective == math.inf
         assert err.value.model.fit_trace == (1e300, 1e300, 1e300)
 
+    @pytest.mark.parametrize("order, want", [
+        (ArimaOrder(3, 0, 1, 1, 0, 0, 2), ("AR polynomial is not finite", "MA polynomial has a "
+                                           "root on or inside the unit circle (non-invertible)")),
+        (ArimaOrder(1, 0, 3, 0, 0, 1, 2), ("AR polynomial has a root on or inside the unit "
+                                           "circle (non-stationary)", "MA polynomial is not finite"))])
+    def test_an_infinite_operator_product_is_a_model_warning(self, temp, order, want):
+        # 1e200 * 1e200 overflows a coefficient of the np.convolve product.
+        with pytest.raises(EstimationError) as err:
+            css_estimate(temp, order, init=[1e200] * 5, max_iterations=3)
+        assert err.value.model.warnings == want
+
     @pytest.mark.parametrize("max_iterations", [0, -3])
     def test_non_positive_budget_rejected(self, max_iterations):
         with pytest.raises(ValueError, match=f"max_iterations must be >= 1, got {max_iterations}"):
@@ -367,14 +378,23 @@ def scipy_nelder_mead(f, x0, maxiter, maxfev, callback):
 
 
 def fit_outcome(train, order, **kw):
-    """The bytes of a fit: coefficients, sigma2, fit_trace, warnings, and message and objective."""
+    """The bytes of a fit and its forecast.
+
+    They are the coefficients, sigma2, fit_trace, warnings, message and
+    objective, and the 24-step forecast from train (or the error that
+    forecast raises).
+    """
     try:
         model, message, objective = css_estimate(train, order, **kw), None, None
     except EstimationError as err:
         model, message, objective = err.model, str(err), np.float64(err.objective).tobytes()
     arrays = (model.phi, model.theta, model.sphi, model.stheta, np.float64(model.sigma2),
               np.array(model.fit_trace))
-    return [a.tobytes() for a in arrays], model.warnings, message, objective
+    try:
+        ahead = forecast(model, train, 24).values.tobytes()
+    except ValueError as err:
+        ahead = str(err)
+    return [a.tobytes() for a in arrays], model.warnings, message, objective, ahead
 
 
 class TestSimplexMatchesScipy:
@@ -416,8 +436,8 @@ class TestSimplexMatchesScipy:
     @pytest.mark.parametrize("max_iterations, budget", [(1, "2 objective evaluations"),
                                                         (15, "15 iterations")])
     def test_message_names_the_budget_that_ran_out(self, max_iterations, budget):
-        _, _, message, _ = fit_outcome(self.series("wind", 0), self.ORDERS["wind"],
-                                       max_iterations=max_iterations)
+        _, _, message, _, _ = fit_outcome(self.series("wind", 0), self.ORDERS["wind"],
+                                          max_iterations=max_iterations)
         assert message.startswith(f"CSS simplex did not converge within {budget} (")
 
     @pytest.mark.parametrize("n", range(1, 6))
@@ -517,12 +537,8 @@ class TestObjectiveMatchesLfilter:
         self.assert_same_as_lfilter(monkeypatch, self.series(label, 0, variant=variant),
                                     self.ORDERS[label])
 
-    # From a 1e200 start the p>=s and q>=s fits end with an infinite product
-    # coefficient, and the root check of the model css_estimate builds then
-    # fails inside np.roots (with either objective), so they start at 1e20.
-    @pytest.mark.parametrize("label, start", [
-        *((label, start) for label in sorted(ORDERS) for start in (1e20, 0.0)),
-        *((label, 1e200) for label in sorted(TestSimplexMatchesScipy.ORDERS))])
+    @pytest.mark.parametrize("start", [1e200, 1e20, 0.0])
+    @pytest.mark.parametrize("label", sorted(ORDERS))
     def test_starts(self, label, start, monkeypatch):
         order = self.ORDERS[label]
         self.assert_same_as_lfilter(monkeypatch, self.series(label, 1), order,
@@ -544,6 +560,56 @@ class TestObjectiveMatchesLfilter:
                 want = np.float64(reference(x)).tobytes()
                 assert np.float64(fast(x)).tobytes() == want
                 assert np.float64(fast(x.tolist())).tobytes() == want
+
+
+class TestForecastKeepsLfiltersZeroSigns:
+    """Where the compiled CSS shocks part from lfilter's, and why forecast keeps lfilter.
+
+    _shock_function leaves out lfilter's zero initial state and the
+    coefficients that are structurally zero. That changes no value, only
+    the sign of a zero shock at a -0.0 sample: squaring removes it from the
+    CSS objective, but a forecast can carry it.
+    """
+
+    MA_ORDERS = [ArimaOrder(*o) for o in [(1, 1, 1, 0, 0, 0, 0), (2, 0, 1, 0, 0, 0, 0),
+                                          (1, 0, 2, 0, 0, 0, 0), (0, 0, 3, 1, 1, 0, 4),
+                                          (0, 1, 1, 0, 1, 1, 4), (1, 0, 3, 0, 0, 1, 2)]]
+    VALUES = [0.0, -0.0, 0.5, -0.5, 2.0, -2.0]
+
+    @staticmethod
+    def compiled_and_lfilter(order, params, zc):
+        split = _split_params(np.asarray(params, dtype=float), order)
+        compiled = arima._shock_function(order, len(zc))(params, zc.tolist())
+        return compiled, lfilter(*_operators(order, *split), zc)
+
+    @pytest.mark.parametrize("order, phi, theta, history, want", [
+        # The first shock: lfilter adds the sample to its zero state.
+        ((1, 1, 1, 0, 0, 0, 0), [2.0], [0.5], [0.0, -0.0], [-0.0, 0.0, 0.0]),
+        # The last shock: lfilter adds a structurally zero MA term at lag 2.
+        ((2, 0, 1, 0, 0, 0, 0), [2.0, -0.0], [-0.5],
+         [0.0, 0.0, 0.0, 0.0, -0.0, 0.0, 0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+          -0.0, -0.0, 0.0, -0.0, 0.0, -0.0], [0.0, 0.0, 0.0])])
+    def test_the_sign_of_a_zero_shock_reaches_the_forecast(self, order, phi, theta, history,
+                                                            want):
+        order = ArimaOrder(*order)
+        out = forecast(model_of(order, phi, theta), Series(history), len(want))
+        assert out.values.tobytes() == np.array(want).tobytes()
+        zc = difference(Series(history), order.d).values
+        compiled, reference = self.compiled_and_lfilter(order, phi + theta, zc)
+        assert compiled.tobytes() != reference.tobytes()  # the compiled shocks flip a sign
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_compiled_shocks_differ_only_in_zero_signs_at_negative_zero_samples(self, data):
+        order = data.draw(st.sampled_from(self.MA_ORDERS))
+        params = data.draw(st.lists(st.sampled_from(self.VALUES), min_size=order.n_params,
+                                    max_size=order.n_params))
+        zc = np.array(data.draw(st.lists(st.sampled_from(self.VALUES[:2] * 4 + self.VALUES),
+                                         min_size=1, max_size=arima._UNROLL_MAX_SAMPLES)))
+        compiled, reference = self.compiled_and_lfilter(order, params, zc)
+        np.testing.assert_array_equal(compiled, reference)  # -0.0 == 0.0 here
+        negative_zero = (zc == 0) & np.signbit(zc) & (reference == 0)
+        assert compiled[~negative_zero].tobytes() == reference[~negative_zero].tobytes()
 
 
 class TestForecast:

@@ -36,6 +36,9 @@ class TestRmse:
         with pytest.raises(ValueError):
             rmse(wind24, wind)
 
+    def test_overflowing_squares_give_inf_without_a_warning(self):
+        assert rmse(Series([1e160, -1e308]), Series([0.0, 1e308])) == np.inf
+
 
 class TestConsecutiveWithin:
     def test_run_stops_at_first_violation(self):
@@ -160,6 +163,14 @@ class TestCompare:
                           Band(1, 3))
         assert not reports[0].ok and reports[0].train_rmse is None
         assert reports[0].error == "period 40 is longer than the 24-sample training window"
+
+    def test_an_overflowing_train_rmse_is_an_error_row(self):
+        # The constant fit is finite; its squared errors on a 1e160 sine are not.
+        rows = compare(make_sine(1e160, 24, 48, 0), [{"name": "polynomial", "degree": 0}],
+                       WIND_BAND)
+        assert not rows[0].ok and rows[0].train_rmse is None
+        assert rows[0].error == ("train_rmse overflows: the squared training errors of 24 "
+                                 "samples exceed the float range")
 
     def test_kernel_method_stays_callable_even_if_unsuited(self, wind):
         # The smoother is excluded from the published comparison but the

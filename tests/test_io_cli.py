@@ -710,6 +710,31 @@ class TestExportReport:
         text = format_report_table(reports)
         assert "FAILED" in text and "polynomial" in text
 
+    def test_an_overflowing_train_rmse_exports_as_an_error_row(self, tmp_path):
+        # A tree fits a 1e308 sine with finite means, but squaring its
+        # finite training errors overflows. JSON has no Infinity, so the row
+        # fails instead. A fresh process, because the tree's own overflow
+        # warnings would be errors here.
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps({
+            "signal": "synthetic", "synthetic": {"amplitude": 1e308, "period": 24, "count": 48},
+            "band": {"inner": 1.0, "outer": 2.0},
+            "methods": [{"name": "tree", "min_node_size": 10, "period": 24}]}))
+        failed = "FAILED: train_rmse overflows: the squared training errors of 24 samples"
+        for fmt in ("json", "csv"):
+            out = tmp_path / f"rows.{fmt}"
+            proc = fresh_python("-m", "daycast.cli", "compare", "--config", str(config),
+                                "--format", fmt, "--out", str(out))
+            assert proc.returncode == 0, proc.stderr
+            assert failed in proc.stdout
+            text = out.read_text()
+            if fmt == "json":
+                assert json.loads(text, parse_constant=lambda name: pytest.fail(name)) == [
+                    {"method": "tree", "train_rmse": None, "inner_run": None,
+                     "outer_run": None}]
+            else:
+                assert text.splitlines() == ["method,train_rmse,inner_run,outer_run", "tree,,,"]
+
 
 class TestCli:
     def test_synth_emits_count_lines(self, capsys):

@@ -165,9 +165,9 @@ class TestTdStep:
 
 class TestRunOnline:
     def test_constant_signal_converges_to_fixed_point(self):
-        signal = Series([0.5] * 2000)
-        run = run_online([signal], TileCoder(), gamma=0.0, alpha=0.1,
-                         trace_lambda=0.9, norm_bounds=[(0.0, 1.0)])
+        signal = Series([0.0, 1.0] + [0.5] * 1998)  # the bounds are 0 and 1
+        run = run_online([signal], TileCoder(), gamma=0.0, alpha=0.1, trace_lambda=0.9)
+        assert run.bounds == [(0.0, 1.0)]
         assert run.predictions[0].values[-1] == pytest.approx(0.5, abs=1e-2)
 
     def test_freeze_after_pins_weights(self, wind):
@@ -176,8 +176,8 @@ class TestRunOnline:
                             freeze_after=24)
         # Rerun the first 24 samples only: weights must match the frozen run's.
         head = Series(wind.values[:24], t0=1, period_hint=24)
-        partial = run_online([head], coder, gamma=0.0, alpha=0.3, trace_lambda=0.9,
-                             norm_bounds=[frozen.bounds[0]])
+        partial = run_online([head], coder, gamma=0.0, alpha=0.3, trace_lambda=0.9)
+        assert partial.bounds == frozen.bounds  # both normalize by the first period
         np.testing.assert_array_equal(frozen.learner.theta, partial.learner.theta)
         assert frozen.learner.frozen
 
@@ -215,9 +215,9 @@ class TestRunOnline:
         # On a constant normalized signal the return's fixed point is
         # y / (1 - gamma); the trace-decay path must find it.
         gamma = 0.9375
-        signal = Series([0.5] * 4000)
-        run = run_online([signal], TileCoder(), gamma=gamma, alpha=0.1,
-                         trace_lambda=0.9, norm_bounds=[(0.0, 1.0)])
+        signal = Series([0.0, 1.0] + [0.5] * 3998)  # the bounds are 0 and 1
+        run = run_online([signal], TileCoder(), gamma=gamma, alpha=0.1, trace_lambda=0.9)
+        assert run.bounds == [(0.0, 1.0)]
         assert run.predictions[0].values[-1] == pytest.approx(0.5 / (1 - gamma), abs=1e-2)
 
     def test_pure_function_of_inputs(self, dni):
@@ -285,10 +285,12 @@ class TestMatchesNumpyReference:
         n = 40
         rng = np.random.default_rng(n_signals * 1000 + n_tilings)
         Y = rng.uniform(0.0, 1.0, (n_signals, n))
+        Y[:, :2] = 0.0, 1.0  # bounds 0 and 1: normalizing leaves every sample as it is
         signals = [Series(row, t0=1) for row in Y]
         for freeze_after in (None, 1, 2, n // 2, n - 1, n, n + 3):
             run = run_online(signals, coder, gamma=gamma, alpha=0.7, trace_lambda=trace_lambda,
-                             freeze_after=freeze_after, norm_bounds=[(0.0, 1.0)] * n_signals)
+                             freeze_after=freeze_after)
+            assert run.bounds == [(0.0, 1.0)] * n_signals
             preds, theta, e = numpy_run(Y, coder, gamma, 0.7, trace_lambda, freeze_after)
             got = np.array([s.values for s in run.predictions])
             assert got.tobytes() == preds.tobytes(), freeze_after
