@@ -132,36 +132,12 @@ def _diff_poly(n: int, s: int = 1) -> np.ndarray:
 
 
 def _product(c, C, s: int) -> np.ndarray:
-    """(1 - c1 B - c2 B^2 - ...) (1 - C1 B^s - C2 B^2s - ...) as an ascending array.
-
-    With fewer non-seasonal coefficients than s, every lag of the product
-    has exactly one term, so it is written item by item from plain floats
-    instead of through np.convolve. np.convolve starts each lag's sum at
-    +0.0, so each term is written as 0.0 - x or 0.0 + x: a zero parameter
-    then gives +0.0, as np.convolve does, where a bare -x would give -0.0.
-    """
-    c, C = np.asarray(c, dtype=float), np.asarray(C, dtype=float)
-    if len(c) >= s:
-        return np.convolve(_op_poly(c), _op_poly(C, s))
-    c, C = c.tolist(), C.tolist()
-    out = np.zeros(len(c) + s * len(C) + 1)
-    out[0] = 1.0
-    for i, ci in enumerate(c, 1):
-        out[i] = 0.0 - ci
-    for k, Ck in enumerate(C, 1):
-        out[k * s] = 0.0 - Ck
-        for i, ci in enumerate(c, 1):
-            out[k * s + i] = 0.0 + ci * Ck
-    return out
+    """(1 - c1 B - c2 B^2 - ...) (1 - C1 B^s - C2 B^2s - ...) as an ascending array."""
+    return np.convolve(_op_poly(c), _op_poly(C, s))
 
 
 def _operators(order: ArimaOrder, phi, theta, sphi, stheta) -> tuple[np.ndarray, np.ndarray]:
-    """The stationary AR product phi(B) PHI(B^s) and the MA product theta(B) THETA(B^s).
-
-    A side with p < s (or q < s) is built term by term and matches
-    np.convolve byte for byte on finite parameters; a side with p >= s
-    (or q >= s) goes through np.convolve.
-    """
+    """The stationary AR product phi(B) PHI(B^s) and the MA product theta(B) THETA(B^s)."""
     s = max(order.s, 1)  # s = 0 has P = Q = 0: the seasonal factors are 1 for any s
     return _product(phi, sphi, s), _product(theta, stheta, s)
 
@@ -226,8 +202,8 @@ def _split_params(params: np.ndarray, order: ArimaOrder):
             params[p + q:p + q + P], params[p + q + P:p + q + P + Q])
 
 
-# Above this many differenced samples lfilter's C loop beats the unrolled
-# plain-float recursion of _shock_function, whose source also grows with m.
+# Above this many differenced samples an MA order's shocks come from lfilter,
+# whose C loop beats the unrolled plain-float recursion (its source grows with m).
 _UNROLL_MAX_SAMPLES = 64
 
 
@@ -236,10 +212,10 @@ def _lag_coefficients(name: str, c: list, C: list, s: int) -> tuple[list, dict]:
 
     c and C are the names of the parameters. With no seasonal term, or
     fewer non-seasonal terms than s, every lag has one term, written as
-    0.0 - c or 0.0 + c * C as _product writes it (np.convolve, which
-    _product calls when C is empty and c is not shorter than s, gives the
-    same but for the sign of a zero). Otherwise the coefficients come from
-    _product itself. Lags with no term are left out.
+    0.0 - c or 0.0 + c * C: np.convolve starts each lag's sum at +0.0, so
+    a zero parameter then gives +0.0, as in _product, where a bare -c would
+    give -0.0. Otherwise the coefficients come from _product itself. Lags
+    with no term are left out.
     """
     if len(c) >= s and C:
         names = [f"{name}{k}" for k in range(len(c) + s * len(C) + 1)]
@@ -254,34 +230,43 @@ def _lag_coefficients(name: str, c: list, C: list, s: int) -> tuple[list, dict]:
 
 @functools.lru_cache(maxsize=32)
 def _shock_function(order: ArimaOrder, m: int):
-    """Compile shocks(params, x): the m CSS shocks as lfilter(ar, ma, zc) computes them.
+    """Compile bind(zc) -> shocks(params): the m CSS shocks of zc as lfilter(ar, ma, zc).
 
-    With an MA side, lfilter runs a transposed direct form: each shock adds
-    the lags from the longest to the shortest, the AR term (x[t-k] * b[k],
-    b = ar) before the MA term (y[t-k] * a[k], a = ma) at one lag, then
-    x[t]. The compiled function makes those operations in that order on
-    plain floats (x is zc.tolist()), unrolled over the m samples. It leaves
-    out the lags no sample reaches (k >= m) and the coefficients that are
-    structurally zero: such a term can only change the sign of a zero
-    shock, which squaring removes, or turn into NaN a shock that is not
-    finite anyway. Without an MA side lfilter calls np.convolve(ar, zc),
-    whose sums are BLAS's (fused on some CPUs), so the function makes that
-    call, on the array zc.
+    The coefficients are plain floats, from _lag_coefficients. Without an
+    MA side lfilter calls np.convolve(ar, zc), whose sums are BLAS's (fused
+    on some CPUs), so shocks makes that call, at any m. With an MA side
+    above _UNROLL_MAX_SAMPLES, shocks calls lfilter itself, and only then
+    does bind import scipy.signal. Otherwise lfilter runs a transposed
+    direct form: each shock adds the lags from the longest to the shortest,
+    the AR term (x[t-k] * b[k], b = ar) before the MA term (y[t-k] * a[k],
+    a = ma) at one lag, then x[t]. shocks makes those operations in that
+    order on plain floats (bind takes x from zc.tolist()), unrolled over the
+    m samples. It leaves out the lags no sample reaches (k >= m) and the
+    coefficients that are structurally zero: such a term can only change
+    the sign of a zero shock, which squaring removes, or turn into NaN a
+    shock that is not finite anyway.
     """
-    p, q, P = order.p, order.q, order.P
+    p, q, P, Q = order.p, order.q, order.P, order.Q
     params = ([f"phi{i}" for i in range(1, p + 1)] + [f"theta{i}" for i in range(1, q + 1)]
-              + [f"Phi{i}" for i in range(1, P + 1)] + [f"Theta{i}" for i in range(1, order.Q + 1)])
+              + [f"Phi{i}" for i in range(1, P + 1)] + [f"Theta{i}" for i in range(1, Q + 1)])
     s = max(order.s, 1)
     ar_lines, ar = _lag_coefficients("b", params[:p], params[p + q:p + q + P], s)
     ma_lines, ma = _lag_coefficients("a", params[p:p + q], params[p + q + P:], s)
+
+    def poly(lags, degree):  # the coefficient array, 0.0 at the lags with no term
+        names = ["1.0"] + [lags.get(k, "0.0") for k in range(1, degree + 1)]
+        return f"_array([{', '.join(names)}])"
+
+    bind = []
     body = [f"{', '.join(params)}, = map(float, params)"] if params else []
-    body += ar_lines
+    body += ar_lines + ma_lines
     if not ma:
-        coeffs = ["1.0"] + [ar.get(k, "0.0") for k in range(1, p + s * P + 1)]
-        body.append(f"return _convolve(_array([{', '.join(coeffs)}]), x)[:{m}]")
+        body.append(f"return _convolve({poly(ar, p + s * P)}, zc)[:{m}]")
+    elif m > _UNROLL_MAX_SAMPLES:
+        bind.append("from scipy.signal import lfilter")
+        body.append(f"return lfilter({poly(ar, p + s * P)}, {poly(ma, q + s * Q)}, zc)")
     else:
-        body += ma_lines
-        body.append(f"{', '.join(f'x{t}' for t in range(m))}, = x")
+        bind.append(f"{', '.join(f'x{t}' for t in range(m))}, = zc.tolist()")
         lags = sorted((k for k in ar.keys() | ma.keys() if k < m), reverse=True)
         for t in range(m):
             expr = ""
@@ -294,34 +279,25 @@ def _shock_function(order: ArimaOrder, m: int):
             # Drop the leading " + ", or write a leading " - " as a unary minus.
             body.append(f"y{t} = {expr[3:] if expr[1] == '+' else '-' + expr[3:]}")
         body.append(f"return _array([{', '.join(f'y{t}' for t in range(m))}])")
+    source = ("def bind(zc):\n" + "".join(f"    {line}\n" for line in bind)
+              + "    def shocks(params):\n" + "".join(f"        {line}\n" for line in body)
+              + "    return shocks\n")
     namespace = {"_product": _product, "_convolve": np.convolve, "_array": np.array}
-    exec("def shocks(params, x):\n" + "".join(f"    {line}\n" for line in body), namespace)
-    return namespace["shocks"]
+    exec(source, namespace)
+    return namespace["bind"]
 
 
 def _css_objective(order: ArimaOrder, zc: np.ndarray):
     """The objective of css_estimate: params -> the sum of squared CSS shocks of zc.
 
-    The shocks are those of lfilter(ar, ma, zc), bit for bit but for the
-    sign of a zero shock at a -0.0 sample, which squaring removes (and the
-    NaN or inf of a shock that is not finite): lfilter's zero initial state
-    is exactly the zero pre-sample convention. The sum is one BLAS dot, as
-    a @ a was; np.vdot gives the same bits but, not being a ufunc, does not
-    warn when it overflows to inf. A shock that is not finite scores 1e300.
+    The shocks are _shock_function's: lfilter(ar, ma, zc)'s, bit for bit but
+    for the sign of a zero shock at a -0.0 sample, which squaring removes
+    (and the NaN or inf of a shock that is not finite). The sum is one BLAS
+    dot, as a @ a was; np.vdot gives the same bits but, not being a ufunc,
+    does not warn when it overflows to inf. A shock that is not finite
+    scores 1e300.
     """
-    m = len(zc)
-    if m <= _UNROLL_MAX_SAMPLES:
-        shock_function = _shock_function(order, m)
-        x = zc.tolist() if order.q + order.Q else zc
-
-        def shocks(params):
-            return shock_function(params, x)
-    else:
-        from scipy.signal import lfilter
-
-        def shocks(params):
-            return lfilter(*_operators(order, *_split_params(np.asarray(params, dtype=float),
-                                                             order)), zc)
+    shocks = _shock_function(order, len(zc))(zc)
 
     def objective(params):
         a = shocks(params)
@@ -456,10 +432,11 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
     simplex of _nelder_mead (scipy's, ported to plain floats with the same
     arithmetic; xatol 1e-10, fatol 1e-14) from a Yule-Walker start for the
     AR side and zeros elsewhere. The objective, _css_objective, gives the
-    bits of the lfilter shocks and a @ a it replaces, computing the shocks
-    of up to _UNROLL_MAX_SAMPLES differenced samples on plain floats. The
-    budget defaults to 500 iterations per free parameter, with twice as
-    many objective evaluations.
+    bits of the lfilter shocks and a @ a it replaces. Its shocks come from
+    np.convolve for an order without an MA side, from plain floats for an
+    MA order on up to _UNROLL_MAX_SAMPLES differenced samples, and from
+    lfilter above that. The budget defaults to 500 iterations per free
+    parameter, with twice as many objective evaluations.
 
     Raises EstimationError (carrying the best model and objective so
     far) if the simplex exhausts its budget without converging.
@@ -536,9 +513,9 @@ def forecast(model: ArimaModel, history: Series, lead: int) -> Series:
     future shocks are zero and intermediate future values are the
     previously computed conditional expectations. The shocks are lfilter's:
     a forecast can carry the zero sign that those of _css_objective miss.
+    Only a model with an MA side reads shocks, so only it computes them and
+    loads scipy.signal.
     """
-    from scipy.signal import lfilter
-
     if lead < 1:
         raise ValueError(f"lead must be >= 1, got {lead}")
     drop = model.order.d + model.order.s * model.order.D
@@ -552,17 +529,18 @@ def forecast(model: ArimaModel, history: Series, lead: int) -> Series:
 
     center = _center_of(model, ar)
     theta0_eff = center * float(ar.sum())
-    z = difference(history, model.order.d, model.order.D, model.order.s).values
-    shocks = lfilter(ar, ma, z - center)
-
     # The recursion runs on plain floats: numpy scalar indexing costs more
     # than the arithmetic, and float arithmetic gives the same bits.
     phis, thetas = form.ar_full.tolist(), form.ma_full.tolist()
     ye = history.values.tolist() + [0.0] * lead
-    # Pre-pad so MA lags reaching before the first sample read the
-    # conventional zero pre-sample shocks instead of wrapping.
     pad = len(thetas)
-    ae = [0.0] * (pad + drop) + shocks.tolist() + [0.0] * lead
+    if thetas:  # an MA-free recursion reads no shock
+        from scipy.signal import lfilter
+
+        z = difference(history, model.order.d, model.order.D, model.order.s).values
+        # Pre-pad so MA lags reaching before the first sample read the
+        # conventional zero pre-sample shocks instead of wrapping.
+        ae = [0.0] * (pad + drop) + lfilter(ar, ma, z - center).tolist() + [0.0] * lead
     for i in range(n, n + lead):
         val = theta0_eff
         for j in range(1, len(phis) + 1):

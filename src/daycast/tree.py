@@ -79,6 +79,9 @@ def _as_table(train) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
+# The sums of squares of targets near the float range overflow to inf or
+# NaN without a numpy warning; compare reports the overflowing train RMSE.
+@np.errstate(over="ignore", invalid="ignore")
 def best_split(X, y) -> BestSplit | None:
     """Exhaustive scan over all variables and midpoint thresholds.
 
@@ -119,6 +122,7 @@ def best_split(X, y) -> BestSplit | None:
     return best
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _make_node(y: np.ndarray, idx: np.ndarray) -> Node:
     vals = y[idx]
     mean = float(vals.mean())

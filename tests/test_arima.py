@@ -168,7 +168,9 @@ class TestExpandPolynomials:
 class TestOperatorsMatchConvolve:
     """_operators equals np.convolve byte for byte, signed zeros included.
 
-    Only finite parameters are covered: with NaN or infinite ones the
+    _operators calls np.convolve itself, so these tests pin it to the
+    reference: a term-by-term fast path would have to pass them again.
+    Only finite parameters are covered: with NaN or infinite ones a
     term-by-term product and np.convolve may differ in the sign bit of a
     NaN, and in the inf * 0 cross terms that np.convolve adds up.
     """
@@ -303,7 +305,8 @@ class TestFitMatchesConvolveOperators:
 
     _operators reaches the model that css_estimate builds (its root checks)
     and forecast; the CSS objective computes its coefficients itself, and
-    TestObjectiveMatchesLfilter checks it.
+    TestObjectiveMatchesLfilter checks it. _operators is the np.convolve
+    product, so this pins any future fast path of it to the reference.
     """
 
     ORDER = ArimaOrder(0, 0, 3, 1, 1, 0, 24)  # table2_wind
@@ -484,8 +487,8 @@ class TestObjectiveMatchesLfilter:
     """css_estimate gives the same bytes with the lfilter objective as with _css_objective."""
 
     ORDERS = {**TestSimplexMatchesScipy.ORDERS,
-              "p>=s": ArimaOrder(3, 0, 1, 1, 0, 0, 2),  # the AR product goes through np.convolve
-              "q>=s": ArimaOrder(1, 0, 3, 0, 0, 1, 2)}  # the MA product goes through np.convolve
+              "p>=s": ArimaOrder(3, 0, 1, 1, 0, 0, 2),  # the AR coefficients come from _product
+              "q>=s": ArimaOrder(1, 0, 3, 0, 0, 1, 2)}  # the MA coefficients come from _product
 
     @staticmethod
     def series(label, seed, n=48, variant=None):
@@ -504,8 +507,6 @@ class TestObjectiveMatchesLfilter:
 
     @staticmethod
     def assert_same_as_lfilter(monkeypatch, train, order, **kw):
-        m = len(train) - order.d - order.s * order.D
-        assert m <= arima._UNROLL_MAX_SAMPLES  # the compiled shocks, not lfilter, are tested
         fast = fit_outcome(train, order, **kw)
         monkeypatch.setattr(arima, "_css_objective", lfilter_objective)
         assert fit_outcome(train, order, **kw) == fast
@@ -523,6 +524,20 @@ class TestObjectiveMatchesLfilter:
         # 48 differenced samples: irradiance then has AR and MA terms at lag 24.
         self.assert_same_as_lfilter(monkeypatch, self.series(label, seed, n=72),
                                     self.ORDERS[label])
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("label, n", [("wind", 96), ("temperature", 120)])
+    def test_windows_above_the_unrolled_length(self, label, n, seed, monkeypatch):
+        # 72 differenced samples of an MA order (the generated lfilter call)
+        # and 94 of an MA-free one (np.convolve).
+        order, train = self.ORDERS[label], self.series(label, seed, n=n)
+        assert len(train) - order.d - order.s * order.D > arima._UNROLL_MAX_SAMPLES
+        self.assert_same_as_lfilter(monkeypatch, train, order)
+
+    def test_acceptance_criterion_one_sine(self, monkeypatch):
+        # 100 samples of an AR(2): np.convolve above _UNROLL_MAX_SAMPLES too.
+        self.assert_same_as_lfilter(monkeypatch, make_sine(1, 100, 100, 0),
+                                    ArimaOrder(2, 0, 0, 0, 0, 0, 0))
 
     @pytest.mark.parametrize("max_iterations", [7, None])
     @pytest.mark.parametrize("seed", range(3))
@@ -547,8 +562,9 @@ class TestObjectiveMatchesLfilter:
     @pytest.mark.parametrize("seed", range(200))
     def test_objective_values_on_random_parameters(self, seed):
         # Random (p, 0, q)(P, 0, Q)s orders on both sides of s, 1 to 80
-        # samples (lfilter itself runs above _UNROLL_MAX_SAMPLES), samples
-        # with exact zeros, and parameters from 1e-8 to 1e200 with zeros.
+        # samples (above _UNROLL_MAX_SAMPLES an MA order's generated shocks
+        # call lfilter), samples with exact zeros, and parameters from 1e-8
+        # to 1e200 with zeros.
         order, params = random_operator_case(seed)
         rng = np.random.default_rng(seed)
         m = int(rng.integers(1, 81))
@@ -579,7 +595,7 @@ class TestForecastKeepsLfiltersZeroSigns:
     @staticmethod
     def compiled_and_lfilter(order, params, zc):
         split = _split_params(np.asarray(params, dtype=float), order)
-        compiled = arima._shock_function(order, len(zc))(params, zc.tolist())
+        compiled = arima._shock_function(order, len(zc))(zc)(params)
         return compiled, lfilter(*_operators(order, *split), zc)
 
     @pytest.mark.parametrize("order, phi, theta, history, want", [

@@ -172,6 +172,14 @@ class TestCompare:
         assert rows[0].error == ("train_rmse overflows: the squared training errors of 24 "
                                  "samples exceed the float range")
 
+    def test_an_overflowing_tree_is_an_error_row_without_a_warning(self):
+        # The suite makes a RuntimeWarning an error, so a numpy warning from
+        # the tree's own sums of squares would be the row's message.
+        rows = compare(make_sine(1e308, 24, 48, 0),
+                       [{"name": "tree", "min_node_size": 10, "period": 24}], WIND_BAND)
+        assert rows[0].error == ("train_rmse overflows: the squared training errors of 24 "
+                                 "samples exceed the float range")
+
     def test_kernel_method_stays_callable_even_if_unsuited(self, wind):
         # The smoother is excluded from the published comparison but the
         # harness can still run it on request.

@@ -713,8 +713,8 @@ class TestExportReport:
     def test_an_overflowing_train_rmse_exports_as_an_error_row(self, tmp_path):
         # A tree fits a 1e308 sine with finite means, but squaring its
         # finite training errors overflows. JSON has no Infinity, so the row
-        # fails instead. A fresh process, because the tree's own overflow
-        # warnings would be errors here.
+        # fails instead. A fresh process, as a user runs it: stderr carries
+        # no numpy warning.
         config = tmp_path / "huge.json"
         config.write_text(json.dumps({
             "signal": "synthetic", "synthetic": {"amplitude": 1e308, "period": 24, "count": 48},
@@ -725,7 +725,7 @@ class TestExportReport:
             out = tmp_path / f"rows.{fmt}"
             proc = fresh_python("-m", "daycast.cli", "compare", "--config", str(config),
                                 "--format", fmt, "--out", str(out))
-            assert proc.returncode == 0, proc.stderr
+            assert (proc.returncode, proc.stderr) == (0, "")
             assert failed in proc.stdout
             text = out.read_text()
             if fmt == "json":
@@ -1034,17 +1034,31 @@ print(codes, [m for m in ("scipy.signal", "scipy.optimize", "scipy.stats", "scip
         assert proc.stdout.strip() == "[0, 0, 0] []"
 
     def test_an_arima_fit_loads_no_scipy_signal(self):
-        # The CSS objective runs on plain floats; only forecast calls lfilter.
+        # The CSS objective calls lfilter only for an MA order above 64
+        # differenced samples, and forecast only for a model with an MA side.
+        # So the wind fit (24 differenced samples, not its forecast), and
+        # the fits and forecasts of acceptance criterion 1 and of the
+        # temperature order on 120 samples (MA-free), load no scipy.signal.
         code = """
 import sys
-from daycast.arima import ArimaOrder, css_estimate
+import numpy as np
+from daycast.arima import ArimaOrder, css_estimate, forecast
 from daycast.fixtures import wind48
+from daycast.series import Series, make_sine
 model = css_estimate(wind48(), ArimaOrder(0, 0, 3, 1, 1, 0, 24))
 print(len(model.fit_trace) > 1, "scipy.signal" in sys.modules)
+sine = make_sine(1, 100, 100, 0)
+forecast(css_estimate(sine, ArimaOrder(2, 0, 0, 0, 0, 0, 0)), sine, 100)
+print("scipy.signal" in sys.modules)
+t = np.arange(120)
+temperature = Series(15 + 5 * np.sin(2 * np.pi * t / 24) + 0.05 * t
+                     + np.random.default_rng(0).normal(0, 0.3, 120), t0=1, period_hint=24)
+forecast(css_estimate(temperature, ArimaOrder(2, 2, 0, 0, 1, 0, 24)), temperature, 24)
+print("scipy.signal" in sys.modules)
 """
         proc = fresh_python("-c", code)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "True False"
+        assert proc.stdout.split() == ["True", "False", "False", "False"]
 
     def test_the_shared_parser_answers_each_call_as_a_fresh_process(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
