@@ -18,7 +18,8 @@ from .fixtures import fixture
 from .series import Series, make_sine
 from .tmy3 import parse_tmy3
 
-_SIGNALS = ("wind", "temperature", "irradiance", "fixture", "synthetic")
+_NAMED = ("fixture", "synthetic")  # signals that read a config block of their name, no file
+_SIGNALS = ("wind", "temperature", "irradiance") + _NAMED
 
 
 @dataclass(frozen=True)
@@ -49,12 +50,16 @@ class _RunConfig:
     def __post_init__(self):
         if self.signal not in _SIGNALS:
             raise ValueError(f"signal must be one of {_SIGNALS}, got {self.signal!r}")
-        for key in ("fixture", "synthetic"):
+        for key in _NAMED:
             if self.signal == key and getattr(self, key) is None:
                 raise ValueError(f"missing required key {key!r} for signal {key!r}")
         if self.fixture is not None:
             fixture(self.fixture)
         at_least(0, day_offset=self.day_offset)
+        reads = {self.signal} if self.signal in _NAMED else {"data", "day_offset"}
+        for key in _NAMED + ("data", "day_offset"):
+            if key not in reads and getattr(self, key) not in (None, 0):  # the defaults
+                raise ValueError(f"key {key!r} does not apply to signal {self.signal!r}")
         at_least(2, train_samples=self.train_samples)
         at_least(1, forecast_samples=self.forecast_samples)
         if not self.methods:
@@ -99,15 +104,17 @@ def load_dataset(cfg: dict, data_path=None) -> Series:
 
     Synthetic signals are generated; fixture signals come from the
     embedded constants; the weather signals read the named TMY3 column
-    when a data path is given (config "data" or the explicit override)
-    and fall back to the matching embedded fixture otherwise. TMY3
-    windows start at day_offset days into the file, sized to cover the
-    longest training request plus the forecast window, and are
-    re-indexed to t = 1; run_single indexes each method's own training
-    window from t = 1 again, so hour-index fits behave identically on
-    every day.
+    when a data path is given (config "data" or the explicit override,
+    a ConfigError on any other signal) and fall back to the matching
+    embedded fixture otherwise. TMY3 windows start at day_offset days
+    into the file, sized to cover the longest training request plus the
+    forecast window, and are re-indexed to t = 1; run_single indexes each
+    method's own training window from t = 1 again, so hour-index fits
+    behave identically on every day.
     """
     signal = cfg["signal"]
+    if data_path is not None and signal in _NAMED:
+        raise ConfigError(f"a data file does not apply to signal {signal!r}")
     if signal == "synthetic":
         syn = cfg["synthetic"]
         return make_sine(syn["amplitude"], syn["period"], syn["count"],

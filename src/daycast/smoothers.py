@@ -93,7 +93,7 @@ class SplineFit:
 
 
 def fit_smoothing_spline(train: Series, smooth_lambda: float) -> SplineFit:
-    """Penalized fit with every training point as a knot (no thinning)."""
+    """Penalized fit with every training point as a knot, by one Cholesky solve."""
     from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
     if smooth_lambda < 0:
@@ -107,23 +107,14 @@ def fit_smoothing_spline(train: Series, smooth_lambda: float) -> SplineFit:
     X = _basis_matrix(knots, knots)
     with np.errstate(over="ignore"):
         A = X.T @ X + smooth_lambda * _penalty_matrix(knots)
+    system = f"(D={len(train)}, lambda={smooth_lambda})"
     if not np.isfinite(A).all():
-        raise SingularSystemError(f"penalized spline system overflows (D={len(train)}, "
-                                  f"lambda={smooth_lambda})")
-    rhs = X.T @ train.values
-    try:
+        raise SingularSystemError(f"penalized spline system overflows {system}")
+    try:  # positive definite for distinct knots: only rounding (a long window) fails
         factor = cho_factor(A)
-    except LinAlgError:
-        # Semidefinite degeneracy fallback: tiny diagonal jitter.
-        A = A + 1e-12 * np.trace(A) * np.eye(A.shape[0])
-        try:
-            factor = cho_factor(A)
-        except LinAlgError as exc:
-            raise SingularSystemError(
-                f"penalized spline system is singular (D={len(train)}, "
-                f"lambda={smooth_lambda})"
-            ) from exc
-    return SplineFit(knots, cho_solve(factor, rhs))
+    except LinAlgError as exc:
+        raise SingularSystemError(f"penalized spline system is singular {system}") from exc
+    return SplineFit(knots, cho_solve(factor, X.T @ train.values))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from daycast.arima import (_UNIT_ROOT_TOL, ArimaModel, ArimaOrder, _center_of,
                            _min_root_magnitude, _operators, _split_params, _yule_walker,
                            acf_pacf, css_estimate, difference, expand_polynomials, forecast)
 from daycast.errors import DaycastError, EstimationError, ZeroVarianceError
+from daycast.evalharness import Band, compare
 from daycast.series import Series, make_sine
 
 
@@ -292,6 +293,23 @@ class TestCssEstimate:
         with pytest.raises(EstimationError) as err:
             css_estimate(temp, order, init=[1e200] * 5, max_iterations=3)
         assert err.value.model.warnings == want
+
+    def test_a_zero_parameter_order_is_the_seasonal_naive_forecast(self):
+        # (0,0,0)(0,1,0)24 has nothing to estimate: the objective is the sum of
+        # squared seasonal differences, and each forecast repeats a day ago.
+        order = ArimaOrder(0, 0, 0, 0, 1, 0, 24)
+        rng = np.random.default_rng(3)
+        series = Series(4.0 * np.sin(2 * np.pi * np.arange(72) / 24) + rng.normal(0, 0.5, 72))
+        z = difference(series, 0, 1, 24).values
+        model = css_estimate(series, order)
+        assert model.fit_trace == (np.vdot(z, z),)
+        assert model.sigma2 * 48 == model.fit_trace[0]
+        ahead = forecast(model, series, 24)
+        assert ahead.values.tobytes() == series.values[-24:].tobytes()
+        block = {"name": "arima", "p": 0, "d": 0, "q": 0, "P": 0, "D": 1, "Q": 0, "s": 24,
+                 "train_periods": 2}
+        row, = compare(series, [block], Band(1.0, 3.0))
+        assert row.ok, row.error
 
     @pytest.mark.parametrize("max_iterations", [0, -3])
     def test_non_positive_budget_rejected(self, max_iterations):

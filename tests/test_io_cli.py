@@ -569,6 +569,48 @@ class TestRunConfig:
         wind, _, _ = parse_tmy3(path)
         np.testing.assert_array_equal(ds.values, wind.values[48:96])
 
+    SINE = {"amplitude": 1, "period": 24, "count": 72}
+
+    @pytest.mark.parametrize("keys, message", [
+        ({"signal": "wind", "fixture": "dni48"}, "key 'fixture' does not apply to signal 'wind'"),
+        ({"signal": "synthetic", "synthetic": SINE, "data": "/nonexistent.csv"},
+         "key 'data' does not apply to signal 'synthetic'"),
+        ({"signal": "synthetic", "synthetic": SINE, "day_offset": 5},
+         "key 'day_offset' does not apply to signal 'synthetic'"),
+        ({"signal": "fixture", "fixture": "temp48", "synthetic": SINE},
+         "key 'synthetic' does not apply to signal 'fixture'"),
+        ({"signal": "fixture", "fixture": "temp48", "data": "year.csv"},
+         "key 'data' does not apply to signal 'fixture'"),
+        ({"signal": "irradiance", "synthetic": SINE},
+         "key 'synthetic' does not apply to signal 'irradiance'"),
+        ({"signal": "fixture"}, "missing required key 'fixture' for signal 'fixture'"),
+        ({"signal": "synthetic"}, "missing required key 'synthetic' for signal 'synthetic'"),
+    ])
+    def test_a_signal_needs_its_own_key_and_refuses_the_others(self, keys, message):
+        with pytest.raises(ConfigError) as err:
+            validate_config({**keys, "band": {"inner": 1, "outer": 3},
+                             "methods": [{"name": "polynomial", "degree": 3}]})
+        assert str(err.value) == f"config: {message}"
+
+    @pytest.mark.parametrize("keys", [
+        {"signal": "fixture", "fixture": "temp48", "day_offset": 0, "data": None},
+        {"signal": "synthetic", "synthetic": SINE, "fixture": None, "day_offset": 0},
+        {"signal": "wind", "data": "year.csv", "day_offset": 3, "synthetic": None},
+    ])
+    def test_defaults_and_the_keys_a_signal_reads_are_accepted(self, keys):
+        validate_config({**keys, "band": {"inner": 1, "outer": 3},
+                         "methods": [{"name": "polynomial", "degree": 3}]})
+
+    def test_a_fixture_signal_gives_the_rows_of_its_weather_signal(self):
+        cfg = load_config(builtin_config_path("table2_temperature"))
+        rows = []
+        for signal in ({"signal": "fixture", "fixture": "temp48"}, {"signal": "temperature"}):
+            run = validate_config({**cfg, **signal})
+            reports = compare(load_dataset(run), run["methods"], band_from_config(run))
+            rows.append([(r.method, r.train_rmse, r.inner_run, r.outer_run, r.error)
+                         for r in reports])
+        assert rows[0] == rows[1]
+
     @pytest.mark.parametrize("block, key", [
         ({"name": "tree", "min_node_size": 10, "period": 24}, "train_periods"),
         ({"name": "nexting", "gamma": 0.0, "alpha": 0.3, "trace_lambda": 0.9,
@@ -819,11 +861,13 @@ class TestCli:
         (["compare"], "the following arguments are required: --config",
          "usage: daycast compare [-h] --config CONFIG [--data DATA] [--out OUT] "
          "[--format {csv,json}]\n"),
+        (["synth", "--period", "24", "--count", "abc"],
+         "argument --count: must be an integer >= 1, got 'abc'", SYNTH_USAGE),
         (["acf"], "acf needs exactly one of --fixture or --data",
          "usage: daycast acf [-h] [--fixture FIXTURE] [--data DATA] [--max-lag MAX_LAG] "
          "[--out OUT]\n"),
     ], ids=["synth-period-0", "synth-period-1e-320", "synth-period-1e+200", "compare-no-config",
-            "acf-no-source"])
+            "synth-count-abc", "acf-no-source"])
     def test_refused_flag_prints_its_subcommand_usage(
             self, capsys, monkeypatch, argv, message, usage):
         # The period 0 fails its argparse type, 1e-320 and 1e+200 fail make_sine's
@@ -994,6 +1038,58 @@ class TestCli:
         assert run_cli(["forecast", "--config", str(cfg), "--data", str(path)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 24
+
+    @pytest.mark.parametrize("signal", [{"signal": "fixture", "fixture": "wind48"},
+                                        {"signal": "synthetic",
+                                         "synthetic": {"amplitude": 1, "period": 24,
+                                                       "count": 72}}])
+    def test_data_flag_on_a_signal_that_reads_no_file_exits_1(self, tmp_path, capsys, signal):
+        path = write_tmy3(tmp_path / "wk.csv", tiny_rows(96))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**signal, "band": {"inner": 0.5, "outer": 1.5},
+                                   "methods": [{"name": "polynomial", "degree": 3}]}))
+        assert run_cli(["compare", "--config", str(cfg), "--data", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", f"daycast: a data file does not apply to signal {signal['signal']!r}\n")
+
+    @pytest.mark.parametrize("keys, key", [
+        ({"signal": "wind", "fixture": "dni48"}, "fixture"),
+        ({"signal": "synthetic", "data": "/nonexistent.csv", "day_offset": 5}, "data"),
+    ])
+    def test_a_key_the_signal_never_reads_exits_1(self, tmp_path, capsys, keys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**keys, "band": {"inner": 1, "outer": 3},
+                                   "synthetic": {"amplitude": 1, "period": 24, "count": 72},
+                                   "methods": [{"name": "polynomial", "degree": 3}]}))
+        assert run_cli(["compare", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == (
+            "", f"daycast: config: key {key!r} does not apply to signal {keys['signal']!r}\n")
+
+    def test_fit_with_two_methods_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "two.json"
+        cfg.write_text(json.dumps({"signal": "wind", "band": {"inner": 1, "outer": 3},
+                                   "methods": [{"name": "polynomial", "degree": 3},
+                                               {"name": "spline", "smooth_lambda": 0.5}]}))
+        assert run_cli(["fit", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", "daycast: fit needs a config with exactly one "
+                                           "method, found 2\n")
+
+    def test_nexting_run_on_another_method_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "poly.json"
+        cfg.write_text(json.dumps({"signal": "wind", "band": {"inner": 1, "outer": 3},
+                                   "methods": [{"name": "polynomial", "degree": 3}]}))
+        assert run_cli(["nexting-run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", "daycast: nexting-run needs a nexting method block\n")
+
+    def test_a_day_offset_past_the_tmy3_year_exits_2(self, tmp_path, capsys):
+        path = write_tmy3(tmp_path / "year.csv", weather_year())
+        cfg = tmp_path / "late.json"
+        cfg.write_text(json.dumps({"signal": "wind", "data": str(path), "day_offset": 364,
+                                   "band": {"inner": 1, "outer": 3},
+                                   "methods": [{"name": "polynomial", "degree": 3}]}))
+        assert run_cli(["compare", "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", f"daycast: window of 48 samples at day offset 364 "
+                                           f"exceeds the 8760 samples in {path}\n")
 
     def test_cli_is_deterministic(self, capsys):
         argv = ["compare", "--config", str(builtin_config_path("table2_irradiance"))]

@@ -2,7 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.interpolate import CubicSpline
+from scipy.linalg import LinAlgError
 
 from daycast.config import band_from_config, builtin_config_path, load_config, load_dataset
 from daycast.errors import NoSupportError, SingularSystemError, ZeroVarianceError
@@ -200,6 +202,28 @@ class TestSmoothingSpline:
         row, = compare(wind, [{"name": "spline", "smooth_lambda": 1e308}], Band(1.0, 3.0))
         assert row.error == "penalized spline system overflows (D=24, lambda=1e+308)"
         assert capfd.readouterr() == ("", "")
+
+    def test_a_system_cholesky_refuses_is_singular_after_one_attempt(self, monkeypatch):
+        calls = []
+
+        def refuse(a, *args, **kwargs):
+            calls.append(a)
+            raise LinAlgError("not positive definite")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", refuse)
+        with pytest.raises(SingularSystemError) as err:
+            fit_smoothing_spline(Series(GENERIC_Y), 0.3)
+        assert str(err.value) == "penalized spline system is singular (D=6, lambda=0.3)"
+        assert len(calls) == 1
+
+    def test_a_long_interpolating_window_is_an_error_row(self):
+        # 400 hourly knots at lambda = 0: X'X has condition number about 4e20,
+        # far past what Cholesky accepts in double precision.
+        values = 4.0 * np.sin(2.0 * np.pi * np.arange(424) / 24.0)
+        row, = compare(Series(values), [{"name": "spline", "smooth_lambda": 0.0}],
+                       Band(1.0, 3.0), train_samples=400)
+        assert row.train_rmse is None
+        assert row.error == "penalized spline system is singular (D=400, lambda=0.0)"
 
 
 class TestKernelRegression:
