@@ -135,8 +135,10 @@ def solve_ridge(X: np.ndarray, y: np.ndarray, reg_lambda: float = 0.0) -> np.nda
     else:
         A, b = X, y
 
-    theta, _, _, sv = np.linalg.lstsq(A, b, rcond=None)
-    if sv.size == 0 or sv[-1] < SINGULAR_RTOL * sv[0]:
+    theta, _, rank, sv = np.linalg.lstsq(A, b, rcond=None)
+    # lstsq drops singular values below eps * max(m, n) relative, a cutoff
+    # above SINGULAR_RTOL once a system has more than about 450 rows.
+    if sv.size == 0 or rank < k or sv[-1] < SINGULAR_RTOL * sv[0]:
         raise SingularSystemError(
             f"rank-deficient system: {X.shape[0]}x{X.shape[1]} design, "
             f"reg_lambda={reg_lambda}, singular values span "

@@ -8,19 +8,21 @@ basis: N1 = 1, N2 = x, N_{d+2}(x) = delta_d(x) - delta_{D-1}(x) with
     delta_d(x) = ((x - k_d)_+^3 - (x - k_D)_+^3) / (k_D - k_d).
 
 Second derivatives of this basis are piecewise linear and vanish outside
-the knot range, so the penalty matrix integrates in closed form (Simpson's
-rule is exact on every inter-knot interval) and evaluation beyond the
-boundary knots extrapolates linearly for free. Both matrices are built
-in whole-array passes: the basis in one broadcast, the penalty one row of
-its upper triangle at a time, so its working memory grows as the square
-of the knot count.
+the knot range, so the penalty integrates in closed form (Simpson's rule
+is exact on every inter-knot interval) and evaluation beyond the boundary
+knots extrapolates linearly for free. The fit never forms the penalty
+matrix: it stacks the basis matrix over a square root of the penalty and
+solves that least-squares system orthogonally, with the solver the linear
+fits use. Both matrices are built in one broadcast each, so working memory
+grows as the square of the knot count.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSupportError, SingularSystemError, ZeroVarianceError
+from .errors import NoSupportError, ZeroVarianceError
+from .linmodels import solve_ridge
 from .series import Series
 
 
@@ -28,7 +30,7 @@ def _basis_matrix(knots: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Basis values at xs: one row per point, one column per basis function.
 
     Every delta_d comes from one broadcast over (points, knots). X is
-    filled in place so that it stays C-contiguous: X.T @ y then sums in
+    filled in place so that it stays C-contiguous: X @ c then sums in
     the same order as it would for column-stacked columns.
     """
     first, last = knots[:-1], knots[-1]
@@ -41,38 +43,24 @@ def _basis_matrix(knots: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return X
 
 
-def _penalty_matrix(knots: np.ndarray) -> np.ndarray:
-    """Gram matrix of basis second derivatives, integrated exactly.
+def _penalty_root(knots: np.ndarray) -> np.ndarray:
+    """R with R.T @ R = Omega, the Gram matrix of basis second derivatives.
 
     Each second derivative is piecewise linear with breakpoints at the
     knots, so on every inter-knot interval the integrand is a quadratic
-    and the three-point Simpson rule is exact.
-
-    The second derivatives are sampled once, at every interval's start,
-    midpoint and end, as three (n_knots, n_intervals) arrays. The upper
-    triangle is then filled one row at a time: every entry is the same
-    elementwise Simpson sum, taken along the same contiguous axis, as a
-    sum per knot pair would be, so the matrix is the same bit for bit.
-    Working memory is O(n_knots^2); one (n, n, n - 1) broadcast for the
-    whole matrix would need O(n_knots^3).
+    and the three-point Simpson rule is exact. R has one row per Simpson
+    point, at each interval's start, midpoint and end: the basis second
+    derivatives there, times the square root of the Simpson weight,
+    sqrt(h/6), 2 sqrt(h/6) and sqrt(h/6). Its working memory is
+    O(n_knots^2).
     """
-    n_knots = len(knots)
-    first, last = knots[:-1, None], knots[-1]
-
-    def d2_basis(x):
-        d2_delta = 6.0 * (np.maximum(x - first, 0.0) - np.maximum(x - last, 0.0)) / (last - first)
-        out = np.zeros((n_knots, len(x)))  # N1 = 1 and N2 = x have none
-        out[2:] = d2_delta[:-1] - d2_delta[-1]
-        return out
-
-    a, b = knots[:-1], knots[1:]
-    ends_a, mid, ends_b = d2_basis(a), d2_basis(0.5 * (a + b)), d2_basis(b)
-    omega = np.zeros((n_knots, n_knots))
-    w = (b - a) / 6.0
-    for j in range(2, n_knots):
-        omega[j, j:] = omega[j:, j] = np.sum(
-            w * (ends_a[j] * ends_a[j:] + 4.0 * mid[j] * mid[j:] + ends_b[j] * ends_b[j:]), axis=1)
-    return omega
+    a, b, last = knots[:-1], knots[1:], knots[-1]
+    x = np.concatenate([a, 0.5 * (a + b), b])[:, None]
+    root_w = np.sqrt((b - a) / 6.0)
+    d2_delta = 6.0 * (np.maximum(x - a, 0.0) - np.maximum(x - last, 0.0)) / (last - a)
+    R = np.zeros((len(x), len(knots)))  # N1 = 1 and N2 = x have none
+    R[:, 2:] = d2_delta[:, :-1] - d2_delta[:, -1:]
+    return R * np.concatenate([root_w, 2.0 * root_w, root_w])[:, None]
 
 
 @dataclass(frozen=True)
@@ -93,9 +81,14 @@ class SplineFit:
 
 
 def fit_smoothing_spline(train: Series, smooth_lambda: float) -> SplineFit:
-    """Penalized fit with every training point as a knot, by one Cholesky solve."""
-    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+    """Penalized fit with every training point as a knot.
 
+    Minimizes ||y - X c||^2 + lambda ||R c||^2 as the stacked least-squares
+    problem [X; sqrt(lambda) R] c = [y; 0], solved orthogonally by
+    solve_ridge. Each column is first scaled by its largest entry, so that
+    the rank test compares like with like at any lambda: unscaled, a large
+    lambda would swamp the line's two columns, which the penalty never sees.
+    """
     if smooth_lambda < 0:
         raise ValueError(f"smoothing parameter must be >= 0, got {smooth_lambda}")
     if len(train) < 4:
@@ -104,17 +97,10 @@ def fit_smoothing_spline(train: Series, smooth_lambda: float) -> SplineFit:
     if np.any(np.diff(knots) <= 0):
         raise ValueError("knots must be strictly increasing and distinct")
 
-    X = _basis_matrix(knots, knots)
-    with np.errstate(over="ignore"):
-        A = X.T @ X + smooth_lambda * _penalty_matrix(knots)
-    system = f"(D={len(train)}, lambda={smooth_lambda})"
-    if not np.isfinite(A).all():
-        raise SingularSystemError(f"penalized spline system overflows {system}")
-    try:  # positive definite for distinct knots: only rounding (a long window) fails
-        factor = cho_factor(A)
-    except LinAlgError as exc:
-        raise SingularSystemError(f"penalized spline system is singular {system}") from exc
-    return SplineFit(knots, cho_solve(factor, X.T @ train.values))
+    A = np.vstack([_basis_matrix(knots, knots), np.sqrt(smooth_lambda) * _penalty_root(knots)])
+    scale = np.abs(A).max(axis=0)
+    y = np.concatenate([train.values, np.zeros(len(A) - len(train))])
+    return SplineFit(knots, solve_ridge(A / scale, y) / scale)
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,18 @@ class TestSolveRidge:
             solve_ridge(X, np.zeros(4))
         assert "4x2" in str(err.value)
 
+    def test_a_solve_lstsq_truncated_is_refused(self):
+        # The smallest singular value passes the 1e-13 relative cutoff, but
+        # at 1000 rows lstsq's own cutoff (eps * 1000) drops it to rank 4.
+        rng = np.random.default_rng(3)
+        U = np.linalg.qr(rng.normal(size=(1000, 5)))[0]
+        V = np.linalg.qr(rng.normal(size=(5, 5)))[0]
+        X = U @ np.diag([1.0, 0.5, 0.2, 0.1, 1.5e-13]) @ V.T
+        assert np.linalg.lstsq(X, X.sum(axis=1), rcond=None)[2] == 4
+        with pytest.raises(SingularSystemError) as err:
+            solve_ridge(X, X.sum(axis=1))
+        assert "1000x5" in str(err.value)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             solve_ridge(np.ones((3, 1)), np.ones(2))

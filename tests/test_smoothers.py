@@ -1,17 +1,19 @@
+import math
+import sys
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.linalg
-from scipy.interpolate import CubicSpline
-from scipy.linalg import LinAlgError
+from scipy.interpolate import CubicSpline, make_smoothing_spline
 
 from daycast.config import band_from_config, builtin_config_path, load_config, load_dataset
-from daycast.errors import NoSupportError, SingularSystemError, ZeroVarianceError
+from daycast.errors import NoSupportError, ZeroVarianceError
 from daycast.evalharness import Band, compare
 from daycast.linmodels import fit_polynomial
 from daycast.series import Series, make_sine
-from daycast.smoothers import (KernelConfig, _basis_matrix, _penalty_matrix, default_bandwidth,
+from daycast.smoothers import (KernelConfig, _basis_matrix, _penalty_root, default_bandwidth,
                                fit_smoothing_spline, kernel_predict)
 
 GENERIC_Y = [2.0, -1.0, 4.0, 3.5, 0.5, 1.0]
@@ -61,6 +63,50 @@ def loop_penalty_matrix(knots):
     return omega
 
 
+def exact_spline_train_rmse(knots, values, smooth_lambda):
+    """Reference: the spline's train RMSE from an exact rational solve.
+
+    Builds X and the Simpson penalty in Fractions (Simpson's rule is exact
+    on the piecewise-quadratic integrands), solves the normal equations
+    X'X c + lambda Omega c = X'y by Gaussian elimination with no rounding,
+    and rounds only the final square root.
+    """
+    k = [Fraction(t) for t in knots]
+    y = [Fraction(v) for v in values]
+    lam = Fraction(smooth_lambda)
+    n, last = len(k), k[-1]
+
+    def basis(x):
+        delta = [(max(x - kd, 0) ** 3 - max(x - last, 0) ** 3) / (last - kd) for kd in k[:-1]]
+        return [Fraction(1), x] + [d - delta[-1] for d in delta[:-1]]
+
+    def d2_basis(x):
+        d2 = [6 * (max(x - kd, 0) - max(x - last, 0)) / (last - kd) for kd in k[:-1]]
+        return [Fraction(0), Fraction(0)] + [d - d2[-1] for d in d2[:-1]]
+
+    X = [basis(x) for x in k]
+    M = [[sum(X[r][i] * X[r][j] for r in range(n)) for j in range(n)] for i in range(n)]
+    for a, b in zip(k, k[1:]):
+        ea, mid, eb = d2_basis(a), d2_basis((a + b) / 2), d2_basis(b)
+        for i in range(2, n):
+            for j in range(2, n):
+                M[i][j] += lam * (b - a) / 6 * (ea[i] * ea[j] + 4 * mid[i] * mid[j] + eb[i] * eb[j])
+    rhs = [sum(X[r][i] * y[r] for r in range(n)) for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if M[r][col] != 0)
+        M[col], M[pivot], rhs[col], rhs[pivot] = M[pivot], M[col], rhs[pivot], rhs[col]
+        for r in range(col + 1, n):
+            f = M[r][col] / M[col][col]
+            if f:
+                M[r] = [mr - f * mc for mr, mc in zip(M[r], M[col])]
+                rhs[r] -= f * rhs[col]
+    c = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        c[i] = (rhs[i] - sum(M[i][j] * c[j] for j in range(i + 1, n))) / M[i][i]
+    sse = sum((y[r] - sum(X[r][j] * c[j] for j in range(n))) ** 2 for r in range(n))
+    return math.sqrt(sse / n)
+
+
 def random_knots(seed, spacing):
     """4 to 79 knots: hourly from a random start, or irregular and sorted."""
     rng = np.random.default_rng(seed)
@@ -71,7 +117,19 @@ def random_knots(seed, spacing):
     return float(rng.uniform(-100.0, 100.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
 
 
+def fixture_spline_row(name):
+    cfg = load_config(builtin_config_path(name))
+    dataset = load_dataset(cfg)
+    row, = compare(dataset, [m for m in cfg["methods"] if m["name"] == "spline"],
+                   band_from_config(cfg), train_samples=cfg["train_samples"],
+                   forecast_samples=cfg["forecast_samples"])
+    end = len(dataset) - cfg["forecast_samples"]
+    return row, dataset.values[end - cfg["train_samples"]:end], row.settings["smooth_lambda"]
+
+
 class TestSplineMatricesMatchTheLoops:
+    # The basis is compared byte for byte. The penalty is compared as
+    # R'R, which sums the same Simpson terms in another order.
     @pytest.mark.parametrize("spacing", ["unit", "irregular"])
     @pytest.mark.parametrize("seed", range(25))
     def test_bit_identical_on_random_knots(self, seed, spacing):
@@ -80,37 +138,42 @@ class TestSplineMatricesMatchTheLoops:
         span = knots[-1] - knots[0]
         xs = np.concatenate([knots, rng.uniform(knots[0] - span, knots[-1] + span, 40),
                              [knots[0] - 3.5, knots[-1] + 7.25]])
-        assert _penalty_matrix(knots).tobytes() == loop_penalty_matrix(knots).tobytes()
+        root = _penalty_root(knots)
+        np.testing.assert_allclose(root.T @ root, loop_penalty_matrix(knots), rtol=1e-13)
         basis = _basis_matrix(knots, xs)
         assert basis.tobytes() == loop_basis_matrix(knots, xs).tobytes()
-        # The column-stacked reference is C-ordered; X.T @ y sums by layout.
+        # The column-stacked reference is C-ordered; X @ c sums by layout.
         assert basis.flags.c_contiguous
 
     @pytest.mark.parametrize("n_knots", [4, 5, 79])
     def test_bit_identical_at_the_size_limits(self, n_knots):
         knots = np.arange(1.0, n_knots + 1.0)
-        assert _penalty_matrix(knots).tobytes() == loop_penalty_matrix(knots).tobytes()
+        root = _penalty_root(knots)
+        np.testing.assert_allclose(root.T @ root, loop_penalty_matrix(knots), rtol=1e-13)
         assert _basis_matrix(knots, knots).tobytes() == loop_basis_matrix(knots, knots).tobytes()
 
     @pytest.mark.parametrize("name, train_rmse", [
-        ("table2_wind", 0.9285567461913319),
-        ("table2_temperature", 0.14407289207208113),
-        ("table2_irradiance", 25.811490484084583),
+        ("table2_wind", 0.9285567461873756),
+        ("table2_temperature", 0.14407288697720214),
+        ("table2_irradiance", 25.81149048329875),
     ])
     def test_fixture_spline_rows_are_pinned(self, name, train_rmse):
-        cfg = load_config(builtin_config_path(name))
-        rows = compare(load_dataset(cfg), [m for m in cfg["methods"] if m["name"] == "spline"],
-                       band_from_config(cfg), train_samples=cfg["train_samples"],
-                       forecast_samples=cfg["forecast_samples"])
-        assert rows[0].train_rmse == train_rmse
+        row, _, _ = fixture_spline_row(name)
+        assert row.train_rmse == train_rmse
+
+    @pytest.mark.parametrize("name", ["table2_wind", "table2_temperature", "table2_irradiance"])
+    def test_fixture_spline_rows_match_an_exact_rational_solve(self, name):
+        row, values, smooth_lambda = fixture_spline_row(name)
+        exact = exact_spline_train_rmse(np.arange(1.0, len(values) + 1.0), values, smooth_lambda)
+        assert row.train_rmse == pytest.approx(exact, rel=1e-12, abs=0)
 
     def test_penalty_memory_grows_with_the_square_of_the_knots(self):
-        # 300 knots: a few MB for rows of the upper triangle; one
-        # (n, n, n - 1) broadcast would need about 215 MB per temporary.
+        # 300 knots: R is 897 x 300, about 2 MB, and each of its temporaries
+        # the same; one (n, n, n - 1) broadcast would need about 215 MB.
         knots = np.arange(1.0, 301.0)
         tracemalloc.start()
         try:
-            _penalty_matrix(knots)
+            _penalty_root(knots)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -182,7 +245,8 @@ class TestSmoothingSpline:
         assert all(a <= b + 1e-10 for a, b in zip(errs, errs[1:]))
 
     def test_penalty_matrix_is_symmetric_psd(self, temp24):
-        omega = _penalty_matrix(temp24.times)
+        root = _penalty_root(temp24.times)
+        omega = root.T @ root
         np.testing.assert_allclose(omega, omega.T, atol=1e-12)
         eigs = np.linalg.eigvalsh(omega)
         assert eigs.min() > -1e-8 * max(eigs.max(), 1.0)
@@ -195,35 +259,44 @@ class TestSmoothingSpline:
         with pytest.raises(ValueError):
             fit_smoothing_spline(Series(GENERIC_Y), -1.0)
 
-    def test_lambda_whose_penalty_overflows_is_a_singular_system(self, wind, capfd):
-        with pytest.raises(SingularSystemError) as err:
-            fit_smoothing_spline(Series(GENERIC_Y), 1e308)
-        assert str(err.value) == "penalized spline system overflows (D=6, lambda=1e+308)"
-        row, = compare(wind, [{"name": "spline", "smooth_lambda": 1e308}], Band(1.0, 3.0))
-        assert row.error == "penalized spline system overflows (D=24, lambda=1e+308)"
+    @pytest.mark.parametrize("lam", [1e308, sys.float_info.max])
+    def test_largest_lambdas_give_the_least_squares_line(self, wind, wind24, capfd, lam):
+        y = Series(GENERIC_Y)
+        probes = np.array([-3.0, 1.0, 2.5, 4.0, 6.0, 11.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_smoothing_spline(y, lam)
+            row, = compare(wind, [{"name": "spline", "smooth_lambda": lam}], Band(1.0, 3.0))
+        np.testing.assert_allclose(fit.predict(probes), fit_polynomial(y, 1).predict(probes),
+                                   rtol=0, atol=1e-14)
+        line = fit_polynomial(wind24, 1).predict(wind24.times)
+        assert row.error is None
+        assert row.train_rmse == pytest.approx(
+            float(np.sqrt(np.mean((line - wind24.values) ** 2))), rel=1e-14)
         assert capfd.readouterr() == ("", "")
 
-    def test_a_system_cholesky_refuses_is_singular_after_one_attempt(self, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("n_knots", [168, 400])
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 9.0])
+    def test_long_windows_match_scipys_b_spline_smoother(self, n_knots, lam):
+        # make_smoothing_spline minimizes the same functional in a B-spline basis.
+        t = np.arange(1.0, n_knots + 1.0)
+        y = 4.0 * np.sin(2.0 * np.pi * t / 24.0) + np.random.default_rng(1).normal(0.0, 0.5, n_knots)
+        probes = np.concatenate([t, t[:-1] + 0.5])
+        fit = fit_smoothing_spline(Series(y), lam)
+        oracle = make_smoothing_spline(t, y, lam=lam)
+        np.testing.assert_allclose(fit.predict(probes), oracle(probes), rtol=0,
+                                   atol=1e-7 if n_knots == 168 else 1e-5)
 
-        def refuse(a, *args, **kwargs):
-            calls.append(a)
-            raise LinAlgError("not positive definite")
-
-        monkeypatch.setattr(scipy.linalg, "cho_factor", refuse)
-        with pytest.raises(SingularSystemError) as err:
-            fit_smoothing_spline(Series(GENERIC_Y), 0.3)
-        assert str(err.value) == "penalized spline system is singular (D=6, lambda=0.3)"
-        assert len(calls) == 1
-
-    def test_a_long_interpolating_window_is_an_error_row(self):
+    def test_a_long_interpolating_window_interpolates(self):
         # 400 hourly knots at lambda = 0: X'X has condition number about 4e20,
-        # far past what Cholesky accepts in double precision.
+        # which Cholesky refuses; the scaled stacked system does not square it.
         values = 4.0 * np.sin(2.0 * np.pi * np.arange(424) / 24.0)
+        fit = fit_smoothing_spline(Series(values[:400]), 0.0)
+        np.testing.assert_allclose(fit.predict(fit.knots), values[:400], rtol=0, atol=1e-7)
         row, = compare(Series(values), [{"name": "spline", "smooth_lambda": 0.0}],
                        Band(1.0, 3.0), train_samples=400)
-        assert row.train_rmse is None
-        assert row.error == "penalized spline system is singular (D=400, lambda=0.0)"
+        assert row.error is None
+        assert row.train_rmse < 1e-7
 
 
 class TestKernelRegression:
