@@ -202,11 +202,6 @@ def _split_params(params: np.ndarray, order: ArimaOrder):
             params[p + q:p + q + P], params[p + q + P:p + q + P + Q])
 
 
-# Above this many differenced samples an MA order's shocks come from lfilter,
-# whose C loop beats the unrolled plain-float recursion (its source grows with m).
-_UNROLL_MAX_SAMPLES = 64
-
-
 def _lag_coefficients(name: str, c: list, C: list, s: int) -> tuple[list, dict]:
     """Source lines naming the lag coefficients of _product(c, C, s), and {lag: name}.
 
@@ -235,16 +230,16 @@ def _shock_function(order: ArimaOrder, m: int):
     The coefficients are plain floats, from _lag_coefficients. Without an
     MA side lfilter calls np.convolve(ar, zc), whose sums are BLAS's (fused
     on some CPUs), so shocks makes that call, at any m. With an MA side
-    above _UNROLL_MAX_SAMPLES, shocks calls lfilter itself, and only then
-    does bind import scipy.signal. Otherwise lfilter runs a transposed
-    direct form: each shock adds the lags from the longest to the shortest,
-    the AR term (x[t-k] * b[k], b = ar) before the MA term (y[t-k] * a[k],
-    a = ma) at one lag, then x[t]. shocks makes those operations in that
-    order on plain floats (bind takes x from zc.tolist()), unrolled over the
-    m samples. It leaves out the lags no sample reaches (k >= m) and the
-    coefficients that are structurally zero: such a term can only change
-    the sign of a zero shock, which squaring removes, or turn into NaN a
-    shock that is not finite anyway.
+    lfilter runs a transposed direct form: each shock adds the lags from
+    the longest to the shortest, the AR term (x[t-k] * b[k], b = ar) before
+    the MA term (y[t-k] * a[k], a = ma) at one lag, then x[t]. shocks makes
+    those operations in that order on plain floats (bind takes x from
+    zc.tolist()): unrolled up to the longest lag L with a term, and from
+    there in one loop over t, where every shock has every term. It leaves
+    out the lags no sample reaches (k > t) and the coefficients that are
+    structurally zero: such a term can only change the sign of a zero
+    shock, which squaring removes, or turn into NaN a shock that is not
+    finite anyway.
     """
     p, q, P, Q = order.p, order.q, order.P, order.Q
     params = ([f"phi{i}" for i in range(1, p + 1)] + [f"theta{i}" for i in range(1, q + 1)]
@@ -253,32 +248,38 @@ def _shock_function(order: ArimaOrder, m: int):
     ar_lines, ar = _lag_coefficients("b", params[:p], params[p + q:p + q + P], s)
     ma_lines, ma = _lag_coefficients("a", params[p:p + q], params[p + q + P:], s)
 
-    def poly(lags, degree):  # the coefficient array, 0.0 at the lags with no term
-        names = ["1.0"] + [lags.get(k, "0.0") for k in range(1, degree + 1)]
-        return f"_array([{', '.join(names)}])"
-
     bind = []
     body = [f"{', '.join(params)}, = map(float, params)"] if params else []
     body += ar_lines + ma_lines
-    if not ma:
-        body.append(f"return _convolve({poly(ar, p + s * P)}, zc)[:{m}]")
-    elif m > _UNROLL_MAX_SAMPLES:
-        bind.append("from scipy.signal import lfilter")
-        body.append(f"return lfilter({poly(ar, p + s * P)}, {poly(ma, q + s * Q)}, zc)")
+    if not ma:  # the coefficient array, 0.0 at the lags with no term
+        names = ["1.0"] + [ar.get(k, "0.0") for k in range(1, p + s * P + 1)]
+        body.append(f"return _convolve(_array([{', '.join(names)}]), zc)[:{m}]")
     else:
-        bind.append(f"{', '.join(f'x{t}' for t in range(m))}, = zc.tolist()")
-        lags = sorted((k for k in ar.keys() | ma.keys() if k < m), reverse=True)
-        for t in range(m):
+        lags = sorted(ar.keys() | ma.keys(), reverse=True)
+
+        def shock(t, x, y):  # the sum for sample t; x(k) and y(k) name lag k's sample and shock
             expr = ""
             for k in (k for k in lags if k <= t):
                 if k in ar:
-                    expr += f" + x{t - k} * {ar[k]}"
+                    expr += f" + {x(k)} * {ar[k]}"
                 if k in ma:
-                    expr += f" - y{t - k} * {ma[k]}"
-            expr += f" + x{t}"  # Python adds left to right, as lfilter does
+                    expr += f" - {y(k)} * {ma[k]}"
+            expr += f" + {x(0)}"  # Python adds left to right, as lfilter does
             # Drop the leading " + ", or write a leading " - " as a unary minus.
-            body.append(f"y{t} = {expr[3:] if expr[1] == '+' else '-' + expr[3:]}")
-        body.append(f"return _array([{', '.join(f'y{t}' for t in range(m))}])")
+            return expr[3:] if expr[1] == "+" else "-" + expr[3:]
+
+        u = min(m, lags[0])
+        x_names, y_names = (", ".join(f"{v}{t}" for t in range(u)) for v in "xy")
+        for t in range(u):
+            body.append(f"y{t} = {shock(t, lambda k: f'x{t - k}', lambda k: f'y{t - k}')}")
+        if m == u:
+            bind.append(f"{x_names}, = zc.tolist()")
+            body.append(f"return _array([{y_names}])")
+        else:  # past the longest lag every shock has every term, so one loop makes them
+            loop = shock(u, lambda k: f"xs[t - {k}]" if k else "xs[t]", lambda k: f"y[t - {k}]")
+            bind += ["xs = zc.tolist()", f"{x_names}, = xs[:{u}]"]
+            body += [f"y = [{y_names}]", f"for t in range({u}, {m}):", f"    y.append({loop})",
+                     "return _array(y)"]
     source = ("def bind(zc):\n" + "".join(f"    {line}\n" for line in bind)
               + "    def shocks(params):\n" + "".join(f"        {line}\n" for line in body)
               + "    return shocks\n")
@@ -290,12 +291,13 @@ def _shock_function(order: ArimaOrder, m: int):
 def _css_objective(order: ArimaOrder, zc: np.ndarray):
     """The objective of css_estimate: params -> the sum of squared CSS shocks of zc.
 
-    The shocks are _shock_function's: lfilter(ar, ma, zc)'s, bit for bit but
-    for the sign of a zero shock at a -0.0 sample, which squaring removes
-    (and the NaN or inf of a shock that is not finite). The sum is one BLAS
-    dot, as a @ a was; np.vdot gives the same bits but, not being a ufunc,
-    does not warn when it overflows to inf. A shock that is not finite
-    scores 1e300.
+    The shocks are _shock_function's, at every length: lfilter(ar, ma, zc)'s,
+    bit for bit but for the sign of a zero shock at a -0.0 sample, which
+    squaring removes (and the NaN or inf of a shock that is not finite).
+    A forecast can carry that sign, so forecast runs _lfilter_floats. The
+    sum is one BLAS dot, as a @ a was; np.vdot gives the same bits but, not
+    being a ufunc, does not warn when it overflows to inf. A shock that is
+    not finite scores 1e300.
     """
     shocks = _shock_function(order, len(zc))(zc)
 
@@ -433,10 +435,9 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
     arithmetic; xatol 1e-10, fatol 1e-14) from a Yule-Walker start for the
     AR side and zeros elsewhere. The objective, _css_objective, gives the
     bits of the lfilter shocks and a @ a it replaces. Its shocks come from
-    np.convolve for an order without an MA side, from plain floats for an
-    MA order on up to _UNROLL_MAX_SAMPLES differenced samples, and from
-    lfilter above that. The budget defaults to 500 iterations per free
-    parameter, with twice as many objective evaluations.
+    np.convolve for an order without an MA side and from plain floats for
+    an MA order, at any length. The budget defaults to 500 iterations per
+    free parameter, with twice as many objective evaluations.
 
     Raises EstimationError (carrying the best model and objective so
     far) if the simplex exhausts its budget without converging.
@@ -447,7 +448,7 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
     z = difference(series, order.d, order.D, order.s).values
     m = len(z)
     mu_z = float(z.mean())
-    zc = z - (mu_z if order.d + order.D == 0 else 0.0)  # lfilter is slower on read-only z
+    zc = z - mu_z if order.d + order.D == 0 else z
     objective = _css_objective(order, zc)
 
     def build(params, sigma2, trace):
@@ -506,15 +507,38 @@ def _center_of(model: ArimaModel, ar: np.ndarray) -> float:
     return model.theta0 / stat1 if stat1 != 0.0 else 0.0
 
 
+def _lfilter_floats(b: list, a: list, x: list) -> list:
+    """scipy.signal.lfilter(b, a, x) on plain floats, for a[0] == 1 and len(a) >= 2.
+
+    This is lfilter's transposed direct form II with the same operations
+    in the same order, so it gives the same bits, zero signs included:
+    both sides padded with zeros to one length and a zero initial state
+    (lfilter would divide by a[0], and with one a coefficient calls
+    np.convolve instead).
+    """
+    n = max(len(a), len(b))
+    b = b + [0.0] * (n - len(b))
+    a = a + [0.0] * (n - len(a))
+    z = [0.0] * (n - 1)
+    y = []
+    for xt in x:
+        yt = z[0] + b[0] * xt
+        for k in range(n - 2):
+            z[k] = z[k + 1] + xt * b[k + 1] - yt * a[k + 1]
+        z[-1] = xt * b[-1] - yt * a[-1]
+        y.append(yt)
+    return y
+
+
 def forecast(model: ArimaModel, history: Series, lead: int) -> Series:
     """Minimum-MSE forecasts by iterating the expanded difference equation.
 
     Known samples and reconstructed in-sample shocks feed the recursion;
     future shocks are zero and intermediate future values are the
-    previously computed conditional expectations. The shocks are lfilter's:
-    a forecast can carry the zero sign that those of _css_objective miss.
-    Only a model with an MA side reads shocks, so only it computes them and
-    loads scipy.signal.
+    previously computed conditional expectations. The shocks are lfilter's,
+    from _lfilter_floats: a forecast can carry the zero sign that those of
+    _css_objective miss. Only a model with an MA side reads shocks, so
+    only it computes them.
     """
     if lead < 1:
         raise ValueError(f"lead must be >= 1, got {lead}")
@@ -535,12 +559,11 @@ def forecast(model: ArimaModel, history: Series, lead: int) -> Series:
     ye = history.values.tolist() + [0.0] * lead
     pad = len(thetas)
     if thetas:  # an MA-free recursion reads no shock
-        from scipy.signal import lfilter
-
         z = difference(history, model.order.d, model.order.D, model.order.s).values
+        shocks = _lfilter_floats(ar.tolist(), ma.tolist(), (z - center).tolist())
         # Pre-pad so MA lags reaching before the first sample read the
         # conventional zero pre-sample shocks instead of wrapping.
-        ae = [0.0] * (pad + drop) + lfilter(ar, ma, z - center).tolist() + [0.0] * lead
+        ae = [0.0] * (pad + drop) + shocks + [0.0] * lead
     for i in range(n, n + lead):
         val = theta0_eff
         for j in range(1, len(phis) + 1):

@@ -210,8 +210,8 @@ def run_cli(argv=None) -> int:
     except ConfigError as exc:
         print(f"daycast: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (DaycastError, ValueError, OSError) as exc:
-        print(f"daycast: {exc}", file=sys.stderr)
+    except (DaycastError, ValueError, OSError, MemoryError) as exc:  # MemoryError: a huge count
+        print(f"daycast: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return DATA_ERROR
 
 

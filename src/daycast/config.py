@@ -92,6 +92,8 @@ def load_config(path) -> dict:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
     except ValueError as exc:  # JSONDecodeError, or an int literal past Python's digit limit
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    except RecursionError:  # arrays or objects nested past the interpreter's recursion limit
+        raise ConfigError(f"{path}: invalid JSON (nested too deeply)") from None
     return validate_config(raw)
 
 

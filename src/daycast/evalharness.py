@@ -350,6 +350,12 @@ def run_single(dataset: Series, params: dict, *, train_samples: int = 24,
     train = Series(dataset.values[boundary - window:boundary], 1, dataset.period_hint,
                    dataset.unit)
     fitted, forecast, extras = method.run(train, holdout)
+    outputs = [] if fitted is None else [("fit", fitted, window + 1 - len(fitted))]
+    for output, values, t0 in outputs + [("forecast", forecast, window + 1)]:
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ValueError(f"{params['name']} {output} is not finite at t = "
+                             f"{t0 + finite.argmin()}")
     if fitted is not None:
         fitted = train.with_values(fitted, t0=window + 1 - len(fitted))
     return EvalReport(params["name"], None, None, None, {**params, **extras}, train=train,

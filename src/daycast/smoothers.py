@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSupportError, ZeroVarianceError
+from .errors import NoSupportError, SingularSystemError, ZeroVarianceError
 from .linmodels import solve_ridge
 from .series import Series
 
@@ -100,7 +100,12 @@ def fit_smoothing_spline(train: Series, smooth_lambda: float) -> SplineFit:
     A = np.vstack([_basis_matrix(knots, knots), np.sqrt(smooth_lambda) * _penalty_root(knots)])
     scale = np.abs(A).max(axis=0)
     y = np.concatenate([train.values, np.zeros(len(A) - len(train))])
-    return SplineFit(knots, solve_ridge(A / scale, y) / scale)
+    try:
+        coeffs = solve_ridge(A / scale, y)
+    except SingularSystemError as exc:
+        raise SingularSystemError(f"smoothing spline on {len(knots)} knots, "
+                                  f"smooth_lambda={smooth_lambda}: {exc}") from None
+    return SplineFit(knots, coeffs / scale)
 
 
 @dataclass(frozen=True)
@@ -130,14 +135,18 @@ def kernel_predict(train: Series, config: KernelConfig, x: float) -> float:
             f"no kernel support at x={x} (all weights underflowed; "
             f"bandwidth={config.bandwidth})"
         )
-    return float(weights @ train.values / denom)
+    with np.errstate(over="ignore", invalid="ignore"):  # run_single refuses an inf or NaN
+        return float(weights @ train.values / denom)
 
 
 def default_bandwidth(train: Series) -> float:
     """Population variance of the targets, a simple default bandwidth."""
     if len(train) < 2:
         raise ValueError("need at least 2 samples for a bandwidth estimate")
-    var = float(np.var(train.values))
+    with np.errstate(over="ignore"):
+        var = float(np.var(train.values))
     if var == 0.0:
         raise ZeroVarianceError("constant series has zero variance; choose a bandwidth explicitly")
+    if not np.isfinite(var):
+        raise ValueError("the variance of the targets overflows; choose a bandwidth explicitly")
     return var

@@ -544,16 +544,16 @@ class TestObjectiveMatchesLfilter:
                                     self.ORDERS[label])
 
     @pytest.mark.parametrize("seed", range(2))
-    @pytest.mark.parametrize("label, n", [("wind", 96), ("temperature", 120)])
+    @pytest.mark.parametrize("label, n", [("wind", 96), ("wind", 192), ("temperature", 120)])
     def test_windows_above_the_unrolled_length(self, label, n, seed, monkeypatch):
-        # 72 differenced samples of an MA order (the generated lfilter call)
-        # and 94 of an MA-free one (np.convolve).
+        # 72 and 168 differenced samples of an MA order (the loop past the
+        # longest lag, 24) and 94 of an MA-free one (np.convolve).
         order, train = self.ORDERS[label], self.series(label, seed, n=n)
-        assert len(train) - order.d - order.s * order.D > arima._UNROLL_MAX_SAMPLES
+        assert len(train) - order.d - order.s * order.D > 64
         self.assert_same_as_lfilter(monkeypatch, train, order)
 
     def test_acceptance_criterion_one_sine(self, monkeypatch):
-        # 100 samples of an AR(2): np.convolve above _UNROLL_MAX_SAMPLES too.
+        # 100 samples of an AR(2): np.convolve at any length.
         self.assert_same_as_lfilter(monkeypatch, make_sine(1, 100, 100, 0),
                                     ArimaOrder(2, 0, 0, 0, 0, 0, 0))
 
@@ -580,9 +580,9 @@ class TestObjectiveMatchesLfilter:
     @pytest.mark.parametrize("seed", range(200))
     def test_objective_values_on_random_parameters(self, seed):
         # Random (p, 0, q)(P, 0, Q)s orders on both sides of s, 1 to 80
-        # samples (above _UNROLL_MAX_SAMPLES an MA order's generated shocks
-        # call lfilter), samples with exact zeros, and parameters from 1e-8
-        # to 1e200 with zeros.
+        # samples (past its longest lag an MA order's generated shocks
+        # loop), samples with exact zeros, and parameters from 1e-8 to 1e200
+        # with zeros.
         order, params = random_operator_case(seed)
         rng = np.random.default_rng(seed)
         m = int(rng.integers(1, 81))
@@ -597,7 +597,7 @@ class TestObjectiveMatchesLfilter:
 
 
 class TestForecastKeepsLfiltersZeroSigns:
-    """Where the compiled CSS shocks part from lfilter's, and why forecast keeps lfilter.
+    """Where the compiled CSS shocks part from lfilter's, and why forecast runs _lfilter_floats.
 
     _shock_function leaves out lfilter's zero initial state and the
     coefficients that are structurally zero. That changes no value, only
@@ -639,11 +639,29 @@ class TestForecastKeepsLfiltersZeroSigns:
         params = data.draw(st.lists(st.sampled_from(self.VALUES), min_size=order.n_params,
                                     max_size=order.n_params))
         zc = np.array(data.draw(st.lists(st.sampled_from(self.VALUES[:2] * 4 + self.VALUES),
-                                         min_size=1, max_size=arima._UNROLL_MAX_SAMPLES)))
+                                         min_size=1, max_size=64)))
         compiled, reference = self.compiled_and_lfilter(order, params, zc)
         np.testing.assert_array_equal(compiled, reference)  # -0.0 == 0.0 here
         negative_zero = (zc == 0) & np.signbit(zc) & (reference == 0)
         assert compiled[~negative_zero].tobytes() == reference[~negative_zero].tobytes()
+
+
+class TestLfilterFloats:
+    """_lfilter_floats gives lfilter's bytes wherever a[0] == 1 and len(a) >= 2."""
+
+    ENTRIES = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -1e200, 1e-200, -1e-200, 1e-300]
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_values_zero_signs_and_nans_are_lfilters(self, data):
+        entry = st.one_of(st.sampled_from(self.ENTRIES), st.floats(-3.0, 3.0))
+        b = data.draw(st.lists(entry, min_size=1, max_size=30))
+        a = [1.0] + data.draw(st.lists(entry, min_size=1, max_size=29))
+        x = data.draw(st.lists(entry, min_size=1, max_size=64))
+        got, want = np.array(arima._lfilter_floats(b, a, x)), lfilter(b, a, x)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 class TestForecast:

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from daycast import smoothers
 from daycast.evalharness import Band, compare, consecutive_within, rmse, run_single
 from daycast.config import band_from_config, builtin_config_path, load_config
 from daycast.fixtures import fixture
@@ -180,6 +183,20 @@ class TestCompare:
         assert rows[0].error == ("train_rmse overflows: the squared training errors of 24 "
                                  "samples exceed the float range")
 
+    @pytest.mark.parametrize("amplitude, period, bandwidth, error", [
+        (1e308, 24, None, "the variance of the targets overflows; choose a bandwidth explicitly"),
+        (1e308, 24, 100.0, "kernel fit is not finite at t = 1"),  # the weighted sum is inf
+        (1.7e308, 4, 10.0, "kernel fit is not finite at t = 1")],  # and here NaN
+        ids=["default", "inf", "nan"])
+    def test_a_kernel_row_past_the_float_range_names_its_method(self, amplitude, period,
+                                                                bandwidth, error):
+        # The suite makes a RuntimeWarning an error, so a numpy warning from
+        # np.var or the weighted sum would be the row's message.
+        block = {"name": "kernel"} if bandwidth is None else {"name": "kernel",
+                                                              "bandwidth": bandwidth}
+        row, = compare(make_sine(amplitude, period, 48, 0), [block], WIND_BAND)
+        assert row.error == error
+
     def test_kernel_method_stays_callable_even_if_unsuited(self, wind):
         # The smoother is excluded from the published comparison but the
         # harness can still run it on request.
@@ -245,6 +262,13 @@ class TestRunSingle:
         rows = compare(wind, blocks, WIND_BAND, forecast_samples=1)
         assert [row.error for row in rows] == [None] * len(blocks)
         assert all(row.forecast.values.shape == (1,) for row in rows)
+
+    def test_a_forecast_that_is_not_finite_names_its_method_and_time(self, wind, monkeypatch):
+        monkeypatch.setattr(smoothers, "kernel_predict",
+                            lambda train, config, x: math.inf if x == 27 else 0.0)
+        with pytest.raises(ValueError) as err:
+            run_single(wind, {"name": "kernel", "bandwidth": 2.0})
+        assert str(err.value) == "kernel forecast is not finite at t = 27"
 
     def test_nexting_settings_echo_alignment(self, wind):
         run = run_single(wind, {"name": "nexting", "gamma": 0.0, "alpha": 0.3,

@@ -777,6 +777,17 @@ class TestExportReport:
             else:
                 assert text.splitlines() == ["method,train_rmse,inner_run,outer_run", "tree,,,"]
 
+    def test_a_kernel_variance_past_the_float_range_is_an_error_row(self, tmp_path):
+        # A fresh process, as a user runs it: stderr carries no numpy warning.
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps({
+            "signal": "synthetic", "synthetic": {"amplitude": 1e308, "period": 24, "count": 48},
+            "band": {"inner": 1.0, "outer": 2.0}, "methods": [{"name": "kernel"}]}))
+        proc = fresh_python("-m", "daycast.cli", "compare", "--config", str(config))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert ("FAILED: the variance of the targets overflows; choose a bandwidth explicitly"
+                in proc.stdout)
+
 
 class TestCli:
     def test_synth_emits_count_lines(self, capsys):
@@ -825,6 +836,26 @@ class TestCli:
         cfg.write_text('{"signal": ' + "1" * (sys.get_int_max_str_digits() + 1) + "}")
         assert run_cli(["compare", "--config", str(cfg)]) == 1
         assert f"daycast: {cfg}: invalid JSON (Exceeds the limit" in capsys.readouterr().err
+
+    def test_config_nested_too_deeply_exits_1_with_path(self, tmp_path, capsys):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
+        assert run_cli(["compare", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", f"daycast: {cfg}: invalid JSON (nested too deeply)\n")
+
+    def test_a_count_past_the_address_space_exits_2(self, tmp_path, capsys):
+        # 10**15 samples are 8 PB, which no 64-bit process can map, so the
+        # allocation fails at once whatever the machine's overcommit policy.
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"signal": "synthetic", "band": {"inner": 1, "outer": 3},
+                                   "synthetic": {"amplitude": 1, "period": 24,
+                                                 "count": 10**15},
+                                   "methods": [{"name": "polynomial", "degree": 3}]}))
+        for argv in (["synth", "--period", "24", "--count", str(10**15)],
+                     ["compare", "--config", str(cfg)]):
+            assert run_cli(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("daycast: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["fit", "forecast"])
     def test_rbf_sigma_whose_square_overflows_is_one_error_line(self, tmp_path, capsys,
@@ -1136,11 +1167,10 @@ print(codes, [m for m in ("scipy.signal", "scipy.optimize", "scipy.stats", "scip
         assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0] []"
 
     def test_an_arima_fit_loads_no_scipy_signal(self):
-        # The CSS objective calls lfilter only for an MA order above 64
-        # differenced samples, and forecast only for a model with an MA side.
-        # So the wind fit (24 differenced samples, not its forecast), and
-        # the fits and forecasts of acceptance criterion 1 and of the
-        # temperature order on 120 samples (MA-free), load no scipy.signal.
+        # No ARIMA fit or forecast calls lfilter. So the wind fit and
+        # forecast (24 differenced samples, an MA side), and the fits and
+        # forecasts of acceptance criterion 1 and of the temperature order
+        # on 120 samples (MA-free), load no scipy.signal.
         code = """
 import sys
 import numpy as np
@@ -1149,6 +1179,8 @@ from daycast.fixtures import wind48
 from daycast.series import Series, make_sine
 model = css_estimate(wind48(), ArimaOrder(0, 0, 3, 1, 1, 0, 24))
 print(len(model.fit_trace) > 1, "scipy.signal" in sys.modules)
+forecast(model, wind48(), 24)
+print("scipy.signal" in sys.modules)
 sine = make_sine(1, 100, 100, 0)
 forecast(css_estimate(sine, ArimaOrder(2, 0, 0, 0, 0, 0, 0)), sine, 100)
 print("scipy.signal" in sys.modules)
@@ -1160,7 +1192,40 @@ print("scipy.signal" in sys.modules)
 """
         proc = fresh_python("-c", code)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["True", "False", "False", "False"]
+        assert proc.stdout.split() == ["True", "False", "False", "False", "False"]
+
+    def test_every_command_and_an_ma_arima_fit_run_without_scipy(self):
+        # scipy is a test dependency only. With its import refused, every
+        # command runs on the builtin configs, and so do the MA-side ARIMA
+        # orders of wind and irradiance, fitted and forecast on 72, 96 and
+        # 168 samples (48 to 144 differenced, past their longest lags).
+        compares = [["compare", "--config", str(builtin_config_path(name))]
+                    for name in builtin_config_names()]
+        code = f"""
+import contextlib, io, sys
+sys.modules["scipy"] = None
+import numpy as np
+import daycast.cli
+from daycast.arima import ArimaOrder, css_estimate, forecast
+from daycast.series import Series
+argvs = [["synth", "--period", "24", "--count", "3"], ["acf", "--fixture", "wind48"],
+         ["nexting-run", "--config", {str(builtin_config_path("nexting_multiperiod_irradiance"))!r}],
+         *{compares!r}]
+with contextlib.redirect_stdout(io.StringIO()):
+    print(*[daycast.cli.run_cli(argv) for argv in argvs], file=sys.stderr)
+rng = np.random.default_rng(0)
+for n in (72, 96, 168):
+    t = np.arange(n)
+    y = Series(6 + 3 * np.sin(2 * np.pi * t / 24) + rng.normal(0, 0.5, n), t0=1, period_hint=24)
+    for order in (ArimaOrder(0, 0, 3, 1, 1, 0, 24), ArimaOrder(0, 0, 1, 1, 1, 1, 24)):
+        model = css_estimate(y, order)
+        print(n, len(model.fit_trace) > 1, np.isfinite(forecast(model, y, 24).values).all())
+"""
+        proc = fresh_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert len(compares) == 4
+        assert proc.stderr == "0 0 0 0 0 0 0\n"
+        assert proc.stdout.splitlines() == [f"{n} True True" for n in (72, 72, 96, 96, 168, 168)]
 
     def test_the_shared_parser_answers_each_call_as_a_fresh_process(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width

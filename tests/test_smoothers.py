@@ -9,7 +9,7 @@ import pytest
 from scipy.interpolate import CubicSpline, make_smoothing_spline
 
 from daycast.config import band_from_config, builtin_config_path, load_config, load_dataset
-from daycast.errors import NoSupportError, ZeroVarianceError
+from daycast.errors import NoSupportError, SingularSystemError, ZeroVarianceError
 from daycast.evalharness import Band, compare
 from daycast.linmodels import fit_polynomial
 from daycast.series import Series, make_sine
@@ -287,6 +287,13 @@ class TestSmoothingSpline:
         np.testing.assert_allclose(fit.predict(probes), oracle(probes), rtol=0,
                                    atol=1e-7 if n_knots == 168 else 1e-5)
 
+    def test_a_rank_refusal_names_the_knots_and_lambda(self):
+        values = 4.0 * np.sin(2.0 * np.pi * np.arange(900) / 24.0)
+        with pytest.raises(SingularSystemError) as err:
+            fit_smoothing_spline(Series(values), 0.0)
+        assert str(err.value).startswith("smoothing spline on 900 knots, smooth_lambda=0.0: "
+                                         "rank-deficient system: 3597x900 design, ")
+
     def test_a_long_interpolating_window_interpolates(self):
         # 400 hourly knots at lambda = 0: X'X has condition number about 4e20,
         # which Cholesky refuses; the scaled stacked system does not square it.
@@ -363,3 +370,7 @@ class TestDefaultBandwidth:
     def test_constant_series_rejected(self):
         with pytest.raises(ZeroVarianceError):
             default_bandwidth(Series([5.0, 5.0, 5.0]))
+
+    def test_a_variance_past_the_float_range_is_refused_without_a_warning(self):
+        with pytest.raises(ValueError, match="^the variance of the targets overflows; "):
+            default_bandwidth(Series([1e308, -1e308]))
