@@ -12,10 +12,12 @@ products gives a single difference equation
 
     y[t] = sum_j phi~_j y[t-j] + const + a[t] - sum_j theta~_j a[t-j]
 
-used three ways: to reconstruct shocks a[t] from data (with pre-sample
-shocks and pre-sample differenced values fixed to zero), to estimate
-parameters by minimizing the conditional sum of squared shocks, and to
-forecast by taking conditional expectations with future shocks zeroed.
+with const = mu * phi(1) PHI(1), where mu is the level the differenced
+series moves around (ArimaModel.mu). It is used three ways: to
+reconstruct shocks a[t] from data (with pre-sample shocks and pre-sample
+differenced values fixed to zero), to estimate parameters by minimizing
+the conditional sum of squared shocks, and to forecast by taking
+conditional expectations with future shocks zeroed.
 """
 
 import functools
@@ -67,13 +69,13 @@ class ArimaModel:
     """Fitted or hand-built model coefficients.
 
     phi/theta are the non-seasonal AR/MA coefficients, sphi/stheta the
-    seasonal ones. theta0 is the deterministic drift constant of the
-    difference equation; mu is the mean of the differenced series (for
-    pure ARMA fits this is the series mean removed before estimation).
-    warnings flags non-stationary or non-invertible estimates; they are
-    reported, not enforced, because unit-circle AR roots are legitimate
-    for deterministic signals. fit_trace records the best objective seen
-    at each optimizer iteration.
+    seasonal ones. mu is the level the differenced series moves around:
+    for a pure ARMA fit the series mean that estimation removes, for a
+    differenced fit 0.0 (CSS estimates no drift), and for a hand-built
+    differenced model its drift. warnings flags non-stationary or
+    non-invertible estimates; they are reported, not enforced, because
+    unit-circle AR roots are legitimate for deterministic signals.
+    fit_trace records the best objective seen at each optimizer iteration.
     """
 
     order: ArimaOrder
@@ -81,7 +83,6 @@ class ArimaModel:
     theta: np.ndarray
     sphi: np.ndarray
     stheta: np.ndarray
-    theta0: float = 0.0
     sigma2: float = 0.0
     mu: float = 0.0
     warnings: tuple[str, ...] = ()
@@ -178,8 +179,12 @@ def _min_root_magnitude(poly: np.ndarray) -> float:
 
 def _autocorrelations(x: np.ndarray, max_lag: int) -> np.ndarray | None:
     """Sample autocorrelations of x at lags 1..max_lag, or None when x is constant."""
-    xc = x - x.mean()
-    c0 = float(xc @ xc) / len(xc)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        xc = x - x.mean()
+        c0 = float(xc @ xc) / len(xc)
+    if not math.isfinite(c0):
+        raise ValueError(f"autocorrelation is undefined: the sum of squared deviations "
+                         f"of {len(x)} samples overflows")
     if c0 == 0.0:
         return None
     return np.array([float(xc[:-k] @ xc[k:]) / len(xc) / c0 for k in range(1, max_lag + 1)])
@@ -428,16 +433,17 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
                  max_iterations: int | None = None) -> ArimaModel:
     """Estimate coefficients by conditional sum of squares.
 
-    The differenced series is centered by its mean only for pure ARMA, so
-    a differenced fit has no drift (theta0 = 0). Shocks are computed with
-    zero pre-sample values, and sum(a^2) is minimized by the Nelder-Mead
-    simplex of _nelder_mead (scipy's, ported to plain floats with the same
-    arithmetic; xatol 1e-10, fatol 1e-14) from a Yule-Walker start for the
-    AR side and zeros elsewhere. The objective, _css_objective, gives the
-    bits of the lfilter shocks and a @ a it replaces. Its shocks come from
-    np.convolve for an order without an MA side and from plain floats for
-    an MA order, at any length. The budget defaults to 500 iterations per
-    free parameter, with twice as many objective evaluations.
+    The fit runs on the differenced series less the model's level mu: the
+    series mean for pure ARMA, 0.0 for a differenced fit, which has no
+    drift. Shocks are computed with zero pre-sample values, and sum(a^2) is
+    minimized by the Nelder-Mead simplex of _nelder_mead (scipy's, ported
+    to plain floats with the same arithmetic; xatol 1e-10, fatol 1e-14)
+    from a Yule-Walker start for the AR side and zeros elsewhere. The
+    objective, _css_objective, gives the bits of the lfilter shocks and
+    a @ a it replaces. Its shocks come from np.convolve for an order
+    without an MA side and from plain floats for an MA order, at any
+    length. The budget defaults to 500 iterations per free parameter, with
+    twice as many objective evaluations.
 
     Raises EstimationError (carrying the best model and objective so
     far) if the simplex exhausts its budget without converging.
@@ -447,8 +453,8 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
     order.check_length(len(series))
     z = difference(series, order.d, order.D, order.s).values
     m = len(z)
-    mu_z = float(z.mean())
-    zc = z - mu_z if order.d + order.D == 0 else z
+    mu = float(z.mean()) if order.d + order.D == 0 else 0.0
+    zc = z - mu
     objective = _css_objective(order, zc)
 
     def build(params, sigma2, trace):
@@ -460,7 +466,7 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
                 warns.append(f"{side} polynomial is not finite")
             elif _min_root_magnitude(poly) <= 1.0 + _UNIT_ROOT_TOL:
                 warns.append(f"{side} polynomial has a root on or inside the unit circle ({flaw})")
-        return ArimaModel(order, phi, theta, sphi, stheta, sigma2=sigma2, mu=mu_z,
+        return ArimaModel(order, phi, theta, sphi, stheta, sigma2=sigma2, mu=mu,
                           warnings=tuple(warns), fit_trace=tuple(trace))
 
     if order.n_params == 0:
@@ -497,16 +503,6 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
     return model
 
 
-def _center_of(model: ArimaModel, ar: np.ndarray) -> float:
-    """The level the differenced series moves around; ar is the stationary AR product."""
-    if model.order.d + model.order.D == 0:
-        return model.mu
-    if model.theta0 == 0.0:
-        return 0.0
-    stat1 = float(ar.sum())
-    return model.theta0 / stat1 if stat1 != 0.0 else 0.0
-
-
 def _lfilter_floats(b: list, a: list, x: list) -> list:
     """scipy.signal.lfilter(b, a, x) on plain floats, for a[0] == 1 and len(a) >= 2.
 
@@ -538,7 +534,9 @@ def forecast(model: ArimaModel, history: Series, lead: int) -> Series:
     previously computed conditional expectations. The shocks are lfilter's,
     from _lfilter_floats: a forecast can carry the zero sign that those of
     _css_objective miss. Only a model with an MA side reads shocks, so
-    only it computes them.
+    only it computes them. The level model.mu is taken off the differenced
+    history before the shocks and enters every step as mu * phi(1) PHI(1).
+    A forecast that overflows raises ValueError naming its first such time.
     """
     if lead < 1:
         raise ValueError(f"lead must be >= 1, got {lead}")
@@ -551,8 +549,7 @@ def forecast(model: ArimaModel, history: Series, lead: int) -> Series:
             f"history of length {n} too short for AR lags up to {len(form.ar_full)}"
         )
 
-    center = _center_of(model, ar)
-    theta0_eff = center * float(ar.sum())
+    const = model.mu * float(ar.sum())
     # The recursion runs on plain floats: numpy scalar indexing costs more
     # than the arithmetic, and float arithmetic gives the same bits.
     phis, thetas = form.ar_full.tolist(), form.ma_full.tolist()
@@ -560,17 +557,20 @@ def forecast(model: ArimaModel, history: Series, lead: int) -> Series:
     pad = len(thetas)
     if thetas:  # an MA-free recursion reads no shock
         z = difference(history, model.order.d, model.order.D, model.order.s).values
-        shocks = _lfilter_floats(ar.tolist(), ma.tolist(), (z - center).tolist())
+        shocks = _lfilter_floats(ar.tolist(), ma.tolist(), (z - model.mu).tolist())
         # Pre-pad so MA lags reaching before the first sample read the
         # conventional zero pre-sample shocks instead of wrapping.
         ae = [0.0] * (pad + drop) + shocks + [0.0] * lead
     for i in range(n, n + lead):
-        val = theta0_eff
+        val = const
         for j in range(1, len(phis) + 1):
             val += phis[j - 1] * ye[i - j]
         for j in range(1, len(thetas) + 1):
             val -= thetas[j - 1] * ae[pad + i - j]
         ye[i] = val
+    for i, val in enumerate(ye[n:]):
+        if not math.isfinite(val):  # named here: the Series check would not name the method
+            raise ValueError(f"arima forecast is not finite at t = {history.t0 + n + i}")
     return history.with_values(ye[n:], t0=history.t0 + n)
 
 

@@ -98,7 +98,8 @@ class LinearFit:
     def predict(self, x):
         """Evaluate the fitted function at scalar or array x."""
         x = np.asarray(x, dtype=float)
-        out = sum(c * g(x) for c, g in zip(self.coeffs, self.basis))
+        with np.errstate(over="ignore", invalid="ignore"):  # run_single refuses an inf or NaN
+            out = sum(c * g(x) for c, g in zip(self.coeffs, self.basis))
         return float(out) if out.ndim == 0 else out
 
 

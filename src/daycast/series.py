@@ -5,6 +5,7 @@ A Series is the common currency between all model modules: an immutable
 Index arithmetic is time arithmetic; sample i lives at time t0 + i.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,9 +87,13 @@ def normalize_unit(series: Series, lo: float, hi: float) -> Series:
     """Map values affinely so [lo, hi] lands on [0, 1], clamping the rest.
 
     Bounds normally come from training data only; later samples outside
-    the training range saturate at 0 or 1.
+    the training range saturate at 0 or 1, even those whose distance from
+    the range overflows. The width hi - lo must be finite.
     """
-    if hi <= lo:
+    if not lo < hi:  # NaN included
         raise ValueError(f"need hi > lo, got lo={lo}, hi={hi}")
-    scaled = np.clip((series.values - lo) / (hi - lo), 0.0, 1.0)
+    if not math.isfinite(float(hi) - float(lo)):
+        raise ValueError(f"the normalizing range [{lo}, {hi}] is wider than the float range")
+    with np.errstate(over="ignore"):
+        scaled = np.clip((series.values - lo) / (hi - lo), 0.0, 1.0)
     return series.with_values(scaled)

@@ -10,9 +10,9 @@ from scipy.linalg import toeplitz
 from scipy.signal import lfilter
 
 from daycast import arima
-from daycast.arima import (_UNIT_ROOT_TOL, ArimaModel, ArimaOrder, _center_of,
-                           _min_root_magnitude, _operators, _split_params, _yule_walker,
-                           acf_pacf, css_estimate, difference, expand_polynomials, forecast)
+from daycast.arima import (_UNIT_ROOT_TOL, ArimaModel, ArimaOrder, _min_root_magnitude,
+                           _operators, _split_params, _yule_walker, acf_pacf, css_estimate,
+                           difference, expand_polynomials, forecast)
 from daycast.errors import DaycastError, EstimationError, ZeroVarianceError
 from daycast.evalharness import Band, compare
 from daycast.series import Series, make_sine
@@ -31,8 +31,9 @@ def simulate(model: ArimaModel, n: int, seed: int) -> Series:
     """Draw a sample path; deterministic for a fixed seed.
 
     Shocks are i.i.d. Gaussian with variance sigma2, filtered through
-    the model after a discarded burn-in. Stationary models (d = D = 0)
-    must have all AR roots outside the unit circle.
+    the model after a discarded burn-in; the differenced path moves
+    around model.mu. Stationary models (d = D = 0) must have all AR
+    roots outside the unit circle.
     """
     order = model.order
     ar, ma = _operators(order, model.phi, model.theta, model.sphi, model.stheta)
@@ -43,7 +44,7 @@ def simulate(model: ArimaModel, n: int, seed: int) -> Series:
     burn = 100 + 10 * (len(ar) + len(ma))
     rng = np.random.default_rng(seed)
     shocks = rng.standard_normal(n + burn) * np.sqrt(model.sigma2)
-    z = lfilter(ma, ar, shocks)[burn:] + _center_of(model, ar)
+    z = lfilter(ma, ar, shocks)[burn:] + model.mu
     for _ in range(order.D):
         out = z.copy()
         for t in range(order.s, len(out)):
@@ -701,7 +702,7 @@ class TestForecast:
 
     def test_drift_model_continues_linear_trend(self):
         trend = Series(np.arange(1.0, 41.0) * 2.5 + 3.0)
-        model = model_of(ArimaOrder(0, 1, 0, 0, 0, 0, 0), theta0=2.5)
+        model = model_of(ArimaOrder(0, 1, 0, 0, 0, 0, 0), mu=2.5)
         out = forecast(model, trend, 10)
         expected = trend.values[-1] + 2.5 * np.arange(1, 11)
         np.testing.assert_allclose(out.values, expected, atol=1e-8)
@@ -710,6 +711,21 @@ class TestForecast:
         model = model_of(ArimaOrder(0, 0, 0, 1, 0, 0, 24), sphi=(0.5,))
         with pytest.raises(ValueError):
             forecast(model, Series([1.0, 2.0, 3.0]), 2)
+
+    def test_a_forecast_that_overflows_names_its_first_time(self):
+        # A random walk twice integrated extrapolates the 1e308 sine's last
+        # slope, which passes the float range at the fifth step.
+        model = model_of(ArimaOrder(0, 2, 0, 0, 0, 0, 0))
+        with pytest.raises(ValueError) as err:
+            forecast(model, make_sine(1e308, 24, 24, 0), 24)
+        assert str(err.value) == "arima forecast is not finite at t = 29"
+
+    def test_the_level_is_the_mean_of_a_pure_arma_fit_and_zero_once_differenced(self):
+        y = make_sine(2.0, 24, 72, 0).values + 5.0 + np.arange(72) * 0.1
+        arma = css_estimate(Series(y), ArimaOrder(2, 0, 0, 0, 0, 0, 0))
+        assert arma.mu == float(y.mean())
+        for order in (ArimaOrder(0, 1, 0, 0, 0, 0, 0), ArimaOrder(2, 2, 0, 0, 1, 0, 24)):
+            assert css_estimate(Series(y), order).mu == 0.0
 
 
 class TestAcfPacf:
@@ -749,6 +765,20 @@ class TestAcfPacf:
         with pytest.raises(ValueError):
             acf_pacf(Series([1.0, 2.0, 3.0]), 3)
 
+    def test_squares_past_the_float_range_are_refused_without_a_warning(self):
+        # The suite makes a RuntimeWarning an error. A fit with an AR side
+        # starts from the same autocorrelations, so it fails with the same
+        # message instead of spending its budget on an objective of 1e300.
+        huge = Series([1e308, -1e308] * 5)
+        message = ("autocorrelation is undefined: the sum of squared deviations of 10 samples "
+                   "overflows")
+        with pytest.raises(ValueError) as err:
+            acf_pacf(huge, 3)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            css_estimate(huge, ArimaOrder(1, 0, 1, 0, 0, 0, 0))
+        assert str(err.value) == message
+
 
 class TestSimulate:
     def test_degenerate_model_is_constant(self):
@@ -773,7 +803,7 @@ class TestSimulate:
             simulate(model, 100, seed=0)
 
     def test_noiseless_drift_integrates_to_linear_trend(self):
-        model = model_of(ArimaOrder(0, 1, 0, 0, 0, 0, 0), sigma2=0.0, theta0=2.5)
+        model = model_of(ArimaOrder(0, 1, 0, 0, 0, 0, 0), sigma2=0.0, mu=2.5)
         out = simulate(model, 8, seed=0)
         np.testing.assert_allclose(out.values, 2.5 * np.arange(1, 9))
 

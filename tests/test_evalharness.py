@@ -197,6 +197,19 @@ class TestCompare:
         row, = compare(make_sine(amplitude, period, 48, 0), [block], WIND_BAND)
         assert row.error == error
 
+    @pytest.mark.parametrize("block, error", [
+        ({"name": "arima", "p": 0, "d": 2, "q": 0, "P": 0, "D": 0, "Q": 0, "s": 0,
+          "train_periods": 1}, "arima forecast is not finite at t = 29"),
+        ({"name": "polynomial", "degree": 3}, "polynomial fit is not finite at t = 4"),
+        ({"name": "nexting", "gamma": 0.0, "alpha": 0.2, "trace_lambda": 0.9, "freeze_after": 24},
+         "the normalizing range [-1e+308, 1e+308] is wider than the float range")],
+        ids=["arima", "polynomial", "nexting"])
+    def test_a_row_past_the_float_range_names_its_cause(self, block, error):
+        # The suite makes a RuntimeWarning an error, so a numpy warning would
+        # be the row's message, and so would the Series check's.
+        row, = compare(make_sine(1e308, 24, 48, 0), [block], WIND_BAND)
+        assert row.error == error
+
     def test_kernel_method_stays_callable_even_if_unsuited(self, wind):
         # The smoother is excluded from the published comparison but the
         # harness can still run it on request.

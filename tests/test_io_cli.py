@@ -196,6 +196,21 @@ class TestParseTmy3:
             parse_tmy3(path)
         assert err.value.row == 2
 
+    @pytest.mark.parametrize("text, message", [
+        (HEADER.splitlines()[0] + "\n", "fewer than two header lines"),
+        ("724940\n" + HEADER.splitlines()[1] + "\n01/01/1988,01:00,1,2,3\n",
+         "line 1 does not look like station metadata: ['724940']")],
+        ids=["one-line", "one-cell-station"])
+    def test_a_bad_station_line_names_row_1(self, tmp_path, capsys, text, message):
+        path = tmp_path / "station.csv"
+        path.write_text(text)
+        with pytest.raises(Tmy3ParseError) as err:
+            parse_tmy3(path)
+        assert (err.value.row, str(err.value)) == (1, f"{path}: {message}")
+        cfg = builtin_config_path("table2_wind")
+        assert run_cli(["compare", "--config", str(cfg), "--data", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"daycast: {path}: {message}\n")
+
     def test_alternate_vintage_headers(self, tmp_path):
         path = tmp_path / "alt.csv"
         with open(path, "w") as fh:
@@ -788,6 +803,25 @@ class TestExportReport:
         assert ("FAILED: the variance of the targets overflows; choose a bandwidth explicitly"
                 in proc.stdout)
 
+    def test_arima_polynomial_and_nexting_rows_past_the_float_range_name_their_causes(
+            self, tmp_path):
+        # A fresh process, as a user runs it: stderr carries no numpy warning.
+        nexting, = (m for m in load_config(builtin_config_path("table2_irradiance"))["methods"]
+                    if m["name"] == "nexting")
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps({
+            "signal": "synthetic", "synthetic": {"amplitude": 1e308, "period": 24, "count": 48},
+            "band": {"inner": 1.0, "outer": 2.0},
+            "methods": [{"name": "arima", "p": 0, "d": 2, "q": 0, "P": 0, "D": 0, "Q": 0,
+                         "s": 0, "train_periods": 1},
+                        {"name": "polynomial", "degree": 3}, nexting]}))
+        proc = fresh_python("-m", "daycast.cli", "compare", "--config", str(config))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert [line.split("FAILED: ")[1] for line in proc.stdout.splitlines()[1:]] == [
+            "arima forecast is not finite at t = 29",
+            "polynomial fit is not finite at t = 4",
+            "the normalizing range [-1e+308, 1e+308] is wider than the float range"]
+
 
 class TestCli:
     def test_synth_emits_count_lines(self, capsys):
@@ -1024,6 +1058,46 @@ class TestCli:
         assert lines[0] == "lag,acf,pacf"
         assert len(lines) == 8
         assert lines[1].startswith("0,1,")
+
+    def test_acf_out_writes_what_stdout_gets(self, tmp_path, capsys):
+        assert run_cli(["acf", "--fixture", "wind48", "--max-lag", "6"]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "acf.csv"
+        assert run_cli(["acf", "--fixture", "wind48", "--max-lag", "6", "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert out.read_text() == printed
+
+    def test_acf_data_skips_blank_lines(self, tmp_path, capsys):
+        rows = [f"{t},{v}" for t, v in enumerate([0.5, 0.7, 0.2, 0.1, 0.4, 0.9], 1)]
+        plain, gaps = tmp_path / "plain.csv", tmp_path / "gaps.csv"
+        plain.write_text("\n".join(rows) + "\n")
+        gaps.write_text("\n" + "\n\n".join(rows) + "\n\n")
+        assert run_cli(["acf", "--data", str(plain), "--max-lag", "2"]) == 0
+        want = capsys.readouterr()
+        assert run_cli(["acf", "--data", str(gaps), "--max-lag", "2"]) == 0
+        assert capsys.readouterr() == want
+
+    def test_acf_data_of_blank_lines_only_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "blank.csv"
+        path.write_text("\n\n\n")
+        assert run_cli(["acf", "--data", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"daycast: {path}: no data rows\n")
+
+    def test_acf_of_squares_past_the_float_range_exits_2(self, tmp_path, capsys):
+        # The suite makes a RuntimeWarning an error, so a numpy warning would
+        # escape run_cli instead.
+        path = tmp_path / "huge.csv"
+        path.write_text("".join(f"{t},{(-1) ** (t + 1) * 1e308}\n" for t in range(1, 11)))
+        assert run_cli(["acf", "--data", str(path), "--max-lag", "3"]) == 2
+        assert capsys.readouterr() == ("", "daycast: autocorrelation is undefined: the sum of "
+                                           "squared deviations of 10 samples overflows\n")
+
+    def test_an_empty_method_list_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "none.json"
+        cfg.write_text(json.dumps({"signal": "fixture", "fixture": "wind48",
+                                   "band": {"inner": 1, "outer": 3}, "methods": []}))
+        assert run_cli(["compare", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", "daycast: config: methods must be a nonempty list\n")
 
     def test_acf_requires_exactly_one_source(self, capsys):
         assert run_cli(["acf"]) == 1

@@ -104,6 +104,21 @@ class TestNormalizeUnit:
         with pytest.raises(ValueError):
             normalize_unit(Series([1.0]), 2.0, 2.0)
 
+    @pytest.mark.parametrize("lo, hi, message", [
+        (-1e308, 1e308, "the normalizing range [-1e+308, 1e+308] is wider than the float range"),
+        (-math.inf, 0.0, "the normalizing range [-inf, 0.0] is wider than the float range"),
+        (0.0, math.nan, "need hi > lo, got lo=0.0, hi=nan")], ids=["wide", "inf", "nan"])
+    def test_a_range_whose_width_is_not_finite_is_refused_and_named(self, lo, hi, message):
+        with pytest.raises(ValueError) as err:
+            normalize_unit(Series([0.0]), lo, hi)
+        assert str(err.value) == message
+
+    def test_a_distance_past_the_float_range_clamps_without_a_warning(self):
+        # The suite makes a RuntimeWarning an error. 2**1023 - (-2**1023) overflows.
+        lo, hi = -2.0**1023, -2.0**1022
+        out = normalize_unit(Series([lo, -1.5 * 2.0**1022, 2.0**1023]), lo, hi)
+        np.testing.assert_array_equal(out.values, [0.0, 0.5, 1.0])
+
     def test_idempotent_on_unit_interval(self):
         s = Series([0.0, 0.25, 0.7, 1.0])
         once = normalize_unit(s, 0, 1)
