@@ -2,8 +2,9 @@
 
 Eight method families (polynomial and ridge regression, RBF networks,
 smoothing splines, kernel regression, seasonal ARIMA, regression trees
-with periodic prototypes, and online TD(lambda) prediction
-over tile-coded features) plus the shared evaluation protocol: training
+with periodic prototypes, and online TD prediction over tile-coded
+features: TD(0) in a forecast row, whose gamma is 0, and TD(lambda) in
+nexting-run with gamma > 0) plus the shared evaluation protocol: training
 RMSE and consecutive-in-band forecast counts over a one-day holdout.
 """
 
@@ -22,8 +23,7 @@ from .linmodels import (Constant, GaussianBump, LinearFit, Monomial, RbfConfig, 
 from .nexting import (AlignResult, NextingLearner, NextingRun, TileCoder, align_affine,
                       run_online, sample_indices, tile_indices)
 from .series import Series, Split, make_sine, normalize_unit, split
-from .smoothers import (KernelConfig, SplineFit, default_bandwidth, fit_smoothing_spline,
-                        kernel_predict)
+from .smoothers import KernelConfig, SplineFit, fit_smoothing_spline, kernel_predict
 from .tmy3 import parse_tmy3
 from .tree import (BagEnsemble, GrowConfig, PeriodicWrapper, Tree, best_split,
                    fit_periodic_ensemble, grow, prune)

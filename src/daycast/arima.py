@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError, ZeroVarianceError
-from .series import Series
+from .series import Series, first_outside
 
 _UNIT_ROOT_TOL = 1e-8
 
@@ -167,6 +167,9 @@ def difference(series: Series, d: int, D: int = 0, s: int = 0) -> Series:
         v = v[1:] - v[:-1]
     for _ in range(D):
         v = v[s:] - v[:-s]
+    if bad := first_outside(v):  # named here: the Series check would not name the differencing
+        raise ValueError(f"the (d = {d}, D = {D}) difference is {bad[1]} at t = "
+                         f"{series.t0 + drop + bad[0]}")
     return series.with_values(v, t0=series.t0 + drop)
 
 
@@ -179,12 +182,8 @@ def _min_root_magnitude(poly: np.ndarray) -> float:
 
 def _autocorrelations(x: np.ndarray, max_lag: int) -> np.ndarray | None:
     """Sample autocorrelations of x at lags 1..max_lag, or None when x is constant."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        xc = x - x.mean()
-        c0 = float(xc @ xc) / len(xc)
-    if not math.isfinite(c0):
-        raise ValueError(f"autocorrelation is undefined: the sum of squared deviations "
-                         f"of {len(x)} samples overflows")
+    xc = x - x.mean()
+    c0 = float(xc @ xc) / len(xc)
     if c0 == 0.0:
         return None
     return np.array([float(xc[:-k] @ xc[k:]) / len(xc) / c0 for k in range(1, max_lag + 1)])
@@ -536,7 +535,7 @@ def forecast(model: ArimaModel, history: Series, lead: int) -> Series:
     _css_objective miss. Only a model with an MA side reads shocks, so
     only it computes them. The level model.mu is taken off the differenced
     history before the shocks and enters every step as mu * phi(1) PHI(1).
-    A forecast that overflows raises ValueError naming its first such time.
+    A forecast beyond +/-1e150 raises ValueError naming its first such time.
     """
     if lead < 1:
         raise ValueError(f"lead must be >= 1, got {lead}")
@@ -568,9 +567,8 @@ def forecast(model: ArimaModel, history: Series, lead: int) -> Series:
         for j in range(1, len(thetas) + 1):
             val -= thetas[j - 1] * ae[pad + i - j]
         ye[i] = val
-    for i, val in enumerate(ye[n:]):
-        if not math.isfinite(val):  # named here: the Series check would not name the method
-            raise ValueError(f"arima forecast is not finite at t = {history.t0 + n + i}")
+    if bad := first_outside(ye[n:]):  # named here: the Series check would not name the method
+        raise ValueError(f"arima forecast is {bad[1]} at t = {history.t0 + n + bad[0]}")
     return history.with_values(ye[n:], t0=history.t0 + n)
 
 

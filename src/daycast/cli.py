@@ -63,7 +63,8 @@ def _build_parser() -> tuple[_Parser, dict]:
     sub = parser.add_subparsers(dest="command", required=True)
 
     synth = sub.add_parser("synth", help="emit a sampled sine signal")
-    synth.add_argument("--amplitude", type=_FINITE, default=1.0)
+    synth.add_argument("--amplitude", type=_flag(float, "a number in [-1e150, 1e150]",
+                                                  lambda v: abs(v) <= 1e150), default=1.0)
     synth.add_argument("--period", type=_POSITIVE, required=True)
     synth.add_argument("--count", type=_COUNT, required=True)
     synth.add_argument("--phase", type=_FINITE, default=0.0)

@@ -32,6 +32,8 @@ class _Synthetic:
     def __post_init__(self):
         if not 1e-150 <= self.period <= 1e150:  # as series.make_sine
             raise ValueError(f"period must lie in [1e-150, 1e150], got {self.period}")
+        if not abs(self.amplitude) <= 1e150:  # as every Series sample
+            raise ValueError(f"amplitude must lie in [-1e150, 1e150], got {self.amplitude}")
         at_least(1, count=self.count)
 
 

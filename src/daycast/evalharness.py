@@ -20,16 +20,15 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from . import arima, linmodels, nexting, smoothers, tree
-from .series import Series
+from .series import Series, first_outside
 
 
 def rmse(pred: Series, target: Series) -> float:
-    """Root mean square error between two equal-length series; inf if the squares overflow."""
+    """Root mean square error between two equal-length series."""
     if len(pred) != len(target):
         raise ValueError(f"length mismatch: {len(pred)} vs {len(target)}")
-    with np.errstate(over="ignore"):
-        d = pred.values - target.values
-        return float(np.sqrt(np.mean(d * d)))
+    d = pred.values - target.values
+    return float(np.sqrt(np.mean(d * d)))
 
 
 def consecutive_within(pred: Series, target: Series, half_width: float) -> int:
@@ -216,19 +215,11 @@ class SplineParams(_Method):
 
 
 @dataclass(frozen=True)
-class KernelParams(_Method):
-    bandwidth: float | None = None  # None: the variance of the training targets
-
-    def __post_init__(self):
-        if self.bandwidth is not None:
-            smoothers.KernelConfig(self.bandwidth)
-
+class KernelParams(smoothers.KernelConfig, _Method):
     def run(self, train, holdout):
-        bw = self.bandwidth or smoothers.default_bandwidth(train)
-        config = smoothers.KernelConfig(bandwidth=bw)
-        tr = np.array([smoothers.kernel_predict(train, config, x) for x in train.times])
-        fc = np.array([smoothers.kernel_predict(train, config, x) for x in holdout.times])
-        return tr, fc, {"bandwidth": bw}
+        tr = np.array([smoothers.kernel_predict(train, self, x) for x in train.times])
+        fc = np.array([smoothers.kernel_predict(train, self, x) for x in holdout.times])
+        return tr, fc, {}
 
 
 @dataclass(frozen=True)
@@ -352,10 +343,8 @@ def run_single(dataset: Series, params: dict, *, train_samples: int = 24,
     fitted, forecast, extras = method.run(train, holdout)
     outputs = [] if fitted is None else [("fit", fitted, window + 1 - len(fitted))]
     for output, values, t0 in outputs + [("forecast", forecast, window + 1)]:
-        finite = np.isfinite(values)
-        if not finite.all():
-            raise ValueError(f"{params['name']} {output} is not finite at t = "
-                             f"{t0 + finite.argmin()}")
+        if bad := first_outside(values):  # named here: the Series check would not name the method
+            raise ValueError(f"{params['name']} {output} is {bad[1]} at t = {t0 + bad[0]}")
     if fitted is not None:
         fitted = train.with_values(fitted, t0=window + 1 - len(fitted))
     return EvalReport(params["name"], None, None, None, {**params, **extras}, train=train,
@@ -390,9 +379,6 @@ def compare(dataset: Series, methods: list, band: Band, *,
             if row.fitted is not None:
                 target = row.train.values[row.fitted.t0 - row.train.t0:]
                 train_rmse = rmse(row.fitted, row.fitted.with_values(target))
-                if not math.isfinite(train_rmse):  # JSON has no Infinity
-                    raise ValueError(f"train_rmse overflows: the squared training errors of "
-                                     f"{len(target)} samples exceed the float range")
             reports.append(replace(
                 row, train_rmse=train_rmse,
                 inner_run=consecutive_within(row.forecast, row.holdout, band.inner),

@@ -11,13 +11,28 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def first_outside(values) -> tuple[int, str] | None:
+    """The index of the first value outside [-1e150, 1e150] and why, or None.
+
+    This is the magnitude rule of every Series; weather values stay far
+    inside it. Within it two samples differ by at most 2e150, whose square
+    is 4e300, so sums of squares stay finite up to about 4e7 samples.
+    """
+    v = np.asarray(values, dtype=float)
+    inside = np.abs(v) <= 1e150
+    if inside.all():
+        return None
+    i = int(inside.argmin())
+    return i, "beyond +/-1e150" if math.isfinite(v[i]) else "not finite"
+
+
 @dataclass(frozen=True)
 class Series:
     """Immutable uniformly sampled signal.
 
     Attributes:
         values: the samples, stored as a read-only float array; every
-            sample must be finite.
+            sample must lie in [-1e150, 1e150] (first_outside).
         t0: time index of the first sample (defaults to 1, so a day of
             hourly data runs t = 1..24).
         period_hint: samples per season when the signal is periodic
@@ -34,10 +49,9 @@ class Series:
         v = np.array(self.values, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("series needs a nonempty 1-d value array")
-        finite = np.isfinite(v)
-        if not finite.all():
-            i = int(finite.argmin())
-            raise ValueError(f"series value {v[i]} at index {i} (t = {self.t0 + i}) is not finite")
+        if bad := first_outside(v):
+            i, why = bad
+            raise ValueError(f"series value {v[i]} at index {i} (t = {self.t0 + i}) is {why}")
         if self.period_hint is not None and self.period_hint < 1:
             raise ValueError(f"period_hint must be positive, got {self.period_hint}")
         v.flags.writeable = False

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSupportError, SingularSystemError, ZeroVarianceError
+from .errors import NoSupportError, SingularSystemError
 from .linmodels import solve_ridge
 from .series import Series
 
@@ -114,7 +114,8 @@ class KernelConfig:
 
     Only the Gaussian kernel ships here; it satisfies the required
     axioms (nonnegative, zero first moment, finite positive second
-    moment). The bandwidth is the kernel's scale parameter.
+    moment). The bandwidth is the kernel's scale on the time axis, in
+    samples (hours for hourly data).
     """
 
     bandwidth: float
@@ -135,18 +136,4 @@ def kernel_predict(train: Series, config: KernelConfig, x: float) -> float:
             f"no kernel support at x={x} (all weights underflowed; "
             f"bandwidth={config.bandwidth})"
         )
-    with np.errstate(over="ignore", invalid="ignore"):  # run_single refuses an inf or NaN
-        return float(weights @ train.values / denom)
-
-
-def default_bandwidth(train: Series) -> float:
-    """Population variance of the targets, a simple default bandwidth."""
-    if len(train) < 2:
-        raise ValueError("need at least 2 samples for a bandwidth estimate")
-    with np.errstate(over="ignore"):
-        var = float(np.var(train.values))
-    if var == 0.0:
-        raise ZeroVarianceError("constant series has zero variance; choose a bandwidth explicitly")
-    if not np.isfinite(var):
-        raise ValueError("the variance of the targets overflows; choose a bandwidth explicitly")
-    return var
+    return float(weights @ train.values / denom)  # a weighted mean: at most max |value|

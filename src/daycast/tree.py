@@ -80,7 +80,9 @@ def _as_table(train) -> tuple[np.ndarray, np.ndarray]:
 
 
 # The sums of squares of targets near the float range overflow to inf or
-# NaN without a numpy warning; compare reports the overflowing train RMSE.
+# NaN without a numpy warning. A Series holds none, but grow and best_split
+# also take raw (X, y) tables, and cum**2 of one near +/-1e150 overflows
+# from about 1.3e4 samples.
 @np.errstate(over="ignore", invalid="ignore")
 def best_split(X, y) -> BestSplit | None:
     """Exhaustive scan over all variables and midpoint thresholds.

@@ -126,6 +126,16 @@ class TestDifference:
         with pytest.raises(ValueError, match="need d, D >= 0 and s >= 2 when D > 0"):
             difference(Series([1.0, 2.0, 3.0, 4.0]), d, D, s)
 
+    def test_a_difference_beyond_the_bound_names_the_differencing(self):
+        # Samples within +/-1e150 can differ by 2e150; the Series check
+        # would refuse that too, but name neither the orders nor the model.
+        with pytest.raises(ValueError) as err:
+            difference(Series([1e150, -1e150, 1e150, 0.0], t0=5), 1)
+        assert str(err.value) == "the (d = 1, D = 0) difference is beyond +/-1e150 at t = 6"
+        row, = compare(make_sine(1e150, 4, 48), [{"name": "arima", "p": 0, "d": 2, "q": 0,
+                       "P": 0, "D": 0, "Q": 0, "s": 0, "train_periods": 1}], Band(1.0, 2.0))
+        assert row.error == "the (d = 2, D = 0) difference is beyond +/-1e150 at t = 4"
+
 
 class TestExpandPolynomials:
     def test_ar1_with_one_difference(self):
@@ -713,12 +723,17 @@ class TestForecast:
             forecast(model, Series([1.0, 2.0, 3.0]), 2)
 
     def test_a_forecast_that_overflows_names_its_first_time(self):
-        # A random walk twice integrated extrapolates the 1e308 sine's last
-        # slope, which passes the float range at the fifth step.
+        # A random walk twice integrated extrapolates the 1e150 sine's last
+        # slope, which passes the bound of every Series at the fourth step.
         model = model_of(ArimaOrder(0, 2, 0, 0, 0, 0, 0))
         with pytest.raises(ValueError) as err:
-            forecast(model, make_sine(1e308, 24, 24, 0), 24)
-        assert str(err.value) == "arima forecast is not finite at t = 29"
+            forecast(model, make_sine(1e150, 24, 24, 0), 24)
+        assert str(err.value) == "arima forecast is beyond +/-1e150 at t = 28"
+        # An explosive AR coefficient overflows at the first step.
+        model = model_of(ArimaOrder(1, 0, 0, 0, 0, 0, 0), phi=(1e200,))
+        with pytest.raises(ValueError) as err:
+            forecast(model, make_sine(1e150, 24, 24, 0), 3)
+        assert str(err.value) == "arima forecast is not finite at t = 25"
 
     def test_the_level_is_the_mean_of_a_pure_arma_fit_and_zero_once_differenced(self):
         y = make_sine(2.0, 24, 72, 0).values + 5.0 + np.arange(72) * 0.1
@@ -766,18 +781,19 @@ class TestAcfPacf:
             acf_pacf(Series([1.0, 2.0, 3.0]), 3)
 
     def test_squares_past_the_float_range_are_refused_without_a_warning(self):
-        # The suite makes a RuntimeWarning an error. A fit with an AR side
-        # starts from the same autocorrelations, so it fails with the same
-        # message instead of spending its budget on an objective of 1e300.
-        huge = Series([1e308, -1e308] * 5)
-        message = ("autocorrelation is undefined: the sum of squared deviations of 10 samples "
-                   "overflows")
+        # The suite makes a RuntimeWarning an error. Values whose squares
+        # overflow never reach a Series; at the +/-1e150 bound the squared
+        # deviations stay finite, so the autocorrelations and the fits that
+        # start from them run.
         with pytest.raises(ValueError) as err:
-            acf_pacf(huge, 3)
-        assert str(err.value) == message
-        with pytest.raises(ValueError) as err:
-            css_estimate(huge, ArimaOrder(1, 0, 1, 0, 0, 0, 0))
-        assert str(err.value) == message
+            Series([1e308, -1e308] * 5)
+        assert str(err.value) == "series value 1e+308 at index 0 (t = 1) is beyond +/-1e150"
+        bound = Series([1e150, -1e150] * 5)
+        acf, _ = acf_pacf(bound, 3)
+        np.testing.assert_allclose(acf, [1.0, -0.9, 0.8, -0.7], rtol=1e-12)
+        for order in (ArimaOrder(1, 0, 1, 0, 0, 0, 0), ArimaOrder(0, 0, 1, 0, 0, 0, 0)):
+            model = css_estimate(bound, order)
+            assert 1e298 < model.sigma2 < 1e300
 
 
 class TestSimulate:

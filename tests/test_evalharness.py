@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from daycast import smoothers
+from daycast.arima import acf_pacf
 from daycast.evalharness import Band, compare, consecutive_within, rmse, run_single
-from daycast.config import band_from_config, builtin_config_path, load_config
+from daycast.config import band_from_config, builtin_config_names, builtin_config_path, load_config
+from daycast.errors import ZeroVarianceError
 from daycast.fixtures import fixture
 from daycast.reportio import format_report_table
 from daycast.series import Series, make_sine
@@ -39,8 +43,10 @@ class TestRmse:
         with pytest.raises(ValueError):
             rmse(wind24, wind)
 
-    def test_overflowing_squares_give_inf_without_a_warning(self):
-        assert rmse(Series([1e160, -1e308]), Series([0.0, 1e308])) == np.inf
+    def test_the_widest_bounded_difference_squares_without_overflow(self):
+        # The suite makes a RuntimeWarning an error. Two samples within
+        # +/-1e150 differ by at most 2e150, whose square 4e300 is finite.
+        assert rmse(Series([1e150, -1e150]), Series([-1e150, 1e150])) == 2e150
 
 
 class TestConsecutiveWithin:
@@ -167,47 +173,19 @@ class TestCompare:
         assert not reports[0].ok and reports[0].train_rmse is None
         assert reports[0].error == "period 40 is longer than the 24-sample training window"
 
-    def test_an_overflowing_train_rmse_is_an_error_row(self):
-        # The constant fit is finite; its squared errors on a 1e160 sine are not.
-        rows = compare(make_sine(1e160, 24, 48, 0), [{"name": "polynomial", "degree": 0}],
-                       WIND_BAND)
-        assert not rows[0].ok and rows[0].train_rmse is None
-        assert rows[0].error == ("train_rmse overflows: the squared training errors of 24 "
-                                 "samples exceed the float range")
-
-    def test_an_overflowing_tree_is_an_error_row_without_a_warning(self):
-        # The suite makes a RuntimeWarning an error, so a numpy warning from
-        # the tree's own sums of squares would be the row's message.
-        rows = compare(make_sine(1e308, 24, 48, 0),
-                       [{"name": "tree", "min_node_size": 10, "period": 24}], WIND_BAND)
-        assert rows[0].error == ("train_rmse overflows: the squared training errors of 24 "
-                                 "samples exceed the float range")
-
-    @pytest.mark.parametrize("amplitude, period, bandwidth, error", [
-        (1e308, 24, None, "the variance of the targets overflows; choose a bandwidth explicitly"),
-        (1e308, 24, 100.0, "kernel fit is not finite at t = 1"),  # the weighted sum is inf
-        (1.7e308, 4, 10.0, "kernel fit is not finite at t = 1")],  # and here NaN
-        ids=["default", "inf", "nan"])
-    def test_a_kernel_row_past_the_float_range_names_its_method(self, amplitude, period,
-                                                                bandwidth, error):
-        # The suite makes a RuntimeWarning an error, so a numpy warning from
-        # np.var or the weighted sum would be the row's message.
-        block = {"name": "kernel"} if bandwidth is None else {"name": "kernel",
-                                                              "bandwidth": bandwidth}
-        row, = compare(make_sine(amplitude, period, 48, 0), [block], WIND_BAND)
-        assert row.error == error
-
     @pytest.mark.parametrize("block, error", [
         ({"name": "arima", "p": 0, "d": 2, "q": 0, "P": 0, "D": 0, "Q": 0, "s": 0,
-          "train_periods": 1}, "arima forecast is not finite at t = 29"),
-        ({"name": "polynomial", "degree": 3}, "polynomial fit is not finite at t = 4"),
+          "train_periods": 1}, "arima forecast is beyond +/-1e150 at t = 28"),
+        ({"name": "polynomial", "degree": 3}, "polynomial fit is beyond +/-1e150 at t = 19"),
         ({"name": "nexting", "gamma": 0.0, "alpha": 0.2, "trace_lambda": 0.9, "freeze_after": 24},
-         "the normalizing range [-1e+308, 1e+308] is wider than the float range")],
+         "nexting fit is beyond +/-1e150 at t = 5")],
         ids=["arima", "polynomial", "nexting"])
     def test_a_row_past_the_float_range_names_its_cause(self, block, error):
-        # The suite makes a RuntimeWarning an error, so a numpy warning would
-        # be the row's message, and so would the Series check's.
-        row, = compare(make_sine(1e308, 24, 48, 0), [block], WIND_BAND)
+        # Samples lie within +/-1e150, the range of every Series, and so must
+        # a row's outputs. The suite makes a RuntimeWarning an error, so a
+        # numpy warning would be the row's message, and so would the Series
+        # check's, which names no method.
+        row, = compare(make_sine(1e150, 24, 48, 0), [block], WIND_BAND)
         assert row.error == error
 
     def test_kernel_method_stays_callable_even_if_unsuited(self, wind):
@@ -218,6 +196,15 @@ class TestCompare:
         assert row.ok and row.train_rmse is not None
         assert 0 <= row.inner_run <= row.outer_run <= 24
         assert row.settings["bandwidth"] == 2.0
+
+    def test_a_kernel_row_does_not_depend_on_the_unit(self, temp):
+        # The bandwidth is in samples, so degC -> degF (x 1.8, bands alike)
+        # scales the train RMSE and leaves the runs.
+        block = {"name": "kernel", "bandwidth": 2.0}
+        row, = compare(temp, [block], Band(1.0, 2.0))
+        scaled, = compare(temp.with_values(temp.values * 1.8), [block], Band(1.8, 3.6))
+        assert (scaled.inner_run, scaled.outer_run) == (row.inner_run, row.outer_run)
+        assert scaled.train_rmse == pytest.approx(1.8 * row.train_rmse, rel=1e-12)
 
     def test_output_order_and_determinism(self, wind):
         methods = wind_methods()
@@ -340,3 +327,49 @@ def test_no_row_reads_the_holdout(name):
                     == forecast_and_train_rmse(THREE_DAYS, block))
 
     perturb_the_holdout()
+
+
+BOUND_SHAPES = {
+    "sine": lambda n: 1e150 * np.sin(2 * np.pi * np.arange(1, n + 1) / 24),
+    "alternating": lambda n: 1e150 * (-1.0) ** np.arange(n),
+    "ramp": lambda n: np.linspace(-1e150, 1e150, n),
+    "constant": lambda n: np.full(n, 1e150),
+}
+# What a row at the bound may fail with: each names its cause.
+BOUND_ERRORS = [
+    r"(?P<method>\w+) (fit|forecast) is beyond \+/-1e150 at t = \d+",
+    r"(?P<method>\w+) needs \d+ training samples before the forecast window but only \d+ "
+    r"are available",
+    r"the \(d = \d+, D = \d+\) difference is beyond \+/-1e150 at t = \d+",
+    r"CSS simplex did not converge within \d+ (objective evaluations|iterations) "
+    r"\(final objective \S+\)",
+    r"need hi > lo, got lo=\S+, hi=\S+",  # nexting on a constant series
+]
+
+
+@pytest.mark.parametrize("shape", sorted(BOUND_SHAPES))
+def test_every_builtin_block_runs_at_the_bound(shape):
+    # rmse, compare, kernel_predict's weighted sum and the autocorrelations
+    # have no overflow guard: samples within +/-1e150 cannot overflow them.
+    # The suite makes a RuntimeWarning an error, so an overflow in any of
+    # them would be a row's error, or raise from acf_pacf.
+    blocks = [m for name in builtin_config_names()
+              for m in load_config(builtin_config_path(name))["methods"]]
+    blocks.append({"name": "kernel", "bandwidth": 2.0})
+    for sign, n in itertools.product((1.0, -1.0), (48, 72, 168)):
+        series = Series(sign * BOUND_SHAPES[shape](n), t0=1, period_hint=24)
+        for row in compare(series, blocks, WIND_BAND):
+            if row.ok:  # its outputs keep the rule too, and JSON has no Infinity
+                outputs = [row.forecast] + ([row.fitted] if row.fitted is not None else [])
+                assert max(np.abs(out.values).max() for out in outputs) <= 1e150, row.method
+                assert row.train_rmse is None or math.isfinite(row.train_rmse), row.method
+                continue
+            match = next(filter(None, (re.fullmatch(p, row.error) for p in BOUND_ERRORS)), None)
+            assert match, (sign, n, row.method, row.error)
+            assert match.groupdict().get("method", row.method) == row.method
+        if shape == "constant":
+            with pytest.raises(ZeroVarianceError):
+                acf_pacf(series, 12)
+        else:
+            acf, pacf = acf_pacf(series, 12)
+            assert np.isfinite(acf).all() and np.isfinite(pacf).all()

@@ -99,6 +99,16 @@ class TestParseTmy3:
         assert err.value.column == "DNI (W/m^2)"
         assert f"non-finite dni value {token!r} at row 6" in str(err.value)
 
+    def test_a_cell_beyond_the_bound_is_refused_with_its_index_and_time(self, tmp_path):
+        # A finite cell past +/-1e150 reaches the Series rule, which names
+        # the sample's index and time (row 6 of the file holds t = 4).
+        rows = tiny_rows(5)
+        rows[3] = (rows[3][0], rows[3][1], rows[3][2], rows[3][3], "1e200")
+        path = write_tmy3(tmp_path / "huge.csv", rows)
+        with pytest.raises(ValueError) as err:
+            parse_tmy3(path)
+        assert str(err.value) == "series value 1e+200 at index 3 (t = 4) is beyond +/-1e150"
+
     def test_short_row_names_missing_column(self, tmp_path):
         rows = tiny_rows(4)
         rows[2] = rows[2][:3]
@@ -767,50 +777,16 @@ class TestExportReport:
         text = format_report_table(reports)
         assert "FAILED" in text and "polynomial" in text
 
-    def test_an_overflowing_train_rmse_exports_as_an_error_row(self, tmp_path):
-        # A tree fits a 1e308 sine with finite means, but squaring its
-        # finite training errors overflows. JSON has no Infinity, so the row
-        # fails instead. A fresh process, as a user runs it: stderr carries
-        # no numpy warning.
-        config = tmp_path / "huge.json"
-        config.write_text(json.dumps({
-            "signal": "synthetic", "synthetic": {"amplitude": 1e308, "period": 24, "count": 48},
-            "band": {"inner": 1.0, "outer": 2.0},
-            "methods": [{"name": "tree", "min_node_size": 10, "period": 24}]}))
-        failed = "FAILED: train_rmse overflows: the squared training errors of 24 samples"
-        for fmt in ("json", "csv"):
-            out = tmp_path / f"rows.{fmt}"
-            proc = fresh_python("-m", "daycast.cli", "compare", "--config", str(config),
-                                "--format", fmt, "--out", str(out))
-            assert (proc.returncode, proc.stderr) == (0, "")
-            assert failed in proc.stdout
-            text = out.read_text()
-            if fmt == "json":
-                assert json.loads(text, parse_constant=lambda name: pytest.fail(name)) == [
-                    {"method": "tree", "train_rmse": None, "inner_run": None,
-                     "outer_run": None}]
-            else:
-                assert text.splitlines() == ["method,train_rmse,inner_run,outer_run", "tree,,,"]
-
-    def test_a_kernel_variance_past_the_float_range_is_an_error_row(self, tmp_path):
-        # A fresh process, as a user runs it: stderr carries no numpy warning.
-        config = tmp_path / "huge.json"
-        config.write_text(json.dumps({
-            "signal": "synthetic", "synthetic": {"amplitude": 1e308, "period": 24, "count": 48},
-            "band": {"inner": 1.0, "outer": 2.0}, "methods": [{"name": "kernel"}]}))
-        proc = fresh_python("-m", "daycast.cli", "compare", "--config", str(config))
-        assert (proc.returncode, proc.stderr) == (0, "")
-        assert ("FAILED: the variance of the targets overflows; choose a bandwidth explicitly"
-                in proc.stdout)
-
     def test_arima_polynomial_and_nexting_rows_past_the_float_range_name_their_causes(
             self, tmp_path):
         # A fresh process, as a user runs it: stderr carries no numpy warning.
         nexting, = (m for m in load_config(builtin_config_path("table2_irradiance"))["methods"]
                     if m["name"] == "nexting")
         config = tmp_path / "huge.json"
+        # Samples lie within +/-1e150, the range of every Series, and so must
+        # a row's outputs.
         config.write_text(json.dumps({
-            "signal": "synthetic", "synthetic": {"amplitude": 1e308, "period": 24, "count": 48},
+            "signal": "synthetic", "synthetic": {"amplitude": 1e150, "period": 24, "count": 48},
             "band": {"inner": 1.0, "outer": 2.0},
             "methods": [{"name": "arima", "p": 0, "d": 2, "q": 0, "P": 0, "D": 0, "Q": 0,
                          "s": 0, "train_periods": 1},
@@ -818,9 +794,9 @@ class TestExportReport:
         proc = fresh_python("-m", "daycast.cli", "compare", "--config", str(config))
         assert (proc.returncode, proc.stderr) == (0, "")
         assert [line.split("FAILED: ")[1] for line in proc.stdout.splitlines()[1:]] == [
-            "arima forecast is not finite at t = 29",
-            "polynomial fit is not finite at t = 4",
-            "the normalizing range [-1e+308, 1e+308] is wider than the float range"]
+            "arima forecast is beyond +/-1e150 at t = 28",
+            "polynomial fit is beyond +/-1e150 at t = 19",
+            "nexting fit is beyond +/-1e150 at t = 5"]
 
 
 class TestCli:
@@ -972,6 +948,7 @@ class TestCli:
         (["synth", "--period", "inf", "--count", "3"], "--period"),
         (["synth", "--period", "4", "--count", "3", "--amplitude", "nan"], "--amplitude"),
         (["synth", "--period", "4", "--count", "3", "--phase", "inf"], "--phase"),
+        (["synth", "--period", "4", "--count", "3", "--amplitude", "1e200"], "--amplitude"),
     ])
     def test_out_of_range_flag_exits_1_naming_the_flag(self, capsys, argv, flag):
         assert run_cli(argv) == 1
@@ -1084,13 +1061,36 @@ class TestCli:
         assert capsys.readouterr() == ("", f"daycast: {path}: no data rows\n")
 
     def test_acf_of_squares_past_the_float_range_exits_2(self, tmp_path, capsys):
-        # The suite makes a RuntimeWarning an error, so a numpy warning would
-        # escape run_cli instead.
+        # The data boundary refuses the first sample beyond +/-1e150, so no
+        # square reaches the autocorrelations.
         path = tmp_path / "huge.csv"
         path.write_text("".join(f"{t},{(-1) ** (t + 1) * 1e308}\n" for t in range(1, 11)))
         assert run_cli(["acf", "--data", str(path), "--max-lag", "3"]) == 2
-        assert capsys.readouterr() == ("", "daycast: autocorrelation is undefined: the sum of "
-                                           "squared deviations of 10 samples overflows\n")
+        assert capsys.readouterr() == ("", "daycast: series value 1e+308 at index 0 (t = 1) is "
+                                           "beyond +/-1e150\n")
+
+    def test_a_synthetic_amplitude_past_the_bound_exits_1(self, tmp_path, capsys):
+        # Every sample of a Series lies within +/-1e150, so the config refuses
+        # an amplitude whose sine would leave that range.
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps({
+            "signal": "synthetic", "synthetic": {"amplitude": 1e200, "period": 24, "count": 48},
+            "band": {"inner": 1.0, "outer": 2.0},
+            "methods": [{"name": "tree", "min_node_size": 10, "period": 24}]}))
+        assert run_cli(["compare", "--config", str(config)]) == 1
+        assert capsys.readouterr() == ("", "daycast: config.synthetic: amplitude must lie in "
+                                           "[-1e150, 1e150], got 1e+200\n")
+
+    def test_a_kernel_block_without_a_bandwidth_exits_1(self, tmp_path, capsys):
+        # The bandwidth is a scale on the time axis, in samples: no default
+        # can come from the signal's values, whose unit is not time.
+        config = tmp_path / "kernel.json"
+        config.write_text(json.dumps({
+            "signal": "fixture", "fixture": "wind48", "band": {"inner": 1.0, "outer": 2.0},
+            "methods": [{"name": "kernel"}]}))
+        assert run_cli(["compare", "--config", str(config)]) == 1
+        assert capsys.readouterr() == ("", "daycast: missing required key 'bandwidth' in "
+                                           "methods[0] (kernel)\n")
 
     def test_an_empty_method_list_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "none.json"

@@ -28,6 +28,15 @@ class TestSeries:
         with pytest.raises(ValueError, match=r"index 2 \(t = 6\) is not finite"):
             Series([1.0, 2.0, bad, bad], t0=4)
 
+    def test_a_value_beyond_the_bound_is_rejected_with_index_and_time(self):
+        with pytest.raises(ValueError) as err:
+            Series([0.0, 1e151])
+        assert str(err.value) == "series value 1e+151 at index 1 (t = 2) is beyond +/-1e150"
+        with pytest.raises(ValueError, match=r"^series value -1\.0000000000000002e\+150 at "
+                                             r"index 0 \(t = 7\) is beyond"):
+            Series([np.nextafter(-1e150, -np.inf)], t0=7)
+        assert Series([1e150, -1e150]).values.tolist() == [1e150, -1e150]
+
 
 class TestMakeSine:
     def test_quarter_period_peaks(self):
@@ -114,9 +123,10 @@ class TestNormalizeUnit:
         assert str(err.value) == message
 
     def test_a_distance_past_the_float_range_clamps_without_a_warning(self):
-        # The suite makes a RuntimeWarning an error. 2**1023 - (-2**1023) overflows.
-        lo, hi = -2.0**1023, -2.0**1022
-        out = normalize_unit(Series([lo, -1.5 * 2.0**1022, 2.0**1023]), lo, hi)
+        # The suite makes a RuntimeWarning an error. Samples stay within
+        # +/-1e150, but divided by a width of 2**-600 they overflow.
+        lo, hi = 0.0, 2.0**-600
+        out = normalize_unit(Series([-1e150, 2.0**-601, 1e150]), lo, hi)
         np.testing.assert_array_equal(out.values, [0.0, 0.5, 1.0])
 
     def test_idempotent_on_unit_interval(self):

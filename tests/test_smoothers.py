@@ -9,12 +9,12 @@ import pytest
 from scipy.interpolate import CubicSpline, make_smoothing_spline
 
 from daycast.config import band_from_config, builtin_config_path, load_config, load_dataset
-from daycast.errors import NoSupportError, SingularSystemError, ZeroVarianceError
+from daycast.errors import NoSupportError, SingularSystemError
 from daycast.evalharness import Band, compare
 from daycast.linmodels import fit_polynomial
 from daycast.series import Series, make_sine
-from daycast.smoothers import (KernelConfig, _basis_matrix, _penalty_root, default_bandwidth,
-                               fit_smoothing_spline, kernel_predict)
+from daycast.smoothers import (KernelConfig, _basis_matrix, _penalty_root, fit_smoothing_spline,
+                               kernel_predict)
 
 GENERIC_Y = [2.0, -1.0, 4.0, 3.5, 0.5, 1.0]
 
@@ -359,18 +359,3 @@ class TestKernelRegression:
                              f"bandwidth={bandwidth})")
         assert capfd.readouterr() == ("", "")
 
-
-class TestDefaultBandwidth:
-    def test_two_points(self):
-        assert default_bandwidth(Series([0.0, 2.0])) == pytest.approx(1.0)
-
-    def test_three_points(self):
-        assert default_bandwidth(Series([1.0, 2.0, 3.0])) == pytest.approx(2.0 / 3.0, abs=1e-12)
-
-    def test_constant_series_rejected(self):
-        with pytest.raises(ZeroVarianceError):
-            default_bandwidth(Series([5.0, 5.0, 5.0]))
-
-    def test_a_variance_past_the_float_range_is_refused_without_a_warning(self):
-        with pytest.raises(ValueError, match="^the variance of the targets overflows; "):
-            default_bandwidth(Series([1e308, -1e308]))
