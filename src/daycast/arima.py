@@ -20,6 +20,7 @@ the conditional sum of squared shocks, and to forecast by taking
 conditional expectations with future shocks zeroed.
 """
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -316,33 +317,80 @@ class _BudgetSpent(Exception):
     """The simplex asked for one objective evaluation more than its budget allows."""
 
 
+@functools.lru_cache(maxsize=32)
+def _vertex_ops(n: int):
+    """Compile the simplex arithmetic of _nelder_mead on n-tuples of plain floats, n >= 1.
+
+    Returns (centroid, combine, shrink, converged), each written out
+    coordinate by coordinate, so no step builds an intermediate list:
+    centroid(sim) adds the first n vertices left to right (as np.add.reduce
+    over axis 0) and divides by n; combine(c1, c2, a, h) is c1*a - c2*h;
+    shrink(a, v) is a + 0.5*(v - a); converged(sim, fsim) makes scipy's
+    xatol and fatol tests with <=, so a NaN difference is not converged.
+    """
+    x = [[f"x{i}_{k}" for k in range(n)] for i in range(n + 1)]
+    a, h, v = ([f"{name}{k}" for k in range(n)] for name in "ahv")
+
+    def tup(names):
+        return "(" + ", ".join(names) + ",)"
+
+    vertices = ", ".join(map(tup, x))
+    sums = [" + ".join(x[i][k] for i in range(n)) for k in range(n)]
+    tests = ([f"abs({x[j][k]} - {x[0][k]}) <= 1e-10" for j in range(1, n + 1) for k in range(n)]
+             + [f"abs(f0 - f{j}) <= 1e-14" for j in range(1, n + 1)])
+    source = (
+        f"def centroid(sim):\n    {', '.join(map(tup, x[:-1]))}, _ = sim\n"
+        f"    return {tup(f'({s}) / {n}' for s in sums)}\n"
+        f"def combine(c1, c2, a, h):\n    {tup(a)} = a\n    {tup(h)} = h\n"
+        f"    return {tup(f'c1 * {ak} - c2 * {hk}' for ak, hk in zip(a, h))}\n"
+        f"def shrink(a, v):\n    {tup(a)} = a\n    {tup(v)} = v\n"
+        f"    return {tup(f'{ak} + 0.5 * ({vk} - {ak})' for ak, vk in zip(a, v))}\n"
+        f"def converged(sim, fsim):\n    {vertices}, = sim\n"
+        f"    {tup(f'f{j}' for j in range(n + 1))} = fsim\n"
+        f"    return {' and '.join(tests)}\n")
+    namespace = {}
+    exec(source, namespace)
+    return tuple(namespace[name] for name in ("centroid", "combine", "shrink", "converged"))
+
+
 def _nelder_mead(f, x0: list, maxiter: int, maxfev: int, callback):
-    """Minimize f from x0 with the Nelder-Mead simplex, on lists of floats.
+    """Minimize f from x0 (at least one float) with the Nelder-Mead simplex, on tuples.
 
     This is scipy.optimize.minimize(method="Nelder-Mead") with its default
     coefficients (adaptive=False, no bounds) and xatol 1e-10, fatol 1e-14,
     written to make the same floating-point operations in the same order,
     so it returns the same bits (checked against scipy 1.17); scipy spends
     as long on the bookkeeping of its few small arrays as a CSS objective
-    takes. As in scipy, the evaluation count is checked before every call
-    to f, and a stop in mid-iteration (a shrink included) keeps the partly
-    updated simplex, does not count the iteration, and still sorts and
-    calls callback() once. Stopping on convergence calls back no more, as
-    in scipy 1.17 (older scipy called back once more from a finally clause).
-    The vertices are ordered by sorted() when their values are distinct,
-    and by np.argsort, as in scipy, when they tie or one is NaN.
+    takes. The vertices are tuples, and the centroid, the four steps, the
+    shrink and the convergence test are _vertex_ops's, compiled once per
+    dimension. As in scipy, the evaluation count is checked before every
+    call to f, and a stop in mid-iteration (a shrink included) keeps the
+    partly updated simplex, does not count the iteration, and still sorts
+    and calls callback() once. Stopping on convergence calls back no more,
+    as in scipy 1.17 (older scipy called back once more from a finally
+    clause).
 
-    Returns (x, f(x), spent), where spent is None on convergence, else the
-    budget that ran out with its name: (maxfev, "objective evaluations")
-    or (maxiter, "iterations") (scipy's status 1 and 2).
+    The vertices are ordered by sorted() when their values are distinct,
+    and by np.argsort, as in scipy, when they tie or one is NaN. A step
+    that does not shrink replaces only the worst vertex, with a value that
+    passed a < or <= test and so is not NaN. When the others were in
+    strictly increasing order and the new value ties none of theirs, the
+    order is unique, and bisect finds its place in it. Any other
+    iteration, or one stopped by the budget, sorts again.
+
+    Returns (x, f(x), spent), where x is a list, and spent is None on
+    convergence, else the budget that ran out with its name: (maxfev,
+    "objective evaluations") or (maxiter, "iterations") (scipy's status 1
+    and 2).
     """
     n = len(x0)
+    centroid, combine, shrink, converged = _vertex_ops(n)
     # Vertex k + 1 moves coordinate k by 5 %, or to 0.00025 from zero.
-    sim = [list(x0)]
+    sim = [tuple(x0)]
     for k in range(n):
         y = list(x0)
         y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
-        sim.append(y)
+        sim.append(tuple(y))
     fsim = [math.inf] * (n + 1)
     nfev = 0
 
@@ -357,41 +405,35 @@ def _nelder_mead(f, x0: list, maxiter: int, maxfev: int, callback):
         # Distinct values have one order, which sorted() finds faster than
         # np.argsort. np.argsort is not stable and may order tied vertices
         # unlike sorted(), so ties and NaN (a wind fit ties at its first
-        # sort) go to np.argsort.
+        # sort) go to np.argsort. Returns whether the order is strict.
         ind = sorted(range(n + 1), key=fsim.__getitem__)
-        if not all(fsim[i] < fsim[j] for i, j in zip(ind, ind[1:])):
+        strict = all(fsim[i] < fsim[j] for i, j in zip(ind, ind[1:]))
+        if not strict:
             ind = np.argsort(fsim).tolist()
-        return [sim[i] for i in ind], [fsim[i] for i in ind]
+        return [sim[i] for i in ind], [fsim[i] for i in ind], strict
 
     try:
         for k in range(n + 1):
             fsim[k] = call(sim[k])
     except _BudgetSpent:
         pass
-    sim, fsim = by_value()
+    sim, fsim, strict = by_value()
 
     iterations = 1
     while nfev < maxfev and iterations < maxiter:
+        resort = True
         try:
-            x_0, f_0 = sim[0], fsim[0]
-            if (all(abs(v - a) <= 1e-10 for x in sim[1:] for v, a in zip(x, x_0))
-                    and all(abs(f_0 - fv) <= 1e-14 for fv in fsim[1:])):
+            if converged(sim, fsim):
                 break
 
-            # Centroid of all but the worst vertex: the rows added left to
-            # right starting from the first (as np.add.reduce over axis 0),
-            # then divided by n. The steps below keep scipy's coefficients.
-            xbar = list(x_0)
-            for x in sim[1:-1]:
-                xbar = [a + v for a, v in zip(xbar, x)]
-            xbar = [a / n for a in xbar]
-            x_h = sim[-1]
-
-            xr = [2 * a - 1 * h for a, h in zip(xbar, x_h)]
+            # The steps keep scipy's coefficients; the inside contraction
+            # 0.5*a - (-0.5)*h has the bits of scipy's 0.5*a + 0.5*h.
+            xbar, x_h = centroid(sim), sim[-1]
+            xr = combine(2.0, 1.0, xbar, x_h)
             fxr = call(xr)
             doshrink = False
-            if fxr < f_0:
-                xe = [3 * a - 2 * h for a, h in zip(xbar, x_h)]
+            if fxr < fsim[0]:
+                xe = combine(3.0, 2.0, xbar, x_h)
                 fxe = call(xe)
                 if fxe < fxr:
                     sim[-1], fsim[-1] = xe, fxe
@@ -400,32 +442,41 @@ def _nelder_mead(f, x0: list, maxiter: int, maxfev: int, callback):
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             elif fxr < fsim[-1]:  # outside contraction
-                xc = [1.5 * a - 0.5 * h for a, h in zip(xbar, x_h)]
+                xc = combine(1.5, 0.5, xbar, x_h)
                 fxc = call(xc)
                 if fxc <= fxr:
                     sim[-1], fsim[-1] = xc, fxc
                 else:
                     doshrink = True
             else:  # inside contraction
-                xcc = [0.5 * a + 0.5 * h for a, h in zip(xbar, x_h)]
+                xcc = combine(0.5, -0.5, xbar, x_h)
                 fxcc = call(xcc)
                 if fxcc < fsim[-1]:
                     sim[-1], fsim[-1] = xcc, fxcc
                 else:
                     doshrink = True
             if doshrink:
+                x_0 = sim[0]
                 for j in range(1, n + 1):
-                    sim[j] = [a + 0.5 * (v - a) for a, v in zip(x_0, sim[j])]
+                    sim[j] = shrink(x_0, sim[j])
                     fsim[j] = call(sim[j])
             iterations += 1
+            if strict and not doshrink:
+                fnew = fsim[-1]
+                i = bisect.bisect_left(fsim, fnew, 0, n)
+                resort = i < n and fsim[i] == fnew
         except _BudgetSpent:
             pass
-        sim, fsim = by_value()
+        if resort:
+            sim, fsim, strict = by_value()
+        else:
+            sim.insert(i, sim.pop())
+            fsim.insert(i, fsim.pop())
         callback()
 
     spent = ((maxfev, "objective evaluations") if nfev >= maxfev
              else (maxiter, "iterations") if iterations >= maxiter else None)
-    return sim[0], fsim[0], spent
+    return list(sim[0]), fsim[0], spent
 
 
 def css_estimate(series: Series, order: ArimaOrder, init=None, *,
@@ -436,8 +487,9 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
     series mean for pure ARMA, 0.0 for a differenced fit, which has no
     drift. Shocks are computed with zero pre-sample values, and sum(a^2) is
     minimized by the Nelder-Mead simplex of _nelder_mead (scipy's, ported
-    to plain floats with the same arithmetic; xatol 1e-10, fatol 1e-14)
-    from a Yule-Walker start for the AR side and zeros elsewhere. The
+    to tuples of plain floats with the same arithmetic, compiled once per
+    number of parameters; xatol 1e-10, fatol 1e-14) from a Yule-Walker
+    start for the AR side and zeros elsewhere. The
     objective, _css_objective, gives the bits of the lfilter shocks and
     a @ a it replaces. Its shocks come from np.convolve for an order
     without an MA side and from plain floats for an MA order, at any

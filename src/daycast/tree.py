@@ -90,13 +90,13 @@ def best_split(X, y) -> BestSplit | None:
     X is an (n, n_vars) array, or a length-n vector for one variable, as
     grow takes it. Ties in total cost keep the lowest variable index, then
     the lowest threshold; returns None when no split strictly reduces the
-    cost.
+    cost, and so for a constant y, whose split costs are rounding noise.
     """
     X, y = _as_table((X, y))
     n = len(y)
     if n == 0:
         raise ValueError("best_split needs a nonempty training set")
-    if n < 2:
+    if n < 2 or y.max() == y.min():
         return None
     parent_sse = float(np.sum((y - y.mean()) ** 2))
     tie = 1e-12 * max(1.0, parent_sse)  # closer costs tie; the first seen wins

@@ -472,27 +472,135 @@ class TestSimplexMatchesScipy:
                                           max_iterations=max_iterations)
         assert message.startswith(f"CSS simplex did not converge within {budget} (")
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @staticmethod
+    def run_both(objective, x0, maxiter):
+        """Each minimizer's x, f(x), spent budget, callback count and every evaluated point.
+
+        The objective gets plain floats from both: scipy's float64 would
+        round by numpy's rule (round(np.float64(30.549999999999997), 1) is
+        30.6, where Python's round gives 30.5).
+        """
+        runs = []
+        for minimizer in (arima._nelder_mead, scipy_nelder_mead):
+            points, calls = [], []
+
+            def f(x):
+                x = np.asarray(x, dtype=float)
+                points.append(x.tobytes())
+                return objective(x.tolist())
+
+            x, fun, spent = minimizer(f, x0, maxiter, 2 * maxiter, lambda: calls.append(None))
+            runs.append((np.asarray(x, dtype=float).tobytes(), float(fun), spent, len(calls),
+                         points))
+        return runs
+
+    @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("maxiter", [2, 3, 5, 10, 400])
     @pytest.mark.parametrize("digits", [0, 1])
     def test_tied_plateaus_match_scipy_directly(self, digits, maxiter, n):
         # Rounding the objective makes ties at every step, so the unstable
         # np.argsort order, the shrink and both budgets all matter. Every
         # evaluated point is compared, so a shrink cut short by the
-        # evaluation budget must stop where scipy's stops.
-        runs = []
-        for minimizer in (arima._nelder_mead, scipy_nelder_mead):
-            points, calls = [], []
+        # evaluation budget must stop where scipy's stops. The vertex
+        # arithmetic is compiled per dimension, so each n is its own code.
+        def f(x):
+            return round(sum((v - 0.3 * i) ** 2 for i, v in enumerate(x)), digits)
 
-            def f(x):
-                points.append(np.asarray(x, dtype=float).tobytes())
-                return round(sum((v - 0.3 * i) ** 2 for i, v in enumerate(x)), digits)
-
-            x, fun, spent = minimizer(f, [0.0, 1.0, -2.0, 0.0, 5.0][:n], maxiter, 2 * maxiter,
-                                      lambda: calls.append(None))
-            runs.append((np.asarray(x, dtype=float).tobytes(), float(fun), spent, len(calls),
-                         points))
+        x0 = [0.0, 1.0, -2.0, 0.0, 5.0, -0.5, 0.0, 3.0][:n]
+        runs = self.run_both(f, x0, maxiter)
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("objective", ["tie", "nan"])
+    def test_both_orderings_match_scipy_directly(self, objective, monkeypatch):
+        # After a step that does not shrink, the new worst value is placed by
+        # bisect, unless it ties an inner vertex's value, when np.argsort
+        # orders the simplex as in scipy. A NaN reaches the simplex only
+        # through a shrink, which always sorts with np.argsort.
+        def quadratic(x):
+            return sum((v - 0.3 * i) ** 2 for i, v in enumerate(x))
+
+        f = {"tie": lambda x: round(quadratic(x), 2),
+             "nan": lambda x: math.nan if 0.5 < quadratic(x) < 0.6 else quadratic(x)}[objective]
+        placed = []
+        bisect_left = arima.bisect.bisect_left
+
+        def spy(a, x, lo, hi):
+            i = bisect_left(a, x, lo, hi)
+            placed.append("tie" if i < hi and a[i] == x else "insert")
+            return i
+
+        monkeypatch.setattr(arima.bisect, "bisect_left", spy)
+        sorts = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda a: sorts.append(list(a)) or argsort(a))
+        arima._nelder_mead(f, [0.0, 1.0, -2.0], 400, 800, lambda: None)
+        monkeypatch.undo()
+        assert "insert" in placed
+        if objective == "tie":
+            assert "tie" in placed
+        else:
+            assert any(math.isnan(v) for values in sorts for v in values)
+        runs = self.run_both(f, [0.0, 1.0, -2.0], 400)
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("max_iterations", [7, None])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_six_parameters_on_three_days(self, seed, max_iterations, monkeypatch):
+        rng = np.random.default_rng(seed)
+        profile = 6.0 + 3.0 * np.sin(2 * np.pi * (np.arange(24) + rng.uniform(0, 24)) / 24)
+        train = Series(np.tile(profile, 3) + rng.normal(0, 1.0, 72), t0=1, period_hint=24)
+        self.assert_same_as_scipy(monkeypatch, train, ArimaOrder(2, 0, 2, 1, 0, 1, 24),
+                                  max_iterations=max_iterations)
+
+
+class TestVertexOps:
+    """The compiled vertex arithmetic has the bits of the list formulas it replaced."""
+
+    SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 1e-320, 1.7e308]
+
+    @staticmethod
+    def bits(values):
+        # Every NaN reads as one: CPython's generic and specialized float
+        # additions keep different NaNs of two, so the same a + b gives -nan
+        # until the interpreter specializes it and nan after.
+        a = np.array(values, dtype=float)
+        a[np.isnan(a)] = np.nan
+        return a.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_same_bits_as_the_list_formulas(self, n):
+        centroid, combine, shrink, converged = arima._vertex_ops(n)
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            values = rng.standard_normal((n + 1, n)) * 10.0 ** rng.integers(-3, 4, (n + 1, n))
+            special = rng.random((n + 1, n)) < 0.3
+            values[special] = rng.choice(self.SPECIAL, int(special.sum()))
+            sim = [tuple(row) for row in values.tolist()]
+            fsim = rng.choice([0.0, 1e-15, 2.0, math.inf, math.nan], n + 1).tolist()
+
+            xbar = list(sim[0])
+            for x in sim[1:-1]:
+                xbar = [a + v for a, v in zip(xbar, x)]
+            xbar = [a / n for a in xbar]
+            assert self.bits(centroid(sim)) == self.bits(xbar)
+            x_h = sim[-1]
+            for (c1, c2), reference in (
+                    ((2.0, 1.0), [2 * a - 1 * h for a, h in zip(xbar, x_h)]),
+                    ((3.0, 2.0), [3 * a - 2 * h for a, h in zip(xbar, x_h)]),
+                    ((1.5, 0.5), [1.5 * a - 0.5 * h for a, h in zip(xbar, x_h)]),
+                    ((0.5, -0.5), [0.5 * a + 0.5 * h for a, h in zip(xbar, x_h)])):
+                assert self.bits(combine(c1, c2, tuple(xbar), x_h)) == self.bits(reference)
+            for v in sim[1:]:
+                assert self.bits(shrink(sim[0], v)) == self.bits(
+                    [a + 0.5 * (w - a) for a, w in zip(sim[0], v)])
+            near = [tuple(a + 1e-11 * (j % 2) for a in sim[0]) for j in range(n + 1)]
+            edge = [(1e-10 * (j % 2),) * n for j in range(n + 1)]  # differences of exactly 1e-10
+            for vertices in (sim, near, edge):
+                for f in (fsim, [1.0] * (n + 1), [0.0] + [1e-14] * n):
+                    assert converged(vertices, f) == (
+                        all(abs(v - a) <= 1e-10 for x in vertices[1:]
+                            for v, a in zip(x, vertices[0]))
+                        and all(abs(f[0] - fv) <= 1e-14 for fv in f[1:]))
 
 
 def lfilter_objective(order, zc):

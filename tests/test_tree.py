@@ -49,6 +49,13 @@ class TestBestSplit:
     def test_constant_targets_yield_none(self):
         assert best_split(np.arange(1.0, 6.0), np.full(5, 4.0)) is None
 
+    def test_a_constant_target_whose_costs_round_below_zero_yields_none(self):
+        # cum2 - cum**2 / k leaves rounding noise of either sign; with a
+        # parent SSE of 0 the tie tolerance is 1e-12, and a cost of -3.6e-10
+        # once split this at 112.5.
+        assert best_split(np.arange(1000.0), np.full(1000, 3.3)) is None
+        assert best_split(np.arange(14000.0), np.full(14000, 1e150)) is None
+
     def test_identical_inputs_yield_none(self):
         assert best_split([[1.0], [1.0], [1.0]], [0.0, 5.0, 9.0]) is None
 
@@ -91,6 +98,10 @@ class TestGrow:
     def test_constant_targets_single_leaf(self):
         t = grow(Series([5.0] * 8))
         assert t.root.is_leaf and t.root.mean == 5.0
+
+    def test_a_constant_target_grows_one_leaf_at_any_node_size(self):
+        t = grow(Series(np.full(1000, 3.3)), GrowConfig(min_node_size=2))
+        assert t.n_leaves == 1 and t.root.mean == pytest.approx(3.3)
 
     def test_two_leaf_step(self):
         t = grow(Series([0.0, 0.0, 10.0, 10.0]), GrowConfig(max_leaves=2))
