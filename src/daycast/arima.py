@@ -243,7 +243,7 @@ def _shock_function(order: ArimaOrder, m: int):
     there in one loop over t, where every shock has every term. It leaves
     out the lags no sample reaches (k > t) and the coefficients that are
     structurally zero: such a term can only change the sign of a zero
-    shock, which squaring removes, or turn into NaN a shock that is not
+    shock, which changes no value, or turn into NaN a shock that is not
     finite anyway.
     """
     p, q, P, Q = order.p, order.q, order.P, order.Q
@@ -299,10 +299,9 @@ def _css_objective(order: ArimaOrder, zc: np.ndarray):
     The shocks are _shock_function's, at every length: lfilter(ar, ma, zc)'s,
     bit for bit but for the sign of a zero shock at a -0.0 sample, which
     squaring removes (and the NaN or inf of a shock that is not finite).
-    A forecast can carry that sign, so forecast runs _lfilter_floats. The
-    sum is one BLAS dot, as a @ a was; np.vdot gives the same bits but, not
-    being a ufunc, does not warn when it overflows to inf. A shock that is
-    not finite scores 1e300.
+    forecast reads the same shocks. The sum is one BLAS dot, as a @ a was;
+    np.vdot gives the same bits but, not being a ufunc, does not warn when
+    it overflows to inf. A shock that is not finite scores 1e300.
     """
     shocks = _shock_function(order, len(zc))(zc)
 
@@ -554,37 +553,16 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
     return model
 
 
-def _lfilter_floats(b: list, a: list, x: list) -> list:
-    """scipy.signal.lfilter(b, a, x) on plain floats, for a[0] == 1 and len(a) >= 2.
-
-    This is lfilter's transposed direct form II with the same operations
-    in the same order, so it gives the same bits, zero signs included:
-    both sides padded with zeros to one length and a zero initial state
-    (lfilter would divide by a[0], and with one a coefficient calls
-    np.convolve instead).
-    """
-    n = max(len(a), len(b))
-    b = b + [0.0] * (n - len(b))
-    a = a + [0.0] * (n - len(a))
-    z = [0.0] * (n - 1)
-    y = []
-    for xt in x:
-        yt = z[0] + b[0] * xt
-        for k in range(n - 2):
-            z[k] = z[k + 1] + xt * b[k + 1] - yt * a[k + 1]
-        z[-1] = xt * b[-1] - yt * a[-1]
-        y.append(yt)
-    return y
-
-
 def forecast(model: ArimaModel, history: Series, lead: int) -> Series:
     """Minimum-MSE forecasts by iterating the expanded difference equation.
 
     Known samples and reconstructed in-sample shocks feed the recursion;
     future shocks are zero and intermediate future values are the
-    previously computed conditional expectations. The shocks are lfilter's,
-    from _lfilter_floats: a forecast can carry the zero sign that those of
-    _css_objective miss. Only a model with an MA side reads shocks, so
+    previously computed conditional expectations. The shocks are the ones
+    css_estimate minimized, from the same cached _shock_function, so a
+    forecast from the training series compiles nothing. They equal
+    lfilter's; a zero shock at a -0.0 sample may have the other sign, and
+    so may a zero forecast. Only a model with an MA side reads shocks, so
     only it computes them. The level model.mu is taken off the differenced
     history before the shocks and enters every step as mu * phi(1) PHI(1).
     A forecast beyond +/-1e150 raises ValueError naming its first such time.
@@ -608,7 +586,8 @@ def forecast(model: ArimaModel, history: Series, lead: int) -> Series:
     pad = len(thetas)
     if thetas:  # an MA-free recursion reads no shock
         z = difference(history, model.order.d, model.order.D, model.order.s).values
-        shocks = _lfilter_floats(ar.tolist(), ma.tolist(), (z - model.mu).tolist())
+        params = [*model.phi, *model.theta, *model.sphi, *model.stheta]  # as _split_params
+        shocks = _shock_function(model.order, len(z))(z - model.mu)(params).tolist()
         # Pre-pad so MA lags reaching before the first sample read the
         # conventional zero pre-sample shocks instead of wrapping.
         ae = [0.0] * (pad + drop) + shocks + [0.0] * lead

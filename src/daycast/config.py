@@ -110,11 +110,12 @@ def load_dataset(cfg: dict, data_path=None) -> Series:
     embedded constants; the weather signals read the named TMY3 column
     when a data path is given (config "data" or the explicit override,
     a ConfigError on any other signal) and fall back to the matching
-    embedded fixture otherwise. TMY3 windows start at day_offset days
-    into the file, sized to cover the longest training request plus the
-    forecast window, and are re-indexed to t = 1; run_single indexes each
-    method's own training window from t = 1 again, so hour-index fits
-    behave identically on every day.
+    embedded fixture otherwise, where a day_offset above 0 is a
+    ConfigError: a fixture has no days to offset. TMY3 windows start at
+    day_offset days into the file, sized to cover the longest training
+    request plus the forecast window, and are re-indexed to t = 1;
+    run_single indexes each method's own training window from t = 1
+    again, so hour-index fits behave identically on every day.
     """
     signal = cfg["signal"]
     if data_path is not None and signal in _NAMED:
@@ -127,16 +128,20 @@ def load_dataset(cfg: dict, data_path=None) -> Series:
         return fixture(cfg["fixture"])
 
     path = data_path or cfg.get("data")
+    offset = cfg.get("day_offset", 0)
     if path is None:
+        if offset > 0:
+            raise ConfigError(f"day_offset {offset} needs a TMY3 data file; "
+                              f"the embedded {signal} fixture has no days to offset")
         return fixture(signal)
     wind, bulb, dni = parse_tmy3(path)
     series = {"wind": wind, "temperature": bulb, "irradiance": dni}[signal]
-    start = cfg.get("day_offset", 0) * 24
+    start = offset * 24
     periods = max(parse_method(m).train_periods for m in cfg["methods"])
     needed = periods * cfg["train_samples"] + cfg["forecast_samples"]
     if start + needed > len(series):
         raise ValueError(
-            f"window of {needed} samples at day offset {cfg.get('day_offset', 0)} "
+            f"window of {needed} samples at day offset {offset} "
             f"exceeds the {len(series)} samples in {path}"
         )
     return Series(series.values[start:start + needed], t0=1,

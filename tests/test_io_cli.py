@@ -581,6 +581,19 @@ class TestRunConfig:
         ds = load_dataset(cfg)
         assert len(ds) == 48 and ds.unit == "degC"
 
+    def test_a_day_offset_needs_a_data_file(self, tmp_path):
+        # The embedded fixture has no days to offset, so it is no fallback.
+        cfg = validate_config({"signal": "wind", "day_offset": 100,
+                               "band": {"inner": 1, "outer": 3},
+                               "methods": [{"name": "polynomial", "degree": 3}]})
+        with pytest.raises(ConfigError) as err:
+            load_dataset(cfg)
+        assert str(err.value) == ("day_offset 100 needs a TMY3 data file; "
+                                  "the embedded wind fixture has no days to offset")
+        path = write_tmy3(tmp_path / "spring.csv", weather_year(days=102))
+        wind, _, _ = parse_tmy3(path)
+        assert load_dataset(cfg, data_path=path).values.tobytes() == wind.values[2400:].tobytes()
+
     def test_tmy3_window_selection(self, tmp_path):
         path = write_tmy3(tmp_path / "week.csv", tiny_rows(24 * 7))
         cfg = validate_config({
@@ -1185,6 +1198,15 @@ class TestCli:
                                    "methods": [{"name": "polynomial", "degree": 3}]}))
         assert run_cli(["nexting-run", "--config", str(cfg)]) == 1
         assert capsys.readouterr() == ("", "daycast: nexting-run needs a nexting method block\n")
+
+    def test_a_day_offset_without_a_data_file_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "offset.json"
+        cfg.write_text(json.dumps({"signal": "wind", "day_offset": 100,
+                                   "band": {"inner": 1, "outer": 3},
+                                   "methods": [{"name": "polynomial", "degree": 3}]}))
+        assert run_cli(["compare", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", "daycast: day_offset 100 needs a TMY3 data file; "
+                                           "the embedded wind fixture has no days to offset\n")
 
     def test_a_day_offset_past_the_tmy3_year_exits_2(self, tmp_path, capsys):
         path = write_tmy3(tmp_path / "year.csv", weather_year())
