@@ -239,8 +239,9 @@ def _shock_function(order: ArimaOrder, m: int):
     the longest to the shortest, the AR term (x[t-k] * b[k], b = ar) before
     the MA term (y[t-k] * a[k], a = ma) at one lag, then x[t]. shocks makes
     those operations in that order on plain floats (bind takes x from
-    zc.tolist()): unrolled up to the longest lag L with a term, and from
-    there in one loop over t, where every shock has every term. It leaves
+    zc.tolist()): unrolled for the first min(m, L) shocks, L the longest
+    lag with a term, then in one loop over t, where every shock has every
+    term; the loop is empty when the window ends at or before L. It leaves
     out the lags no sample reaches (k > t) and the coefficients that are
     structurally zero: such a term can only change the sign of a zero
     shock, which changes no value, or turn into NaN a shock that is not
@@ -249,9 +250,10 @@ def _shock_function(order: ArimaOrder, m: int):
     p, q, P, Q = order.p, order.q, order.P, order.Q
     params = ([f"phi{i}" for i in range(1, p + 1)] + [f"theta{i}" for i in range(1, q + 1)]
               + [f"Phi{i}" for i in range(1, P + 1)] + [f"Theta{i}" for i in range(1, Q + 1)])
+    phi, theta, sphi, stheta = _split_params(params, order)
     s = max(order.s, 1)
-    ar_lines, ar = _lag_coefficients("b", params[:p], params[p + q:p + q + P], s)
-    ma_lines, ma = _lag_coefficients("a", params[p:p + q], params[p + q + P:], s)
+    ar_lines, ar = _lag_coefficients("b", phi, sphi, s)
+    ma_lines, ma = _lag_coefficients("a", theta, stheta, s)
 
     bind = []
     body = [f"{', '.join(params)}, = map(float, params)"] if params else []
@@ -277,14 +279,11 @@ def _shock_function(order: ArimaOrder, m: int):
         x_names, y_names = (", ".join(f"{v}{t}" for t in range(u)) for v in "xy")
         for t in range(u):
             body.append(f"y{t} = {shock(t, lambda k: f'x{t - k}', lambda k: f'y{t - k}')}")
-        if m == u:
-            bind.append(f"{x_names}, = zc.tolist()")
-            body.append(f"return _array([{y_names}])")
-        else:  # past the longest lag every shock has every term, so one loop makes them
-            loop = shock(u, lambda k: f"xs[t - {k}]" if k else "xs[t]", lambda k: f"y[t - {k}]")
-            bind += ["xs = zc.tolist()", f"{x_names}, = xs[:{u}]"]
-            body += [f"y = [{y_names}]", f"for t in range({u}, {m}):", f"    y.append({loop})",
-                     "return _array(y)"]
+        # Past the longest lag every shock has every term, so one loop makes them.
+        loop = shock(u, lambda k: f"xs[t - {k}]" if k else "xs[t]", lambda k: f"y[t - {k}]")
+        bind += ["xs = zc.tolist()", f"{x_names}, = xs[:{u}]"]
+        body += [f"y = [{y_names}]", f"for t in range({u}, {m}):", f"    y.append({loop})",
+                 "return _array(y)"]
     source = ("def bind(zc):\n" + "".join(f"    {line}\n" for line in bind)
               + "    def shocks(params):\n" + "".join(f"        {line}\n" for line in body)
               + "    return shocks\n")
@@ -369,13 +368,12 @@ def _nelder_mead(f, x0: list, maxiter: int, maxfev: int, callback):
     as in scipy 1.17 (older scipy called back once more from a finally
     clause).
 
-    The vertices are ordered by sorted() when their values are distinct,
-    and by np.argsort, as in scipy, when they tie or one is NaN. A step
-    that does not shrink replaces only the worst vertex, with a value that
-    passed a < or <= test and so is not NaN. When the others were in
-    strictly increasing order and the new value ties none of theirs, the
-    order is unique, and bisect finds its place in it. Any other
-    iteration, or one stopped by the budget, sorts again.
+    The vertices are ordered by np.argsort, as in scipy. A step that does
+    not shrink replaces only the worst vertex, with a value that passed a
+    < or <= test and so is not NaN. When the others were in strictly
+    increasing order and the new value ties none of theirs, the order is
+    unique, and bisect finds its place in it. Any other iteration, or one
+    stopped by the budget, sorts again.
 
     Returns (x, f(x), spent), where x is a list, and spent is None on
     convergence, else the budget that ran out with its name: (maxfev,
@@ -401,14 +399,11 @@ def _nelder_mead(f, x0: list, maxiter: int, maxfev: int, callback):
         return f(x)
 
     def by_value():
-        # Distinct values have one order, which sorted() finds faster than
-        # np.argsort. np.argsort is not stable and may order tied vertices
-        # unlike sorted(), so ties and NaN (a wind fit ties at its first
-        # sort) go to np.argsort. Returns whether the order is strict.
-        ind = sorted(range(n + 1), key=fsim.__getitem__)
+        # np.argsort, as scipy sorts: it is not stable, so only it puts tied
+        # vertices (a wind fit ties at its first sort) in scipy's order.
+        # Returns whether the order is strict.
+        ind = np.argsort(fsim).tolist()
         strict = all(fsim[i] < fsim[j] for i, j in zip(ind, ind[1:]))
-        if not strict:
-            ind = np.argsort(fsim).tolist()
         return [sim[i] for i in ind], [fsim[i] for i in ind], strict
 
     try:

@@ -136,4 +136,5 @@ def kernel_predict(train: Series, config: KernelConfig, x: float) -> float:
             f"no kernel support at x={x} (all weights underflowed; "
             f"bandwidth={config.bandwidth})"
         )
-    return float(weights @ train.values / denom)  # a weighted mean: at most max |value|
+    # A weighted mean, which rounding can carry one ulp past the values.
+    return float(np.clip(weights @ train.values / denom, train.values.min(), train.values.max()))

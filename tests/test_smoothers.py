@@ -311,7 +311,7 @@ class TestKernelRegression:
         s = Series([4.2] * 6)
         cfg = KernelConfig(bandwidth=1.3)
         for x in (0.0, 3.5, 9.0):
-            assert kernel_predict(s, cfg, x) == pytest.approx(4.2, abs=1e-12)
+            assert kernel_predict(s, cfg, x) == 4.2
 
     def test_antisymmetric_targets_cancel_at_center(self):
         # Points at times -1, 0, 1 with values -1, 0, 1: the weighted average
@@ -334,7 +334,7 @@ class TestKernelRegression:
         lo, hi = temp24.values.min(), temp24.values.max()
         for x in np.linspace(-5, 35, 41):
             p = kernel_predict(temp24, cfg, x)
-            assert lo - 1e-12 <= p <= hi + 1e-12
+            assert lo <= p <= hi
 
     def test_boundary_bias_exceeds_interior_bias(self):
         target = make_sine(1, 100, 100, 0)
@@ -358,4 +358,12 @@ class TestKernelRegression:
         assert row.error == (f"no kernel support at x=25.0 (all weights underflowed; "
                              f"bandwidth={bandwidth})")
         assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("bandwidth", [2.0, 10.0, 100.0])
+    def test_a_constant_series_at_the_bound_is_an_ok_row(self, bandwidth):
+        # The weighted mean of 1e150s can round one ulp past 1e150, and so
+        # past the rule of every Series; the estimate keeps to the data range.
+        row, = compare(Series(np.full(48, 1e150)), [{"name": "kernel", "bandwidth": bandwidth}],
+                       Band(1.0, 3.0))
+        assert (row.error, row.train_rmse, row.inner_run, row.outer_run) == (None, 0.0, 24, 24)
 
