@@ -159,7 +159,9 @@ def _cmd_nexting_run(args) -> int:
                      trace_lambda=nx.trace_lambda, freeze_after=nx.freeze_after,
                      norm_window=cfg["train_samples"])
     lo, hi = run.bounds[0]
-    # Undo the [0, 1] normalization so the stream is in signal units.
+    # Map the stream through the training bounds. At gamma = 0 a prediction
+    # estimates the next sample, so this puts it in signal units; at gamma > 0
+    # it estimates a discounted return, which can lie past [lo, hi].
     scaled = run.predictions[0].with_values(lo + run.predictions[0].values * (hi - lo))
     _emit_series(scaled, args)
     return 0

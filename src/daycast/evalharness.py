@@ -286,7 +286,6 @@ class NextingParams(_Method):
                                  freeze_after=self.freeze_after, norm_window=len(train))
         # Closed loop past the training window: each estimate of the next
         # normalized sample, clamped to [0, 1], is the learner's next input.
-        run.learner.freeze()
         preds = run.predictions[0].values.tolist()
         for _ in range(len(holdout) + self.max_shift):
             preds += run.learner.predict([min(max(preds[-1], 0.0), 1.0)])

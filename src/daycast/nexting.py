@@ -1,7 +1,9 @@
 """Online multi-timescale prediction with tile-coded features and TD(lambda).
 
-Each of P signals gets its own weight and eligibility vector over one
-shared sparse binary feature vector. At every step the learner emits
+Each of P signals gets its own weight vector over one shared sparse
+binary feature vector, and an eligibility trace only if its trace decay
+gamma * trace_lambda is above 0; with no decay the step is TD(0), which
+moves the active weights alone. At every step the learner emits
 its current estimate of the discounted return of each signal, then
 nudges the weights toward the one-step bootstrapped target. All signal
 values must be normalized into [0, 1] before coding.
@@ -9,10 +11,10 @@ values must be normalized into [0, 1] before coding.
 Two encoders give the same indices: tile_indices codes a whole stream
 as one array (run_online), and sample_indices codes one sample on plain
 floats (NextingLearner.step and .predict). One list routine,
-NextingLearner._predict, makes every prediction, streamed, frozen or
-rolled out, and the TD(lambda) update runs on the same lists. Each weight
-sum adds the active features left to right in index order, whatever the
-signal count.
+NextingLearner._predict, makes every prediction, streamed, after
+freeze_after or rolled out, and the TD(lambda) update runs on the same
+lists. Each weight sum adds the active features left to right in index
+order, whatever the signal count.
 """
 
 import math
@@ -108,10 +110,11 @@ def _floats(values) -> list:
 
 def check_rates(gamma, alpha: float, trace_lambda: float) -> None:
     """Raise ValueError unless gamma (a number, or one per signal) lies in
-    [0, 1), alpha is positive and trace_lambda lies in [0, 1]."""
+    [0, 1), alpha is positive and trace_lambda lies in [0, 1]; NaN fails
+    every test."""
     if not all(0 <= g < 1 for g in np.ravel(gamma)):
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if not 0 <= trace_lambda <= 1:
         raise ValueError(f"trace_lambda must lie in [0, 1], got {trace_lambda}")
@@ -120,13 +123,13 @@ def check_rates(gamma, alpha: float, trace_lambda: float) -> None:
 class NextingLearner:
     """Per-signal TD(lambda) weights over a shared tile-coded feature space.
 
-    Single-writer mutable state: one owner advances it step by step.
-    Freezing stops all weight and trace updates while predictions keep
-    flowing. The step size is alpha divided by the active-feature count
-    (the usual tile-coding convention, making alpha a fraction of the
-    one-step error corrected per update). The weights and traces live in
-    Python lists; theta and e return them as (n_signals, n_features)
-    array copies.
+    Single-writer mutable state: one owner advances it step by step, and
+    predict reads it without learning. The step size is alpha divided by
+    the active-feature count (the usual tile-coding convention, making
+    alpha a fraction of the one-step error corrected per update). The
+    weights live in Python lists; theta returns them as an (n_signals,
+    n_features) array copy. A signal keeps an eligibility trace only if
+    its gamma * trace_lambda is above 0.
     """
 
     def __init__(self, coder: TileCoder, gamma, alpha: float, trace_lambda: float):
@@ -138,21 +141,15 @@ class NextingLearner:
             raise ValueError(f"need one gamma per signal ({coder.n_signals}), got {len(g)}")
         self.coder = coder
         self.alpha = alpha
-        self.trace_lambda = trace_lambda
-        self.frozen = False
         self._theta = [[0.0] * coder.n_features for _ in g]
-        self._e = [[0.0] * coder.n_features for _ in g]
         self._gamma = g
-        self._decay = [gp * trace_lambda for gp in self._gamma]
+        self._decay = [gp * trace_lambda for gp in g]
+        self._e = [[0.0] * coder.n_features if d else None for d in self._decay]
         self._updates = 0
 
     @property
     def theta(self) -> np.ndarray:
         return np.array(self._theta)
-
-    @property
-    def e(self) -> np.ndarray:
-        return np.array(self._e)
 
     def predict(self, values) -> list:
         """Current estimates at one normalized sample (one value per
@@ -166,7 +163,8 @@ class NextingLearner:
         values and values_next are consecutive normalized samples and
         y_next holds one target per signal. The eligibility traces decay
         and accumulate the features of values first, then the weights move
-        along them by the step size times the TD error
+        along them (along those features alone, for a signal without a
+        trace) by the step size times the TD error
         y[t+1] + gamma * theta.phi[t+1] - theta.phi[t].
         """
         y_next = _floats(y_next)
@@ -174,9 +172,6 @@ class NextingLearner:
             raise ValueError(f"expected {self.coder.n_signals} targets, got {len(y_next)}")
         return self._update(sample_indices(values, self.coder),
                             sample_indices(values_next, self.coder), y_next)
-
-    def freeze(self):
-        self.frozen = True
 
     def _predict(self, active: list) -> list:
         """Each signal's weight sum over the `active` indices, added left to
@@ -197,14 +192,12 @@ class NextingLearner:
         Every weight sum adds left to right, and every product and sum is
         the one an array update with left-to-right row sums makes, so the
         weights and traces keep the bytes of that array form. With
-        gamma * trace_lambda == 0 the decayed trace is exactly the
-        indicator of `active`, so only those weights change: the others
-        would add a zero, and a weight is never -0.0. An update that is not
-        finite raises before any weight moves.
+        gamma * trace_lambda == 0 the decayed trace would be exactly the
+        indicator of `active`, so only those weights change and no trace is
+        kept: the others would add a zero, and a weight is never -0.0. An
+        update that is not finite raises before any weight or trace moves.
         """
         preds = self._predict(active)
-        if self.frozen:
-            return preds
         c = self.alpha / len(active)
         moves = [c * (y + g * nxt - pred) for y, g, nxt, pred
                  in zip(y_next, self._gamma, self._predict(active_next), preds)]
@@ -212,18 +205,15 @@ class NextingLearner:
             if not math.isfinite(move):
                 raise ValueError(f"the TD update at step {self._updates} is {move}, "
                                  f"not finite: the weights diverge with alpha = {self.alpha}")
-        for p, (row, move, decay) in enumerate(zip(self._theta, moves, self._decay)):
-            if decay == 0.0:
-                trace = [0.0] * len(row)
+        for row, trace, move, decay in zip(self._theta, self._e, moves, self._decay):
+            if trace is None:
                 for a in active:
                     row[a] += move
-                    trace[a] = 1.0
-            else:
-                trace = [x * decay for x in self._e[p]]
-                for a in active:
-                    trace[a] += 1.0
-                row[:] = [w + move * x for w, x in zip(row, trace)]
-            self._e[p] = trace
+                continue
+            trace[:] = [x * decay for x in trace]
+            for a in active:
+                trace[a] += 1.0
+            row[:] = [w + move * x for w, x in zip(row, trace)]
         self._updates += 1
         return preds
 
@@ -244,17 +234,19 @@ def run_online(signals: list, coder: TileCoder, *, gamma, alpha: float,
 
     Signals are normalized to [0, 1] with bounds taken from the first
     norm_window samples (default: one period if the signal carries a
-    period hint, else the whole series), clamping afterwards. With
-    freeze_after = k the weights stop changing once the first k samples
-    have been consumed. The whole run is a pure function of its inputs.
+    period hint, else the whole series), clamping afterwards; norm_window
+    must be at least 1. With freeze_after = k the weights stop changing
+    once the first k samples have been consumed: the steps after that only
+    predict. The whole run is a pure function of its inputs.
     """
     if len(signals) != coder.n_signals:
         raise ValueError(f"coder expects {coder.n_signals} signals, got {len(signals)}")
     n = len(signals[0])
     if any(len(s) != n for s in signals):
         raise ValueError("all signals must have equal length")
-    if freeze_after is not None and freeze_after < 1:
-        raise ValueError(f"freeze_after must be >= 1, got {freeze_after}")
+    for key, value in (("freeze_after", freeze_after), ("norm_window", norm_window)):
+        if value is not None and value < 1:
+            raise ValueError(f"{key} must be >= 1, got {value}")
 
     bounds = []
     for sig in signals:
@@ -267,8 +259,6 @@ def run_online(signals: list, coder: TileCoder, *, gamma, alpha: float,
     n_learn = n - 1 if freeze_after is None else min(freeze_after - 1, n - 1)
     rows, targets = tile_indices(Y.T, coder).tolist(), Y.T.tolist()
     preds = [learner._update(rows[t], rows[t + 1], targets[t + 1]) for t in range(n_learn)]
-    if n_learn < n - 1:
-        learner.freeze()
     preds += [learner._predict(row) for row in rows[n_learn:]]
 
     out = [sig.with_values([p[i] for p in preds]) for i, sig in enumerate(signals)]

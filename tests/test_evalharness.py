@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from daycast import smoothers
 from daycast.arima import acf_pacf
 from daycast.evalharness import Band, compare, consecutive_within, rmse, run_single
-from daycast.config import band_from_config, builtin_config_names, builtin_config_path, load_config
+from daycast.config import (band_from_config, builtin_config_names, builtin_config_path,
+                            load_config, load_dataset)
 from daycast.errors import ZeroVarianceError
 from daycast.fixtures import fixture
 from daycast.reportio import format_report_table
@@ -100,6 +101,20 @@ class TestCompare:
             row = by_name[name]
             assert row.ok and row.train_rmse is not None
             assert 0 <= row.inner_run <= row.outer_run <= 24
+
+    @pytest.mark.parametrize("name, row, shift", [
+        ("table2_wind", (1.6706, 0, 2), 1),
+        ("table2_temperature", (0.8961, 0, 10), 2),
+        ("table2_irradiance", (191.9656, 0, 9), 2),
+    ])
+    def test_fixture_nexting_rows_are_pinned(self, name, row, shift):
+        cfg = load_config(builtin_config_path(name))
+        nexting = [m for m in cfg["methods"] if m["name"] == "nexting"]
+        got, = compare(load_dataset(cfg), nexting, band_from_config(cfg),
+                       train_samples=cfg["train_samples"],
+                       forecast_samples=cfg["forecast_samples"])
+        assert (round(got.train_rmse, 4), got.inner_run, got.outer_run) == row
+        assert got.settings["align_shift"] == shift
 
     def test_seasonal_arima_needs_two_days_and_fails_cleanly_on_48(self, wind):
         reports = compare(wind, wind_methods(), WIND_BAND)

@@ -41,11 +41,12 @@ def numpy_run(Y, coder, gamma, alpha, trace_lambda, freeze_after):
         preds[:, t] = numpy_update(theta, e, gamma, alpha, trace_lambda,
                                    active[t], active[t + 1], Y[:, t + 1])
     preds[:, n_learn:] = np.add.accumulate(theta[:, active[n_learn:]], axis=2)[..., -1]
-    return preds, theta, e
+    return preds, theta
 
 
 def reference_run(signals, coder, gamma, alpha, trace_lambda, freeze_after):
-    """Step-by-step oracle: one learner.step (or predict) per sample."""
+    """Step-by-step oracle: one learner.step per sample, or a predict at the
+    last sample and from sample freeze_after on."""
     Y = np.array([np.clip((s.values - s.values[:24].min())
                           / (s.values[:24].max() - s.values[:24].min()), 0.0, 1.0)
                   for s in signals])
@@ -53,12 +54,10 @@ def reference_run(signals, coder, gamma, alpha, trace_lambda, freeze_after):
     learner = NextingLearner(coder, gamma, alpha, trace_lambda)
     preds = np.zeros((coder.n_signals, n))
     for t in range(n):
-        if t + 1 == n:
+        if t + 1 == n or freeze_after is not None and t + 1 >= freeze_after:
             preds[:, t] = learner.predict(Y[:, t])
-            break
-        if freeze_after is not None and t + 1 >= freeze_after:
-            learner.freeze()
-        preds[:, t] = learner.step(Y[:, t], Y[:, t + 1], Y[:, t + 1])
+        else:
+            preds[:, t] = learner.step(Y[:, t], Y[:, t + 1], Y[:, t + 1])
     return preds, learner
 
 
@@ -117,13 +116,12 @@ class TestTdStep:
         others = np.setdiff1d(np.arange(coder.n_features), active)
         np.testing.assert_array_equal(learner.theta[0, others], 0.0)
 
-    def test_frozen_learner_keeps_weights_bit_identical(self):
+    def test_predict_keeps_weights_bit_identical(self):
         coder = TileCoder()
         learner = NextingLearner(coder, gamma=0.5, alpha=0.1, trace_lambda=0.9)
         learner.step([0.4], [0.4], [1.0])
         snapshot = learner.theta.copy()
-        learner.freeze()
-        preds = learner.step([0.4], [0.4], [5.0])
+        preds = learner.predict([0.4])
         np.testing.assert_array_equal(learner.theta, snapshot)
         assert preds[0] == snapshot[0, tile_indices([[0.4]], coder)[0]].sum()
 
@@ -140,6 +138,11 @@ class TestTdStep:
                 learner.step([stream[t]], [stream[t + 1]], [stream[t + 1]])
             thetas.append(learner.theta.copy())
         np.testing.assert_array_equal(thetas[0], thetas[1])
+
+    def test_a_nan_alpha_is_refused(self):
+        with pytest.raises(ValueError) as err:
+            NextingLearner(TileCoder(), 0.0, float("nan"), 0.5)
+        assert str(err.value) == "alpha must be positive, got nan"
 
     @pytest.mark.parametrize("n_signals, gamma, message", [
         (1, 1.5, "gamma must lie in [0, 1), got 1.5"),
@@ -179,7 +182,14 @@ class TestRunOnline:
         partial = run_online([head], coder, gamma=0.0, alpha=0.3, trace_lambda=0.9)
         assert partial.bounds == frozen.bounds  # both normalize by the first period
         np.testing.assert_array_equal(frozen.learner.theta, partial.learner.theta)
-        assert frozen.learner.frozen
+
+    @pytest.mark.parametrize("norm_window", [0, -3])
+    def test_norm_window_must_be_positive(self, norm_window):
+        ramp = Series(np.linspace(0.0, 300.0, 23))
+        with pytest.raises(ValueError) as err:
+            run_online([ramp], TileCoder(), gamma=0.0, alpha=0.1, trace_lambda=0.9,
+                       norm_window=norm_window)
+        assert str(err.value) == f"norm_window must be >= 1, got {norm_window}"
 
     def test_sine_improves_from_first_to_last_period(self):
         target = make_sine(1, 100, 1000, 0)
@@ -256,8 +266,6 @@ class TestRunOnlineMatchesStepLoop:
         for i in range(n_signals):
             assert run.predictions[i].values.tobytes() == preds[i].tobytes()
         assert run.learner.theta.tobytes() == learner.theta.tobytes()
-        assert run.learner.e.tobytes() == learner.e.tobytes()
-        assert run.learner.frozen == learner.frozen
 
 
 
@@ -291,11 +299,10 @@ class TestMatchesNumpyReference:
             run = run_online(signals, coder, gamma=gamma, alpha=0.7, trace_lambda=trace_lambda,
                              freeze_after=freeze_after)
             assert run.bounds == [(0.0, 1.0)] * n_signals
-            preds, theta, e = numpy_run(Y, coder, gamma, 0.7, trace_lambda, freeze_after)
+            preds, theta = numpy_run(Y, coder, gamma, 0.7, trace_lambda, freeze_after)
             got = np.array([s.values for s in run.predictions])
             assert got.tobytes() == preds.tobytes(), freeze_after
             assert run.learner.theta.tobytes() == theta.tobytes(), freeze_after
-            assert run.learner.e.tobytes() == e.tobytes(), freeze_after
 
     @pytest.mark.parametrize("n_signals, n_tilings, include_bias", CODER_SHAPES)
     def test_step_and_predict_bytes(self, n_signals, n_tilings, include_bias):
@@ -303,7 +310,7 @@ class TestMatchesNumpyReference:
                           include_bias=include_bias)
         gamma = np.linspace(0.0, 0.6, n_signals)
         learner = NextingLearner(coder, gamma, alpha=0.5, trace_lambda=0.8)
-        theta, e = np.zeros_like(learner.theta), np.zeros_like(learner.e)
+        theta, e = np.zeros_like(learner.theta), np.zeros_like(learner.theta)
         Y = np.random.default_rng(n_tilings).uniform(0.0, 1.0, (30, n_signals))
         for t in range(len(Y) - 1):
             expected = numpy_update(theta, e, gamma, 0.5, 0.8, tile_indices(Y[t:t + 1], coder)[0],
@@ -313,7 +320,6 @@ class TestMatchesNumpyReference:
                 np.add.accumulate(theta[:, tile_indices(Y[t + 1:t + 2], coder)[0]],
                                   axis=1)[:, -1].tobytes())
         assert learner.theta.tobytes() == theta.tobytes()
-        assert learner.e.tobytes() == e.tobytes()
 
 
 class TestSumsLeftToRight:
@@ -371,11 +377,13 @@ class TestNonFiniteTdError:
         learner = NextingLearner(TileCoder(n_signals=2), [0.0, 0.5], alpha=1e300,
                                  trace_lambda=0.9)
         learner.step([0.2, 0.2], [0.3, 0.3], [1.0, 1.0])
-        theta, e = learner.theta, learner.e
+        # gamma * trace_lambda is 0 for signal 0, so it keeps no trace.
+        assert learner._e[0] is None
+        theta, trace = learner.theta, np.array(learner._e[1])
         with pytest.raises(ValueError, match="step 1 is"):
             learner.step([0.3, 0.3], [0.4, 0.4], [1.0, 1.0])
         assert learner.theta.tobytes() == theta.tobytes()
-        assert learner.e.tobytes() == e.tobytes()
+        assert np.array(learner._e[1]).tobytes() == trace.tobytes()
 
     def test_compare_row_fails_with_the_message(self, wind):
         row, = compare(wind, [DIVERGING], Band(1.0, 3.0))
