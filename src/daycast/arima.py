@@ -323,8 +323,9 @@ def _vertex_ops(n: int):
     coordinate by coordinate, so no step builds an intermediate list:
     centroid(sim) adds the first n vertices left to right (as np.add.reduce
     over axis 0) and divides by n; combine(c1, c2, a, h) is c1*a - c2*h;
-    shrink(a, v) is a + 0.5*(v - a); converged(sim, fsim) makes scipy's
-    xatol and fatol tests with <=, so a NaN difference is not converged.
+    shrink(a, v) is a + 0.5*(v - a); converged(sim, fsim, fatol) makes
+    scipy's tests, xatol 1e-10 and the given fatol, with <=, so a NaN
+    difference is not converged.
     """
     x = [[f"x{i}_{k}" for k in range(n)] for i in range(n + 1)]
     a, h, v = ([f"{name}{k}" for k in range(n)] for name in "ahv")
@@ -335,7 +336,7 @@ def _vertex_ops(n: int):
     vertices = ", ".join(map(tup, x))
     sums = [" + ".join(x[i][k] for i in range(n)) for k in range(n)]
     tests = ([f"abs({x[j][k]} - {x[0][k]}) <= 1e-10" for j in range(1, n + 1) for k in range(n)]
-             + [f"abs(f0 - f{j}) <= 1e-14" for j in range(1, n + 1)])
+             + [f"abs(f0 - f{j}) <= fatol" for j in range(1, n + 1)])
     source = (
         f"def centroid(sim):\n    {', '.join(map(tup, x[:-1]))}, _ = sim\n"
         f"    return {tup(f'({s}) / {n}' for s in sums)}\n"
@@ -343,7 +344,7 @@ def _vertex_ops(n: int):
         f"    return {tup(f'c1 * {ak} - c2 * {hk}' for ak, hk in zip(a, h))}\n"
         f"def shrink(a, v):\n    {tup(a)} = a\n    {tup(v)} = v\n"
         f"    return {tup(f'{ak} + 0.5 * ({vk} - {ak})' for ak, vk in zip(a, v))}\n"
-        f"def converged(sim, fsim):\n    {vertices}, = sim\n"
+        f"def converged(sim, fsim, fatol):\n    {vertices}, = sim\n"
         f"    {tup(f'f{j}' for j in range(n + 1))} = fsim\n"
         f"    return {' and '.join(tests)}\n")
     namespace = {}
@@ -351,17 +352,17 @@ def _vertex_ops(n: int):
     return tuple(namespace[name] for name in ("centroid", "combine", "shrink", "converged"))
 
 
-def _nelder_mead(f, x0: list, maxiter: int, maxfev: int, callback):
+def _nelder_mead(f, x0: list, fatol: float, maxiter: int, maxfev: int, callback):
     """Minimize f from x0 (at least one float) with the Nelder-Mead simplex, on tuples.
 
     This is scipy.optimize.minimize(method="Nelder-Mead") with its default
-    coefficients (adaptive=False, no bounds) and xatol 1e-10, fatol 1e-14,
-    written to make the same floating-point operations in the same order,
-    so it returns the same bits (checked against scipy 1.17); scipy spends
-    as long on the bookkeeping of its few small arrays as a CSS objective
-    takes. The vertices are tuples, and the centroid, the four steps, the
-    shrink and the convergence test are _vertex_ops's, compiled once per
-    dimension. As in scipy, the evaluation count is checked before every
+    coefficients (adaptive=False, no bounds), xatol 1e-10 and the given
+    absolute fatol, written to make the same floating-point operations in
+    the same order, so it returns the same bits (checked against scipy
+    1.17); scipy spends as long on the bookkeeping of its few small arrays
+    as a CSS objective takes. The vertices are tuples, and the centroid,
+    the four steps, the shrink and the convergence test are _vertex_ops's,
+    compiled once per dimension. As in scipy, the evaluation count is checked before every
     call to f, and a stop in mid-iteration (a shrink included) keeps the
     partly updated simplex, does not count the iteration, and still sorts
     and calls callback() once. Stopping on convergence calls back no more,
@@ -417,7 +418,7 @@ def _nelder_mead(f, x0: list, maxiter: int, maxfev: int, callback):
     while nfev < maxfev and iterations < maxiter:
         resort = True
         try:
-            if converged(sim, fsim):
+            if converged(sim, fsim, fatol):
                 break
 
             # The steps keep scipy's coefficients; the inside contraction
@@ -482,8 +483,14 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
     drift. Shocks are computed with zero pre-sample values, and sum(a^2) is
     minimized by the Nelder-Mead simplex of _nelder_mead (scipy's, ported
     to tuples of plain floats with the same arithmetic, compiled once per
-    number of parameters; xatol 1e-10, fatol 1e-14) from a Yule-Walker
-    start for the AR side and zeros elsewhere. The
+    number of parameters) from a Yule-Walker start for the AR side and
+    zeros elsewhere. It stops when every vertex lies within 1e-10 of the
+    best one in each coordinate and within fatol = 1e-14 * f(x0) of its
+    objective: scipy's absolute 1e-14 at a start that scores 1, and in
+    any other unit the same share of the objective, so whether a fit
+    converges does not depend on the data's unit. A start that scores the
+    1e300 sentinel gives fatol 1e286, so once no vertex scores the
+    sentinel, only the coordinate test stops the fit. The
     objective, _css_objective, gives the bits of the lfilter shocks and
     a @ a it replaces. Its shocks come from np.convolve for an order
     without an MA side and from plain floats for an MA order, at any
@@ -493,7 +500,7 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
     Raises EstimationError (carrying the best model and objective so
     far) if the simplex exhausts its budget without converging.
     """
-    if max_iterations is not None and max_iterations < 1:
+    if max_iterations is not None and not max_iterations >= 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     order.check_length(len(series))
     z = difference(series, order.d, order.D, order.s).values
@@ -536,7 +543,7 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
         return val
 
     maxiter = max_iterations if max_iterations is not None else 500 * order.n_params
-    x, fun, spent = _nelder_mead(tracked, x0.tolist(), maxiter, 2 * maxiter,
+    x, fun, spent = _nelder_mead(tracked, x0.tolist(), 1e-14 * best[0], maxiter, 2 * maxiter,
                                  lambda: trace.append(best[0]))
     model = build(x, fun / m, trace)
     if spent is not None:

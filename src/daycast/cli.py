@@ -30,7 +30,7 @@ USAGE_ERROR, DATA_ERROR = 1, 2
 
 
 class _UsageError(Exception):
-    """A refused command line; args are the message and, when known, the refusing parser."""
+    """A refused command line; args are the message and the parser that refused it."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,12 +51,10 @@ def _flag(kind, wants: str, ok):
 
 
 _FINITE = _flag(float, "a finite number", math.isfinite)
-_POSITIVE = _flag(float, "a finite number > 0", lambda v: math.isfinite(v) and v > 0)
 _COUNT = _flag(int, "an integer >= 1", lambda v: v >= 1)
 
 
-def _build_parser() -> tuple[_Parser, dict]:
-    """The daycast parser and its subcommand parsers by name."""
+def _build_parser() -> _Parser:
     parser = _Parser(prog="daycast", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"daycast {__version__}")
@@ -65,7 +63,8 @@ def _build_parser() -> tuple[_Parser, dict]:
     synth = sub.add_parser("synth", help="emit a sampled sine signal")
     synth.add_argument("--amplitude", type=_flag(float, "a number in [-1e150, 1e150]",
                                                   lambda v: abs(v) <= 1e150), default=1.0)
-    synth.add_argument("--period", type=_POSITIVE, required=True)
+    synth.add_argument("--period", type=_flag(float, "a number in [1e-150, 1e150]",
+                                               lambda v: 1e-150 <= v <= 1e150), required=True)
     synth.add_argument("--count", type=_COUNT, required=True)
     synth.add_argument("--phase", type=_FINITE, default=0.0)
     _io_flags(synth)
@@ -82,11 +81,12 @@ def _build_parser() -> tuple[_Parser, dict]:
         _io_flags(p)
 
     acf_p = sub.add_parser("acf", help="autocorrelation identification aid")
-    acf_p.add_argument("--fixture", help="embedded signal name (wind48, temp48, dni48)")
-    acf_p.add_argument("--data", help="two-column t,value CSV")
+    source = acf_p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--fixture", help="embedded signal name (wind48, temp48, dni48)")
+    source.add_argument("--data", help="two-column t,value CSV")
     acf_p.add_argument("--max-lag", type=_COUNT, default=24)
     acf_p.add_argument("--out")
-    return parser, sub.choices
+    return parser
 
 
 def _io_flags(p):
@@ -94,7 +94,7 @@ def _io_flags(p):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-_PARSER, _SUBPARSERS = _build_parser()
+_PARSER = _build_parser()
 
 
 def _emit_series(series: Series, args) -> None:
@@ -118,11 +118,7 @@ def _one_method(cfg: dict, command: str) -> dict:
 
 
 def _cmd_synth(args) -> int:
-    try:
-        sine = make_sine(args.amplitude, args.period, args.count, args.phase)
-    except ValueError as exc:  # a period outside make_sine's range
-        raise _UsageError(f"argument --period: {exc}") from None
-    _emit_series(sine, args)
+    _emit_series(make_sine(args.amplitude, args.period, args.count, args.phase), args)
     return 0
 
 
@@ -168,8 +164,6 @@ def _cmd_nexting_run(args) -> int:
 
 
 def _cmd_acf(args) -> int:
-    if (args.fixture is None) == (args.data is None):
-        raise _UsageError("acf needs exactly one of --fixture or --data")
     series = fixture(args.fixture) if args.fixture else read_series_csv(args.data)
     acf, pacf = acf_pacf(series, args.max_lag)
     lines = [f"{lag},{a:.10g},{p:.10g}" for lag, (a, p) in enumerate(zip(acf, pacf))]
@@ -192,24 +186,19 @@ _COMMANDS = {
 }
 
 
-def _refuse(message: str, parser: _Parser) -> int:
-    print(f"daycast: {message}", file=sys.stderr)
-    parser.print_usage(sys.stderr)
-    return USAGE_ERROR
-
-
 def run_cli(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
     except _UsageError as exc:  # raised by the parser, or subcommand parser, that refused
-        return _refuse(*exc.args)
+        message, parser = exc.args
+        print(f"daycast: {message}", file=sys.stderr)
+        parser.print_usage(sys.stderr)
+        return USAGE_ERROR
     except SystemExit as exc:  # --help / --version
         return 0 if exc.code in (0, None) else USAGE_ERROR
 
     try:
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:  # a flag value refused after parsing
-        return _refuse(exc.args[0], _SUBPARSERS[args.command])
     except ConfigError as exc:
         print(f"daycast: {exc}", file=sys.stderr)
         return USAGE_ERROR

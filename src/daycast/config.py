@@ -1,10 +1,10 @@
 """Run configuration: JSON schema, strict validation, and dataset assembly.
 
-A run config selects a signal (an embedded fixture, a synthetic sine, or
-a TMY3 column), a tolerance band, and a list of method parameter blocks.
-Every block parses with evalharness.parse_block, so validation is strict
-at every level, and each method block is checked against its training
-window before any fit runs.
+A run config selects a signal (a weather signal, read from a TMY3 column
+or its embedded fixture, or a synthetic sine), a tolerance band, and a
+list of method parameter blocks. Every block parses with
+evalharness.parse_block, so validation is strict at every level, and each
+method block is checked against its training window before any fit runs.
 """
 
 import json
@@ -18,8 +18,7 @@ from .fixtures import fixture
 from .series import Series, make_sine
 from .tmy3 import parse_tmy3
 
-_NAMED = ("fixture", "synthetic")  # signals that read a config block of their name, no file
-_SIGNALS = ("wind", "temperature", "irradiance") + _NAMED
+_SIGNALS = ("wind", "temperature", "irradiance", "synthetic")
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,6 @@ class _RunConfig:
     signal: str
     band: Band
     methods: list
-    fixture: str | None = None
     data: str | None = None
     day_offset: int = 0
     synthetic: _Synthetic | None = None
@@ -52,14 +50,11 @@ class _RunConfig:
     def __post_init__(self):
         if self.signal not in _SIGNALS:
             raise ValueError(f"signal must be one of {_SIGNALS}, got {self.signal!r}")
-        for key in _NAMED:
-            if self.signal == key and getattr(self, key) is None:
-                raise ValueError(f"missing required key {key!r} for signal {key!r}")
-        if self.fixture is not None:
-            fixture(self.fixture)
+        if self.signal == "synthetic" and self.synthetic is None:
+            raise ValueError("missing required key 'synthetic' for signal 'synthetic'")
         at_least(0, day_offset=self.day_offset)
-        reads = {self.signal} if self.signal in _NAMED else {"data", "day_offset"}
-        for key in _NAMED + ("data", "day_offset"):
+        reads = {"synthetic"} if self.signal == "synthetic" else {"data", "day_offset"}
+        for key in ("synthetic", "data", "day_offset"):
             if key not in reads and getattr(self, key) not in (None, 0):  # the defaults
                 raise ValueError(f"key {key!r} does not apply to signal {self.signal!r}")
         at_least(2, train_samples=self.train_samples)
@@ -106,26 +101,23 @@ def band_from_config(cfg: dict) -> Band:
 def load_dataset(cfg: dict, data_path=None) -> Series:
     """Assemble the series a run operates on.
 
-    Synthetic signals are generated; fixture signals come from the
-    embedded constants; the weather signals read the named TMY3 column
-    when a data path is given (config "data" or the explicit override,
-    a ConfigError on any other signal) and fall back to the matching
-    embedded fixture otherwise, where a day_offset above 0 is a
-    ConfigError: a fixture has no days to offset. TMY3 windows start at
+    A synthetic signal is generated, and a data path is a ConfigError
+    for it. A weather signal reads the named TMY3 column when a data path
+    is given (config "data" or the explicit override) and falls back to
+    the matching embedded fixture otherwise, where a day_offset above 0
+    is a ConfigError: a fixture has no days to offset. TMY3 windows start at
     day_offset days into the file, sized to cover the longest training
     request plus the forecast window, and are re-indexed to t = 1;
     run_single indexes each method's own training window from t = 1
     again, so hour-index fits behave identically on every day.
     """
     signal = cfg["signal"]
-    if data_path is not None and signal in _NAMED:
-        raise ConfigError(f"a data file does not apply to signal {signal!r}")
     if signal == "synthetic":
+        if data_path is not None:
+            raise ConfigError("a data file does not apply to signal 'synthetic'")
         syn = cfg["synthetic"]
         return make_sine(syn["amplitude"], syn["period"], syn["count"],
                          syn.get("phase") or 0.0)
-    if signal == "fixture":
-        return fixture(cfg["fixture"])
 
     path = data_path or cfg.get("data")
     offset = cfg.get("day_offset", 0)

@@ -39,7 +39,7 @@ def consecutive_within(pred: Series, target: Series, half_width: float) -> int:
     """
     if len(pred) != len(target):
         raise ValueError(f"length mismatch: {len(pred)} vs {len(target)}")
-    if half_width <= 0:
+    if not half_width > 0:
         raise ValueError(f"half_width must be positive, got {half_width}")
     inside = np.abs(pred.values - target.values) <= half_width
     out = np.flatnonzero(~inside)
@@ -135,7 +135,7 @@ def parse_block(cls, block, where: str):
 def at_least(lo, **values):
     """Raise ValueError naming the first keyword argument below lo; None passes."""
     for key, value in values.items():
-        if value is not None and value < lo:
+        if value is not None and not value >= lo:
             raise ValueError(f"{key} must be >= {lo}, got {value}")
 
 

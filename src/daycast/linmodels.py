@@ -120,7 +120,7 @@ def solve_ridge(X: np.ndarray, y: np.ndarray, reg_lambda: float = 0.0) -> np.nda
         raise ValueError("X must be 2-d")
     if y.shape != (X.shape[0],):
         raise ValueError(f"y length {y.shape} does not match {X.shape[0]} rows of X")
-    if reg_lambda < 0:
+    if not reg_lambda >= 0:
         raise ValueError(f"reg_lambda must be >= 0, got {reg_lambda}")
     m, k = X.shape
     for name, a in (("X", X), ("y", y)):  # LAPACK would print to the terminal, then fail

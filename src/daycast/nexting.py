@@ -245,7 +245,7 @@ def run_online(signals: list, coder: TileCoder, *, gamma, alpha: float,
     if any(len(s) != n for s in signals):
         raise ValueError("all signals must have equal length")
     for key, value in (("freeze_after", freeze_after), ("norm_window", norm_window)):
-        if value is not None and value < 1:
+        if value is not None and not value >= 1:
             raise ValueError(f"{key} must be >= 1, got {value}")
 
     bounds = []

@@ -89,7 +89,7 @@ def fit_smoothing_spline(train: Series, smooth_lambda: float) -> SplineFit:
     the rank test compares like with like at any lambda: unscaled, a large
     lambda would swamp the line's two columns, which the penalty never sees.
     """
-    if smooth_lambda < 0:
+    if not smooth_lambda >= 0:
         raise ValueError(f"smoothing parameter must be >= 0, got {smooth_lambda}")
     if len(train) < 4:
         raise ValueError(f"need at least 4 points, have {len(train)}")
@@ -121,7 +121,7 @@ class KernelConfig:
     bandwidth: float
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
+        if not self.bandwidth > 0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
 
 

@@ -239,7 +239,7 @@ def prune(tree: Tree, alpha: float) -> Tree:
     collapse it. Collapsing on equality prefers the smaller tree, which
     is the unique minimizer of the criterion.
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     pruned = Tree(copy.deepcopy(tree.root), n_vars=tree.n_vars)
     while not pruned.root.is_leaf:

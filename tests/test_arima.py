@@ -326,6 +326,19 @@ class TestCssEstimate:
         row, = compare(series, [block], Band(1.0, 3.0))
         assert row.ok, row.error
 
+    @pytest.mark.parametrize("n", [TRAIN_SAMPLES, TRAIN_SAMPLES + 24])
+    def test_a_fit_does_not_depend_on_the_unit(self, n):
+        # The table2_wind order on one sine in m/s, km/h and mph: the simplex
+        # stops on a tolerance that scales with the objective, so every unit
+        # fits, to the same coefficients and to sigma2 scaled by k^2.
+        order = ArimaOrder(0, 0, 3, 1, 1, 0, 24)
+        fits = [(k, css_estimate(make_sine(3 * k, 17, n), order)) for k in (1, 3.6, 2.237)]
+        _, base = fits[0]
+        for k, model in fits[1:]:
+            assert model.sigma2 / k**2 == pytest.approx(base.sigma2, rel=1e-12)
+            for name in ("theta", "sphi"):
+                np.testing.assert_allclose(getattr(model, name), getattr(base, name), atol=1e-6)
+
     @pytest.mark.parametrize("max_iterations", [0, -3])
     def test_non_positive_budget_rejected(self, max_iterations):
         with pytest.raises(ValueError, match=f"max_iterations must be >= 1, got {max_iterations}"):
@@ -385,8 +398,11 @@ class TestFitMatchesConvolveOperators:
         assert self.fit(train, init=init, max_iterations=20)[1] == fast
 
 
-def scipy_nelder_mead(f, x0, maxiter, maxfev, callback):
+def scipy_nelder_mead(f, x0, fatol, maxiter, maxfev, callback):
     """Reference for arima._nelder_mead: the scipy call css_estimate made before the port.
+
+    fatol is absolute in both, so css_estimate's per-fit tolerance goes to
+    scipy unchanged.
 
     Each pass of scipy's loop that does not stop on convergence evaluates f
     before it calls back. Older scipy (before its loop lost a finally
@@ -407,7 +423,7 @@ def scipy_nelder_mead(f, x0, maxiter, maxfev, callback):
             callback()
 
     result = minimize(counted, np.array(x0), method="Nelder-Mead", callback=on_iteration,
-                      options={"xatol": 1e-10, "fatol": 1e-14,
+                      options={"xatol": 1e-10, "fatol": fatol,
                                "maxiter": maxiter, "maxfev": maxfev})
     spent = {0: None, 1: (maxfev, "objective evaluations"), 2: (maxiter, "iterations")}
     return result.x, result.fun, spent[result.status]
@@ -494,7 +510,8 @@ class TestSimplexMatchesScipy:
                 points.append(x.tobytes())
                 return objective(x.tolist())
 
-            x, fun, spent = minimizer(f, x0, maxiter, 2 * maxiter, lambda: calls.append(None))
+            x, fun, spent = minimizer(f, x0, 1e-14, maxiter, 2 * maxiter,
+                                      lambda: calls.append(None))
             runs.append((np.asarray(x, dtype=float).tobytes(), float(fun), spent, len(calls),
                          points))
         return runs
@@ -538,7 +555,7 @@ class TestSimplexMatchesScipy:
         sorts = []
         argsort = np.argsort
         monkeypatch.setattr(np, "argsort", lambda a: sorts.append(list(a)) or argsort(a))
-        arima._nelder_mead(f, [0.0, 1.0, -2.0], 400, 800, lambda: None)
+        arima._nelder_mead(f, [0.0, 1.0, -2.0], 1e-14, 400, 800, lambda: None)
         monkeypatch.undo()
         assert "insert" in placed
         if objective == "tie":
@@ -602,11 +619,12 @@ class TestVertexOps:
             near = [tuple(a + 1e-11 * (j % 2) for a in sim[0]) for j in range(n + 1)]
             edge = [(1e-10 * (j % 2),) * n for j in range(n + 1)]  # differences of exactly 1e-10
             for vertices in (sim, near, edge):
-                for f in (fsim, [1.0] * (n + 1), [0.0] + [1e-14] * n):
-                    assert converged(vertices, f) == (
-                        all(abs(v - a) <= 1e-10 for x in vertices[1:]
-                            for v, a in zip(x, vertices[0]))
-                        and all(abs(f[0] - fv) <= 1e-14 for fv in f[1:]))
+                for f in (fsim, [1.0] * (n + 1), [0.0] + [1e-14] * n, [0.0] + [2.0] * n):
+                    for fatol in (1e-14, 2.0, 0.0):
+                        assert converged(vertices, f, fatol) == (
+                            all(abs(v - a) <= 1e-10 for x in vertices[1:]
+                                for v, a in zip(x, vertices[0]))
+                            and all(abs(f[0] - fv) <= fatol for fv in f[1:]))
 
 
 def lfilter_objective(order, zc):

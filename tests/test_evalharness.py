@@ -7,9 +7,10 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from daycast import smoothers
-from daycast.arima import acf_pacf
-from daycast.evalharness import Band, compare, consecutive_within, rmse, run_single
+from daycast import linmodels, nexting, smoothers, tree
+from daycast.arima import ArimaOrder, acf_pacf, css_estimate
+from daycast.evalharness import (Band, RidgeParams, SplineParams, compare, consecutive_within,
+                                 rmse, run_single)
 from daycast.config import (band_from_config, builtin_config_names, builtin_config_path,
                             load_config, load_dataset)
 from daycast.errors import ZeroVarianceError
@@ -388,3 +389,38 @@ def test_every_builtin_block_runs_at_the_bound(shape):
         else:
             acf, pacf = acf_pacf(series, 12)
             assert np.isfinite(acf).all() and np.isfinite(pacf).all()
+
+
+
+_WIND, _X = fixture("wind48"), np.ones((4, 1))
+NAN_GUARDS = {  # a call given NaN for a bound, and the start of its refusal
+    "solve_ridge": (lambda: linmodels.solve_ridge(_X, np.ones(4), math.nan),
+                    "reg_lambda must be >= 0"),
+    "fit_basis": (lambda: linmodels.fit_basis(_WIND, (linmodels.Constant(),),
+                                              reg_lambda=math.nan), "reg_lambda must be >= 0"),
+    "css_estimate": (lambda: css_estimate(make_sine(1, 100, 100), ArimaOrder(2, 0, 0, 0, 0, 0, 0),
+                                          max_iterations=math.nan),
+                     "max_iterations must be >= 1"),
+    "consecutive_within": (lambda: consecutive_within(_WIND, _WIND, math.nan),
+                           "half_width must be positive"),
+    "KernelConfig": (lambda: smoothers.KernelConfig(math.nan), "bandwidth must be positive"),
+    "RidgeParams": (lambda: RidgeParams(math.nan, linmodels.Sinusoid(24.0, 0.0)),
+                    "reg_lambda must be >= 0"),
+    "SplineParams": (lambda: SplineParams(math.nan), "smooth_lambda must be >= 0"),
+    "fit_smoothing_spline": (lambda: smoothers.fit_smoothing_spline(_WIND, math.nan),
+                             "smoothing parameter must be >= 0"),
+    "prune": (lambda: tree.prune(tree.grow(_WIND, tree.GrowConfig(3)), math.nan),
+              "alpha must be >= 0"),
+    "run_online": (lambda: nexting.run_online([_WIND], nexting.TileCoder(n_signals=1), gamma=0.0,
+                                              alpha=0.1, trace_lambda=0.0, freeze_after=math.nan),
+                   "freeze_after must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAN_GUARDS))
+def test_a_nan_bound_is_refused_naming_it(case):
+    # Each range guard is a negated comparison, so NaN fails it: under
+    # `x < lo` it would pass, and the call would run without the bound.
+    call, message = NAN_GUARDS[case]
+    with pytest.raises(ValueError, match=re.escape(f"{message}, got nan")):
+        call()

@@ -610,18 +610,19 @@ class TestRunConfig:
     SINE = {"amplitude": 1, "period": 24, "count": 72}
 
     @pytest.mark.parametrize("keys, message", [
-        ({"signal": "wind", "fixture": "dni48"}, "key 'fixture' does not apply to signal 'wind'"),
+        ({"signal": "wind", "synthetic": SINE}, "key 'synthetic' does not apply to signal 'wind'"),
         ({"signal": "synthetic", "synthetic": SINE, "data": "/nonexistent.csv"},
          "key 'data' does not apply to signal 'synthetic'"),
         ({"signal": "synthetic", "synthetic": SINE, "day_offset": 5},
          "key 'day_offset' does not apply to signal 'synthetic'"),
-        ({"signal": "fixture", "fixture": "temp48", "synthetic": SINE},
-         "key 'synthetic' does not apply to signal 'fixture'"),
-        ({"signal": "fixture", "fixture": "temp48", "data": "year.csv"},
-         "key 'data' does not apply to signal 'fixture'"),
+        ({"signal": "temperature", "synthetic": SINE},
+         "key 'synthetic' does not apply to signal 'temperature'"),
+        ({"signal": "synthetic", "synthetic": SINE, "day_offset": 1},
+         "key 'day_offset' does not apply to signal 'synthetic'"),
         ({"signal": "irradiance", "synthetic": SINE},
          "key 'synthetic' does not apply to signal 'irradiance'"),
-        ({"signal": "fixture"}, "missing required key 'fixture' for signal 'fixture'"),
+        ({"signal": "synthetic", "synthetic": None},
+         "missing required key 'synthetic' for signal 'synthetic'"),
         ({"signal": "synthetic"}, "missing required key 'synthetic' for signal 'synthetic'"),
     ])
     def test_a_signal_needs_its_own_key_and_refuses_the_others(self, keys, message):
@@ -631,23 +632,13 @@ class TestRunConfig:
         assert str(err.value) == f"config: {message}"
 
     @pytest.mark.parametrize("keys", [
-        {"signal": "fixture", "fixture": "temp48", "day_offset": 0, "data": None},
-        {"signal": "synthetic", "synthetic": SINE, "fixture": None, "day_offset": 0},
+        {"signal": "temperature", "day_offset": 0, "data": None, "synthetic": None},
+        {"signal": "synthetic", "synthetic": SINE, "data": None, "day_offset": 0},
         {"signal": "wind", "data": "year.csv", "day_offset": 3, "synthetic": None},
     ])
     def test_defaults_and_the_keys_a_signal_reads_are_accepted(self, keys):
         validate_config({**keys, "band": {"inner": 1, "outer": 3},
                          "methods": [{"name": "polynomial", "degree": 3}]})
-
-    def test_a_fixture_signal_gives_the_rows_of_its_weather_signal(self):
-        cfg = load_config(builtin_config_path("table2_temperature"))
-        rows = []
-        for signal in ({"signal": "fixture", "fixture": "temp48"}, {"signal": "temperature"}):
-            run = validate_config({**cfg, **signal})
-            reports = compare(load_dataset(run), run["methods"], band_from_config(run))
-            rows.append([(r.method, r.train_rmse, r.inner_run, r.outer_run, r.error)
-                         for r in reports])
-        assert rows[0] == rows[1]
 
     @pytest.mark.parametrize("block, key", [
         ({"name": "tree", "min_node_size": 10, "period": 24}, "train_periods"),
@@ -904,28 +895,30 @@ class TestCli:
 
     SYNTH_USAGE = ("usage: daycast synth [-h] [--amplitude AMPLITUDE] --period PERIOD "
                    "--count COUNT [--phase PHASE] [--out OUT] [--format {csv,json}]\n")
+    ACF_USAGE = ("usage: daycast acf [-h] (--fixture FIXTURE | --data DATA) "
+                 "[--max-lag MAX_LAG] [--out OUT]\n")
 
     @pytest.mark.parametrize("argv, message, usage", [
         (["synth", "--period", "0", "--count", "3"],
-         "argument --period: must be a finite number > 0, got '0'", SYNTH_USAGE),
+         "argument --period: must be a number in [1e-150, 1e150], got '0'", SYNTH_USAGE),
         (["synth", "--period", "1e-320", "--count", "3"],
-         "argument --period: period must lie in [1e-150, 1e150], got 1e-320", SYNTH_USAGE),
+         "argument --period: must be a number in [1e-150, 1e150], got '1e-320'", SYNTH_USAGE),
         (["synth", "--period", "1e+200", "--count", "3"],
-         "argument --period: period must lie in [1e-150, 1e150], got 1e+200", SYNTH_USAGE),
+         "argument --period: must be a number in [1e-150, 1e150], got '1e+200'", SYNTH_USAGE),
         (["compare"], "the following arguments are required: --config",
          "usage: daycast compare [-h] --config CONFIG [--data DATA] [--out OUT] "
          "[--format {csv,json}]\n"),
         (["synth", "--period", "24", "--count", "abc"],
          "argument --count: must be an integer >= 1, got 'abc'", SYNTH_USAGE),
-        (["acf"], "acf needs exactly one of --fixture or --data",
-         "usage: daycast acf [-h] [--fixture FIXTURE] [--data DATA] [--max-lag MAX_LAG] "
-         "[--out OUT]\n"),
+        (["acf"], "one of the arguments --fixture --data is required", ACF_USAGE),
+        (["acf", "--fixture", "wind48", "--data", "x.csv"],
+         "argument --data: not allowed with argument --fixture", ACF_USAGE),
     ], ids=["synth-period-0", "synth-period-1e-320", "synth-period-1e+200", "compare-no-config",
-            "synth-count-abc", "acf-no-source"])
+            "synth-count-abc", "acf-no-source", "acf-two-sources"])
     def test_refused_flag_prints_its_subcommand_usage(
             self, capsys, monkeypatch, argv, message, usage):
-        # The period 0 fails its argparse type, 1e-320 and 1e+200 fail make_sine's
-        # range after parsing, and the acf sources are checked after parsing too.
+        # Every flag is refused by the parser: a period outside make_sine's
+        # range by its type, the acf sources by their required exclusive group.
         monkeypatch.setenv("COLUMNS", "200")  # one usage line, unwrapped
         assert run_cli(argv) == 1
         assert capsys.readouterr() == ("", f"daycast: {message}\n{usage}")
@@ -1099,7 +1092,7 @@ class TestCli:
         # can come from the signal's values, whose unit is not time.
         config = tmp_path / "kernel.json"
         config.write_text(json.dumps({
-            "signal": "fixture", "fixture": "wind48", "band": {"inner": 1.0, "outer": 2.0},
+            "signal": "wind", "band": {"inner": 1.0, "outer": 2.0},
             "methods": [{"name": "kernel"}]}))
         assert run_cli(["compare", "--config", str(config)]) == 1
         assert capsys.readouterr() == ("", "daycast: missing required key 'bandwidth' in "
@@ -1107,8 +1100,8 @@ class TestCli:
 
     def test_an_empty_method_list_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "none.json"
-        cfg.write_text(json.dumps({"signal": "fixture", "fixture": "wind48",
-                                   "band": {"inner": 1, "outer": 3}, "methods": []}))
+        cfg.write_text(json.dumps({"signal": "wind", "band": {"inner": 1, "outer": 3},
+                                   "methods": []}))
         assert run_cli(["compare", "--config", str(cfg)]) == 1
         assert capsys.readouterr() == ("", "daycast: config: methods must be a nonempty list\n")
 
@@ -1139,13 +1132,19 @@ class TestCli:
     @pytest.mark.parametrize("command", ["compare", "fit", "forecast", "nexting-run"])
     @pytest.mark.parametrize("value", [["x"], "nope"])
     def test_bad_fixture_key_is_a_config_error(self, tmp_path, capsys, command, value):
+        # A weather signal names its embedded fixture, so there is no fixture
+        # signal and no fixture key: a config written with either exits 1.
+        block = {"band": {"inner": 1, "outer": 3},
+                 "methods": [{"name": "nexting", "gamma": 0.0, "alpha": 0.3,
+                              "trace_lambda": 0.9, "freeze_after": 24}]}
         cfg = tmp_path / "fixture.json"
-        cfg.write_text(json.dumps({
-            "signal": "fixture", "fixture": value, "band": {"inner": 1, "outer": 3},
-            "methods": [{"name": "nexting", "gamma": 0.0, "alpha": 0.3,
-                         "trace_lambda": 0.9, "freeze_after": 24}]}))
-        assert run_cli([command, "--config", str(cfg)]) == 1
-        assert "fixture" in capsys.readouterr().err
+        for keys, message in (
+                ({"signal": "fixture", "fixture": value}, "unknown key 'fixture' in config"),
+                ({"signal": "fixture"}, "config: signal must be one of ('wind', 'temperature', "
+                                        "'irradiance', 'synthetic'), got 'fixture'")):
+            cfg.write_text(json.dumps({**keys, **block}))
+            assert run_cli([command, "--config", str(cfg)]) == 1
+            assert capsys.readouterr() == ("", f"daycast: {message}\n")
 
     def test_data_flag_overrides_config(self, tmp_path, capsys):
         path = write_tmy3(tmp_path / "wk.csv", tiny_rows(96))
@@ -1157,10 +1156,10 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 24
 
-    @pytest.mark.parametrize("signal", [{"signal": "fixture", "fixture": "wind48"},
-                                        {"signal": "synthetic",
-                                         "synthetic": {"amplitude": 1, "period": 24,
-                                                       "count": 72}}])
+    @pytest.mark.parametrize("signal", [
+        {"signal": "synthetic", "synthetic": {"amplitude": 1, "period": 24, "count": 72}},
+        {"signal": "synthetic", "synthetic": {"amplitude": 1, "period": 24, "count": 72},
+         "data": None, "day_offset": 0}])  # the weather keys at their defaults
     def test_data_flag_on_a_signal_that_reads_no_file_exits_1(self, tmp_path, capsys, signal):
         path = write_tmy3(tmp_path / "wk.csv", tiny_rows(96))
         cfg = tmp_path / "cfg.json"
@@ -1171,7 +1170,7 @@ class TestCli:
             "", f"daycast: a data file does not apply to signal {signal['signal']!r}\n")
 
     @pytest.mark.parametrize("keys, key", [
-        ({"signal": "wind", "fixture": "dni48"}, "fixture"),
+        ({"signal": "wind"}, "synthetic"),
         ({"signal": "synthetic", "data": "/nonexistent.csv", "day_offset": 5}, "data"),
     ])
     def test_a_key_the_signal_never_reads_exits_1(self, tmp_path, capsys, keys, key):
