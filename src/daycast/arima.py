@@ -569,7 +569,7 @@ def forecast(model: ArimaModel, history: Series, lead: int) -> Series:
     history before the shocks and enters every step as mu * phi(1) PHI(1).
     A forecast beyond +/-1e150 raises ValueError naming its first such time.
     """
-    if lead < 1:
+    if not lead >= 1:  # NaN fails too
         raise ValueError(f"lead must be >= 1, got {lead}")
     drop = model.order.d + model.order.s * model.order.D
     ar, ma = _operators(model.order, model.phi, model.theta, model.sphi, model.stheta)
@@ -611,7 +611,7 @@ def acf_pacf(series: Series, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
     Both arrays have length max_lag + 1 with index 0 fixed at 1. The
     PACF comes from the Durbin-Levinson recursion on the ACF.
     """
-    if max_lag < 1:
+    if not max_lag >= 1:  # NaN fails too
         raise ValueError(f"max_lag must be >= 1, got {max_lag}")
     if max_lag >= len(series):
         raise ValueError(f"max_lag {max_lag} must be below the series length {len(series)}")

@@ -155,10 +155,12 @@ def _cmd_nexting_run(args) -> int:
                      trace_lambda=nx.trace_lambda, freeze_after=nx.freeze_after,
                      norm_window=cfg["train_samples"])
     lo, hi = run.bounds[0]
-    # Map the stream through the training bounds. At gamma = 0 a prediction
-    # estimates the next sample, so this puts it in signal units; at gamma > 0
-    # it estimates a discounted return, which can lie past [lo, hi].
-    scaled = run.predictions[0].with_values(lo + run.predictions[0].values * (hi - lo))
+    # A prediction estimates the discounted return of the normalized signal,
+    # which lies in [0, 1 / (1 - gamma)]. Scaled by 1 - gamma it is a weighted
+    # average of the coming samples, mapped into signal units through the
+    # training bounds; at gamma = 0 it is the next sample, with the same bits.
+    values = lo + run.predictions[0].values * (1 - nx.gamma) * (hi - lo)
+    scaled = run.predictions[0].with_values(values)
     _emit_series(scaled, args)
     return 0
 

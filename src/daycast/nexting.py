@@ -10,11 +10,9 @@ values must be normalized into [0, 1] before coding.
 
 Two encoders give the same indices: tile_indices codes a whole stream
 as one array (run_online), and sample_indices codes one sample on plain
-floats (NextingLearner.step and .predict). One list routine,
-NextingLearner._predict, makes every prediction, streamed, after
-freeze_after or rolled out, and the TD(lambda) update runs on the same
-lists. Each weight sum adds the active features left to right in index
-order, whatever the signal count.
+floats (NextingLearner.step and .predict). NextingLearner._stream makes
+every TD step and prediction: signal after signal, all of one signal's
+steps in one loop on plain floats, each weight sum left to right.
 """
 
 import math
@@ -123,13 +121,13 @@ def check_rates(gamma, alpha: float, trace_lambda: float) -> None:
 class NextingLearner:
     """Per-signal TD(lambda) weights over a shared tile-coded feature space.
 
-    Single-writer mutable state: one owner advances it step by step, and
-    predict reads it without learning. The step size is alpha divided by
-    the active-feature count (the usual tile-coding convention, making
-    alpha a fraction of the one-step error corrected per update). The
-    weights live in Python lists; theta returns them as an (n_signals,
-    n_features) array copy. A signal keeps an eligibility trace only if
-    its gamma * trace_lambda is above 0.
+    Single-writer mutable state. One routine, _stream, makes every step
+    and prediction: run_online calls it once for a whole stream, predict
+    with no learning step, and step for one step on copies of the state.
+    The step size is alpha divided by the active-feature count (the usual
+    tile-coding convention, making alpha a fraction of the one-step error
+    corrected per update). The weights live in Python lists; theta returns
+    them as an (n_signals, n_features) array copy.
     """
 
     def __init__(self, coder: TileCoder, gamma, alpha: float, trace_lambda: float):
@@ -152,70 +150,74 @@ class NextingLearner:
         return np.array(self._theta)
 
     def predict(self, values) -> list:
-        """Current estimates at one normalized sample (one value per
-        signal), as a list with one float per signal."""
-        return self._predict(sample_indices(values, self.coder))
+        """Current estimates at one normalized sample, one float per signal; nothing moves."""
+        rows = [sample_indices(values, self.coder)]
+        return [p for p, in self._stream(self._theta, self._e, rows, [()] * len(self._e), 0)]
 
     def step(self, values, values_next, y_next) -> list:
-        """One online update; returns the pre-update predictions at values
-        as a list.
-
-        values and values_next are consecutive normalized samples and
-        y_next holds one target per signal. The eligibility traces decay
-        and accumulate the features of values first, then the weights move
-        along them (along those features alone, for a signal without a
-        trace) by the step size times the TD error
-        y[t+1] + gamma * theta.phi[t+1] - theta.phi[t].
+        """One TD step from normalized sample values to the next one, values_next,
+        with one target per signal in y_next; returns the pre-update predictions
+        at values. It runs on copies of the state, kept only if every move is finite.
         """
         y_next = _floats(y_next)
         if len(y_next) != self.coder.n_signals:
             raise ValueError(f"expected {self.coder.n_signals} targets, got {len(y_next)}")
-        return self._update(sample_indices(values, self.coder),
-                            sample_indices(values_next, self.coder), y_next)
+        rows = [sample_indices(values, self.coder), sample_indices(values_next, self.coder)]
+        theta, traces = [w[:] for w in self._theta], [e and e[:] for e in self._e]  # None stays
+        preds = self._stream(theta, traces, rows, [[y] for y in y_next], 1)
+        self._theta, self._e = theta, traces
+        return [p[0] for p in preds]
 
-    def _predict(self, active: list) -> list:
-        """Each signal's weight sum over the `active` indices, added left to
-        right from -0.0 (not builtin sum, which compensates its float sums
-        from Python 3.12)."""
-        preds = []
-        for row in self._theta:
-            total = -0.0
-            for a in active:
-                total += row[a]
-            preds.append(total)
-        return preds
+    def _stream(self, theta, traces, rows, targets, n_learn: int) -> list:
+        """Each signal's predictions at the active-index lists `rows`: n_learn
+        TD(lambda) steps, each predicting before it moves, then the rest.
 
-    def _update(self, active: list, active_next: list, y_next: list) -> list:
-        """One TD(lambda) step on active-feature index lists; returns the
-        pre-update predictions at `active`.
-
-        Every weight sum adds left to right, and every product and sum is
-        the one an array update with left-to-right row sums makes, so the
-        weights and traces keep the bytes of that array form. With
-        gamma * trace_lambda == 0 the decayed trace would be exactly the
-        indicator of `active`, so only those weights change and no trace is
-        kept: the others would add a zero, and a weight is never -0.0. An
-        update that is not finite raises before any weight or trace moves.
+        Step t decays the trace, adds rows[t] and moves the weights along it
+        by alpha / n_active times the TD error, targets[i][t] + gamma *
+        theta.phi(rows[t + 1]) - theta.phi(rows[t]). With no decay no trace
+        is kept and only rows[t] moves: the rest would add 0.0 to weights
+        that are never -0.0. Each float is the one an array update makes,
+        each sum added left to right from -0.0 (builtin sum compensates from
+        Python 3.12). Signals share only the rows and run one after another,
+        each up to the earliest non-finite move found so far, so the error
+        names the earliest step, and on a tie the first signal.
         """
-        preds = self._predict(active)
-        c = self.alpha / len(active)
-        moves = [c * (y + g * nxt - pred) for y, g, nxt, pred
-                 in zip(y_next, self._gamma, self._predict(active_next), preds)]
-        for move in moves:
-            if not math.isfinite(move):
-                raise ValueError(f"the TD update at step {self._updates} is {move}, "
-                                 f"not finite: the weights diverge with alpha = {self.alpha}")
-        for row, trace, move, decay in zip(self._theta, self._e, moves, self._decay):
-            if trace is None:
+        c = self.alpha / len(rows[0])
+        out, failed = [], None
+        for row, trace, g, decay, ys in zip(theta, traces, self._gamma, self._decay, targets):
+            preds = []
+            for t in range(n_learn if failed is None else failed[0]):
+                active = rows[t]
+                pred = -0.0
                 for a in active:
-                    row[a] += move
-                continue
-            trace[:] = [x * decay for x in trace]
-            for a in active:
-                trace[a] += 1.0
-            row[:] = [w + move * x for w, x in zip(row, trace)]
-        self._updates += 1
-        return preds
+                    pred += row[a]
+                nxt = -0.0
+                for a in rows[t + 1]:
+                    nxt += row[a]
+                move = c * (ys[t] + g * nxt - pred)
+                if not math.isfinite(move):
+                    failed = t, move
+                    break
+                preds.append(pred)
+                if trace is None:
+                    for a in active:
+                        row[a] += move
+                    continue
+                trace[:] = [x * decay for x in trace]
+                for a in active:
+                    trace[a] += 1.0
+                row[:] = [w + move * x for w, x in zip(row, trace)]
+            for active in rows[n_learn:]:
+                pred = -0.0
+                for a in active:
+                    pred += row[a]
+                preds.append(pred)
+            out.append(preds)
+        if failed:
+            raise ValueError(f"the TD update at step {self._updates + failed[0]} is {failed[1]}, "
+                             f"not finite: the weights diverge with alpha = {self.alpha}")
+        self._updates += n_learn
+        return out
 
 
 @dataclass(frozen=True)
@@ -257,11 +259,9 @@ def run_online(signals: list, coder: TileCoder, *, gamma, alpha: float,
     learner = NextingLearner(coder, gamma, alpha, trace_lambda)
     # Steps 0..n_learn-1 update the weights; the rest only predict.
     n_learn = n - 1 if freeze_after is None else min(freeze_after - 1, n - 1)
-    rows, targets = tile_indices(Y.T, coder).tolist(), Y.T.tolist()
-    preds = [learner._update(rows[t], rows[t + 1], targets[t + 1]) for t in range(n_learn)]
-    preds += [learner._predict(row) for row in rows[n_learn:]]
-
-    out = [sig.with_values([p[i] for p in preds]) for i, sig in enumerate(signals)]
+    preds = learner._stream(learner._theta, learner._e, tile_indices(Y.T, coder).tolist(),
+                            Y[:, 1:].tolist(), n_learn)
+    out = [sig.with_values(p) for sig, p in zip(signals, preds)]
     return NextingRun(out, bounds, learner)
 
 

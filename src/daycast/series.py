@@ -52,7 +52,7 @@ class Series:
         if bad := first_outside(v):
             i, why = bad
             raise ValueError(f"series value {v[i]} at index {i} (t = {self.t0 + i}) is {why}")
-        if self.period_hint is not None and self.period_hint < 1:
+        if self.period_hint is not None and not self.period_hint >= 1:  # NaN fails too
             raise ValueError(f"period_hint must be positive, got {self.period_hint}")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)

@@ -893,6 +893,12 @@ class TestForecast:
         with pytest.raises(ValueError):
             forecast(model, Series([1.0, 2.0, 3.0]), 2)
 
+    def test_a_nan_lead_is_refused(self):
+        model = model_of(ArimaOrder(1, 0, 0, 0, 0, 0, 0), phi=(0.5,))
+        with pytest.raises(ValueError) as err:
+            forecast(model, Series([1.0, 2.0, 4.0]), math.nan)
+        assert str(err.value) == "lead must be >= 1, got nan"
+
     def test_a_forecast_that_overflows_names_its_first_time(self):
         # A random walk twice integrated extrapolates the 1e150 sine's last
         # slope, which passes the bound of every Series at the fourth step.
@@ -950,6 +956,11 @@ class TestAcfPacf:
     def test_max_lag_bounds(self):
         with pytest.raises(ValueError):
             acf_pacf(Series([1.0, 2.0, 3.0]), 3)
+
+    def test_a_nan_max_lag_is_refused(self, wind):
+        with pytest.raises(ValueError) as err:
+            acf_pacf(wind, math.nan)
+        assert str(err.value) == "max_lag must be >= 1, got nan"
 
     def test_squares_past_the_float_range_are_refused_without_a_warning(self):
         # The suite makes a RuntimeWarning an error. Values whose squares

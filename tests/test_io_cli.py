@@ -1035,6 +1035,21 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 48               # full embedded fixture
 
+    def test_nexting_run_streams_a_discounted_return_within_the_training_bounds(
+            self, tmp_path, capsys):
+        # At gamma 0.9 a prediction estimates a return in [0, 10] normalized
+        # units; scaled by 1 - gamma it maps into [lo, hi] = [-5, 5].
+        cfg = tmp_path / "td.json"
+        cfg.write_text(json.dumps({
+            "signal": "synthetic", "synthetic": {"amplitude": 5, "period": 24, "count": 480},
+            "band": {"inner": 1, "outer": 2},
+            "methods": [{"name": "nexting", "gamma": 0.9, "alpha": 0.1, "trace_lambda": 0.9,
+                         "freeze_after": None}]}))
+        assert run_cli(["nexting-run", "--config", str(cfg)]) == 0
+        values = [float(line.split(",")[1]) for line in capsys.readouterr().out.splitlines()]
+        assert len(values) == 480
+        assert -5.0 <= min(values) and max(values) <= 5.0
+
     def test_acf_prints_lags(self, capsys):
         assert run_cli(["acf", "--fixture", "wind48", "--max-lag", "6"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

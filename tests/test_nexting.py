@@ -385,6 +385,45 @@ class TestNonFiniteTdError:
         assert learner.theta.tobytes() == theta.tobytes()
         assert np.array(learner._e[1]).tobytes() == trace.tobytes()
 
+    # Two signals at alpha 1e300, normalized over the whole stream. Once a
+    # signal's weights have moved, its next move overflows: to -inf at gamma
+    # 0, and to +inf at gamma 0.9, where the bootstrapped next sum outweighs
+    # the current one. So the sign tells which signal the error names.
+    @staticmethod
+    def diverge(first, second, gamma):
+        with pytest.raises(ValueError) as err:
+            run_online([Series(first), Series(second)], TileCoder(n_signals=2), gamma=gamma,
+                       alpha=1e300, trace_lambda=0.9, norm_window=len(first))
+        return str(err.value)
+
+    def test_a_later_signal_that_diverges_first_is_named(self):
+        # Signal 0 targets 0 until sample 4, so its weights stay 0 until then
+        # and it diverges at step 4; signal 1 diverges at step 1.
+        first, second = [0.0, 0, 0, 0, 1, 0, 1, 0], [0.0, 1, 0, 1, 0, 1, 0, 1]
+        assert self.diverge(first, [0.0] * 7 + [1.0], 0.0).startswith(
+            "the TD update at step 4 is -inf,")
+        assert self.diverge(first, second, [0.0, 0.9]) == (
+            "the TD update at step 1 is inf, not finite: the weights diverge with alpha = 1e+300")
+
+    @pytest.mark.parametrize("gamma, move", [([0.0, 0.9], "-inf"), ([0.9, 0.0], "inf")])
+    def test_a_tie_names_the_lower_signal(self, gamma, move):
+        wave = [0.0, 1.0, 0.0, 1.0]
+        assert self.diverge(wave, wave, gamma) == (
+            f"the TD update at step 1 is {move}, not finite: the weights diverge with "
+            "alpha = 1e+300")
+
+    def test_a_step_with_one_diverging_signal_moves_no_signal(self):
+        # Signal 0 targets 0 and keeps finite moves, but its trace changes
+        # on every step; signal 1's second move is +inf.
+        learner = NextingLearner(TileCoder(n_signals=2), [0.9, 0.9], alpha=1e300,
+                                 trace_lambda=0.9)
+        learner.step([0.0, 0.0], [1.0, 1.0], [0.0, 1.0])
+        theta, traces = learner.theta, np.array(learner._e)
+        with pytest.raises(ValueError, match="step 1 is inf"):
+            learner.step([1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
+        assert learner.theta.tobytes() == theta.tobytes()
+        assert np.array(learner._e).tobytes() == traces.tobytes()
+
     def test_compare_row_fails_with_the_message(self, wind):
         row, = compare(wind, [DIVERGING], Band(1.0, 3.0))
         assert row.error == DIVERGED

@@ -37,6 +37,11 @@ class TestSeries:
             Series([np.nextafter(-1e150, -np.inf)], t0=7)
         assert Series([1e150, -1e150]).values.tolist() == [1e150, -1e150]
 
+    def test_a_nan_period_hint_is_refused(self):
+        with pytest.raises(ValueError) as err:
+            Series([1.0, 2.0], period_hint=math.nan)
+        assert str(err.value) == "period_hint must be positive, got nan"
+
 
 class TestMakeSine:
     def test_quarter_period_peaks(self):
