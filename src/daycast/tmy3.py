@@ -30,6 +30,9 @@ _SENTINEL_FLOOR = -9000.0
 # and csv before Python 3.11 refuses a NUL anywhere in a row.
 _LOADTXT_ONLY = "\0\x1c\x1d\x1e\x1f"
 
+# np.loadtxt decompresses a path by these suffixes (numpy's _datasource).
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
 
 def _resolve_column(header: list[str], key: str) -> int:
     for name in _HEADERS[key]:
@@ -41,52 +44,44 @@ def _resolve_column(header: list[str], key: str) -> int:
     )
 
 
-def _records(path: Path, fh):
-    """(row number, cells) for each csv record of fh, numbered from 1.
-
-    csv's own refusals (a cell past csv.field_size_limit(), or a NUL
-    before Python 3.11) are raised as Tmy3ParseError naming the row.
-    """
-    row_no = 0
-    try:
-        for row_no, row in enumerate(csv.reader(fh), start=1):
-            yield row_no, row
-    except csv.Error as exc:
-        raise Tmy3ParseError(f"{path}: row {row_no + 1}: {exc}", row=row_no + 1) from None
-
-
 def _scan(path: Path, header: list[str], cols: dict) -> np.ndarray:
     """The picked cells of every data row, read with csv and float().
 
     Raises for the first bad cell in file order, or for a file without data.
     Rows are numbered from 1 counting the two header lines, blank lines
     included; within a row the cells are checked in the order of cols.
+    csv's own refusals (a cell past csv.field_size_limit(), or a NUL
+    before Python 3.11) are raised as Tmy3ParseError naming the row.
     """
     values = []
+    row_no = 0
     with open(path, newline="") as fh:
-        for row_no, row in _records(path, fh):
-            if row_no < 3 or not row:
-                continue
-            for key, col in cols.items():
-                if col >= len(row):
-                    raise Tmy3ParseError(
-                        f"{path}: row {row_no} has no column {col} ({key})",
-                        row=row_no, column=header[col])
-                try:
-                    value = float(row[col])
-                except ValueError:
-                    raise Tmy3ParseError(
-                        f"{path}: non-numeric {key} value {row[col]!r} at row {row_no}",
-                        row=row_no, column=header[col]) from None
-                if not math.isfinite(value):
-                    raise Tmy3ParseError(
-                        f"{path}: non-finite {key} value {row[col]!r} at row {row_no}",
-                        row=row_no, column=header[col])
-                if value <= _SENTINEL_FLOOR:
-                    raise Tmy3ParseError(
-                        f"{path}: missing-data sentinel {value} for {key} at row {row_no}",
-                        row=row_no, column=header[col])
-                values.append(value)
+        try:
+            for row_no, row in enumerate(csv.reader(fh), start=1):
+                if row_no < 3 or not row:
+                    continue
+                for key, col in cols.items():
+                    if col >= len(row):
+                        raise Tmy3ParseError(
+                            f"{path}: row {row_no} has no column {col} ({key})",
+                            row=row_no, column=header[col])
+                    try:
+                        value = float(row[col])
+                    except ValueError:
+                        raise Tmy3ParseError(
+                            f"{path}: non-numeric {key} value {row[col]!r} at row {row_no}",
+                            row=row_no, column=header[col]) from None
+                    if not math.isfinite(value):
+                        raise Tmy3ParseError(
+                            f"{path}: non-finite {key} value {row[col]!r} at row {row_no}",
+                            row=row_no, column=header[col])
+                    if value <= _SENTINEL_FLOOR:
+                        raise Tmy3ParseError(
+                            f"{path}: missing-data sentinel {value} for {key} at row {row_no}",
+                            row=row_no, column=header[col])
+                    values.append(value)
+        except csv.Error as exc:
+            raise Tmy3ParseError(f"{path}: row {row_no + 1}: {exc}", row=row_no + 1) from None
     if not values:
         raise Tmy3ParseError(f"{path}: no data rows", row=3)
     return np.array(values).reshape(-1, len(cols))
@@ -102,27 +97,39 @@ def parse_tmy3(path) -> tuple[Series, Series, Series]:
     """
     path = Path(path)
     with open(path, newline="") as fh:
-        records = _records(path, fh)
+        reader = csv.reader(fh)
+        head = []
         try:
-            station = next(records)[1]
-            header = [h.strip() for h in next(records)[1]]
+            while len(head) < 2:
+                head.append(next(reader))
         except StopIteration:
             raise Tmy3ParseError(f"{path}: fewer than two header lines", row=1) from None
+        except csv.Error as exc:
+            raise Tmy3ParseError(f"{path}: row {len(head) + 1}: {exc}",
+                                 row=len(head) + 1) from None
+        station, header = head[0], [h.strip() for h in head[1]]
         if len(station) < 2:
             raise Tmy3ParseError(
                 f"{path}: line 1 does not look like station metadata: {station}", row=1)
 
         cols = {key: _resolve_column(header, key) for key in _HEADERS}
         # loadtxt's C reader splits rows and quoted cells as csv does and
-        # converts a cell as float() does, or refuses it. _scan gives the
-        # exact result where loadtxt could read differently (_LOADTXT_ONLY),
+        # converts a cell as float() does, or refuses it. It reads a regular
+        # file by its path, in chunks, past the physical lines the header took
+        # (reader.line_num: both split lines at LF, CR and CRLF), so the file
+        # is read twice. A pipe cannot be reread and loadtxt would decompress
+        # a name in _COMPRESSED: there it reads the text read here. _scan gives
+        # the exact result where loadtxt could read differently (_LOADTXT_ONLY),
         # where there are only blank lines (loadtxt would warn), and where
         # loadtxt refuses the file or yields a bad value.
         try:
             text = fh.read()
             table = None
             if text.strip("\r\n") and not any(c in text for c in _LOADTXT_ONLY):
-                table = np.loadtxt(io.StringIO(text), delimiter=",", usecols=tuple(cols.values()),
+                by_path = path.is_file() and path.suffix not in _COMPRESSED
+                table = np.loadtxt(str(path) if by_path else io.StringIO(text),
+                                   skiprows=reader.line_num if by_path else 0, delimiter=",",
+                                   encoding=fh.encoding, usecols=tuple(cols.values()),
                                    comments=None, quotechar='"', ndmin=2)
         except ValueError:
             table = None

@@ -393,6 +393,17 @@ ODD_DATA = {
     "sentinel after a quoted newline": (data_row(date='"\n"') + "\n"
                                         + data_row(wind="-9900") + "\n"),
 }
+STATION, NAMES = HEADER.splitlines()
+# Two header records that take other physical lines than two LF-ended ones.
+ODD_HEADERS = {
+    **{f"quoted {name} in the station": STATION.replace(
+        "LOS ANGELES INTL ARPT", f'"LOS ANGELES{end}INTL ARPT"') + "\n" + NAMES + "\n"
+       for name, end in (("LF", "\n"), ("CR", "\r"), ("CRLF", "\r\n"))},
+    "quoted LF in a column name": STATION + "\n" + NAMES.replace(
+        "Date (MM/DD/YYYY)", '"Date\n(MM/DD/YYYY)"') + "\n",
+    "CR line ends": STATION + "\r" + NAMES + "\r",
+    "CRLF line ends": STATION + "\r\n" + NAMES + "\r\n",
+}
 
 
 class TestParseMatchesCsvReference:
@@ -407,6 +418,26 @@ class TestParseMatchesCsvReference:
     @pytest.mark.parametrize("data", ODD_DATA.values(), ids=ODD_DATA.keys())
     def test_odd_lines(self, tmp_path, data):
         assert_parses_as_reference(tmp_path / "lines.csv", HEADER + data)
+
+    @pytest.mark.parametrize("data", [f"{GOOD}\n{GOOD}\n", data_row(wind="gusty") + f"\n{GOOD}\n",
+                                      data_row(bulb="-9900") + f"\n{GOOD}\n"],
+                             ids=["good rows", "bad first cell", "first-row sentinel"])
+    @pytest.mark.parametrize("header", ODD_HEADERS.values(), ids=ODD_HEADERS.keys())
+    def test_odd_header_lines(self, tmp_path, header, data):
+        # loadtxt skips the physical lines the header records took, and an
+        # error's row number counts records as csv does.
+        assert_parses_as_reference(tmp_path / "header.csv", header + data)
+
+    @pytest.mark.parametrize("header", ODD_HEADERS.values(), ids=ODD_HEADERS.keys())
+    def test_good_rows_under_odd_header_lines_never_reach_the_scan(self, tmp_path, monkeypatch,
+                                                                   header):
+        # Too few skipped lines would hand loadtxt a header line, which it
+        # refuses, and the scan would hide that; too many would drop a row.
+        path = tmp_path / "header.csv"
+        path.write_bytes((header + f"{GOOD}\n{data_row(wind='4.5')}\n").encode())
+        expected = parse_outcome(csv_reference_parse, path)
+        monkeypatch.setattr(tmy3, "_scan", None)
+        assert parse_outcome(parse_tmy3, path) == expected
 
     @pytest.mark.parametrize("data", ["3.5,15.0,100\n-1,2,3\n", "3.5,15.0,100\n-1,2,dark\n",
                                       '"3.5",15,100\n'])
@@ -447,8 +478,52 @@ class TestParseMatchesCsvReference:
     def test_a_generated_year_never_reaches_the_scan(self, tmp_path, monkeypatch):
         path = write_tmy3(tmp_path / "year.csv", weather_year(days=30))
         expected = parse_outcome(csv_reference_parse, path)
+        calls = []
+        loadtxt = np.loadtxt
+
+        def spy(fname, *args, **kwargs):
+            calls.append(fname)
+            return loadtxt(fname, *args, **kwargs)
+
         monkeypatch.setattr(tmy3, "_scan", None)
+        monkeypatch.setattr(np, "loadtxt", spy)
         assert parse_outcome(parse_tmy3, path) == expected
+        # numpy reads a str path in chunks, but other input line by line.
+        assert calls == [str(path)]
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_a_plain_file_with_a_compressed_suffix_reads_as_text(self, tmp_path, capsys,
+                                                                 suffix):
+        # loadtxt would decompress a path by its suffix and fail on plain text.
+        plain = write_tmy3(tmp_path / "year.csv", weather_year(days=21))
+        path = tmp_path / f"year.csv{suffix}"
+        path.write_bytes(plain.read_bytes())
+        assert parse_outcome(parse_tmy3, path) == parse_outcome(csv_reference_parse, path)
+        cfg = str(builtin_config_path("nexting_multiperiod_irradiance"))
+        for data in (plain, path):
+            out = tmp_path / f"{data.name}.out"
+            assert run_cli(["nexting-run", "--config", cfg, "--data", str(data),
+                            "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert (tmp_path / f"{path.name}.out").read_bytes() == (
+            tmp_path / "year.csv.out").read_bytes()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_reads_as_its_file_does(self, tmp_path, capsys):
+        # A pipe (say `--data <(zcat year.csv.gz)`) can be read only once.
+        plain = write_tmy3(tmp_path / "year.csv", weather_year(days=21))
+        read_fd, write_fd = os.pipe()
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(plain.read_bytes())        # fits the pipe's buffer
+        cfg = str(builtin_config_path("nexting_multiperiod_irradiance"))
+        try:
+            for data, out in ((plain, "file.out"), (f"/dev/fd/{read_fd}", "pipe.out")):
+                assert run_cli(["nexting-run", "--config", cfg, "--data", str(data),
+                                "--out", str(tmp_path / out)]) == 0
+        finally:
+            os.close(read_fd)
+        assert capsys.readouterr() == ("", "")
+        assert (tmp_path / "pipe.out").read_bytes() == (tmp_path / "file.out").read_bytes()
 
     def test_blank_data_lines_give_one_error_line_and_no_warning(self, tmp_path, capsys):
         path = tmp_path / "blank.csv"
@@ -485,6 +560,9 @@ _CELLS = st.one_of(decorated_numbers(), st.sampled_from(ODD_CELLS),
                    st.text("0123456789.-+e_ \t\x0b\x0c\xa0\x1c\x1f\x00#\",\r\n٣in", max_size=5))
 
 
+_LINE_END = st.sampled_from(["\n", "\r\n", "\r"])
+
+
 @st.composite
 def tmy3_data(draw):
     """The data lines of a TMY3 file: rows of generated cells and odd lines,
@@ -492,17 +570,18 @@ def tmy3_data(draw):
     lines = draw(st.lists(st.one_of(
         st.lists(_CELLS, min_size=0, max_size=7).map(",".join),
         st.sampled_from(["", "   ", "\x0c", '""', ",", GOOD])), max_size=6))
-    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
-                         max_size=len(lines)))
+    ends = draw(st.lists(_LINE_END, min_size=len(lines), max_size=len(lines)))
     text = "".join(line + end for line, end in zip(lines, ends))
     return text[:-1] if text and draw(st.booleans()) else text
 
 
-@given(tmy3_data())
+@given(_LINE_END, _LINE_END, tmy3_data())
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_parse_matches_the_csv_reference_on_generated_data(tmp_path, data):
-    assert_parses_as_reference(tmp_path / "generated.csv", HEADER + data)
+def test_parse_matches_the_csv_reference_on_generated_data(tmp_path, station_end, names_end,
+                                                           data):
+    assert_parses_as_reference(tmp_path / "generated.csv",
+                               STATION + station_end + NAMES + names_end + data)
 
 
 class TestRunConfig:
