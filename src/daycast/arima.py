@@ -98,7 +98,7 @@ class ArimaModel:
             if len(a) != want:
                 raise ValueError(f"{name} must have length {want}, got {len(a)}")
             object.__setattr__(self, name, a)
-        if self.sigma2 < 0:
+        if not self.sigma2 >= 0:  # NaN fails too
             raise ValueError(f"sigma2 must be >= 0, got {self.sigma2}")
 
 
@@ -181,6 +181,16 @@ def _min_root_magnitude(poly: np.ndarray) -> float:
     return float(np.min(np.abs(np.roots(trimmed[::-1]))))
 
 
+def _min_factor_root_magnitude(c, C, s: int) -> float:
+    """_min_root_magnitude of _product(c, C, s), from the factors' roots.
+
+    The roots of c(B) C(B^s) are c's and the s-th roots of C's, so two
+    companion matrices of order len(c) and len(C) replace one of order
+    len(c) + s * len(C).
+    """
+    return min(_min_root_magnitude(_op_poly(c)), _min_root_magnitude(_op_poly(C)) ** (1 / s))
+
+
 def _autocorrelations(x: np.ndarray, max_lag: int) -> np.ndarray | None:
     """Sample autocorrelations of x at lags 1..max_lag, or None when x is constant."""
     xc = x - x.mean()
@@ -239,13 +249,13 @@ def _shock_function(order: ArimaOrder, m: int):
     the longest to the shortest, the AR term (x[t-k] * b[k], b = ar) before
     the MA term (y[t-k] * a[k], a = ma) at one lag, then x[t]. shocks makes
     those operations in that order on plain floats (bind takes x from
-    zc.tolist()): unrolled for the first min(m, L) shocks, L the longest
-    lag with a term, then in one loop over t, where every shock has every
-    term; the loop is empty when the window ends at or before L. It leaves
-    out the lags no sample reaches (k > t) and the coefficients that are
-    structurally zero: such a term can only change the sign of a zero
-    shock, which changes no value, or turn into NaN a shock that is not
-    finite anyway.
+    zc.tolist(), and np.fromiter makes the shocks an array): unrolled for
+    the first min(m, L) shocks, L the longest lag with a term, then in one
+    loop over t, where every shock has every term; the loop is empty when
+    the window ends at or before L. It leaves out the lags no sample
+    reaches (k > t) and the coefficients that are structurally zero: such
+    a term can only change the sign of a zero shock, which changes no
+    value, or turn into NaN a shock that is not finite anyway.
     """
     p, q, P, Q = order.p, order.q, order.P, order.Q
     params = ([f"phi{i}" for i in range(1, p + 1)] + [f"theta{i}" for i in range(1, q + 1)]
@@ -283,11 +293,12 @@ def _shock_function(order: ArimaOrder, m: int):
         loop = shock(u, lambda k: f"xs[t - {k}]" if k else "xs[t]", lambda k: f"y[t - {k}]")
         bind += ["xs = zc.tolist()", f"{x_names}, = xs[:{u}]"]
         body += [f"y = [{y_names}]", f"for t in range({u}, {m}):", f"    y.append({loop})",
-                 "return _array(y)"]
+                 f"return _fromiter(y, float, {m})"]
     source = ("def bind(zc):\n" + "".join(f"    {line}\n" for line in bind)
               + "    def shocks(params):\n" + "".join(f"        {line}\n" for line in body)
               + "    return shocks\n")
-    namespace = {"_product": _product, "_convolve": np.convolve, "_array": np.array}
+    namespace = {"_product": _product, "_convolve": np.convolve, "_array": np.array,
+                 "_fromiter": np.fromiter}
     exec(source, namespace)
     return namespace["bind"]
 
@@ -303,11 +314,12 @@ def _css_objective(order: ArimaOrder, zc: np.ndarray):
     it overflows to inf. A shock that is not finite scores 1e300.
     """
     shocks = _shock_function(order, len(zc))(zc)
+    vdot, isfinite = np.vdot, math.isfinite  # read as closure cells, not module globals
 
     def objective(params):
         a = shocks(params)
-        v = float(np.vdot(a, a))
-        return v if math.isfinite(v) or np.isfinite(a).all() else 1e300
+        v = float(vdot(a, a))
+        return v if isfinite(v) or np.isfinite(a).all() else 1e300
     return objective
 
 
@@ -400,10 +412,11 @@ def _nelder_mead(f, x0: list, fatol: float, maxiter: int, maxfev: int, callback)
         return f(x)
 
     def by_value():
-        # np.argsort, as scipy sorts: it is not stable, so only it puts tied
-        # vertices (a wind fit ties at its first sort) in scipy's order.
+        # np.argsort's permutation, as scipy sorts: it is not stable, so only
+        # it puts tied vertices (a wind fit ties at its first sort) in scipy's
+        # order. Given an array, it skips its fallback for a list.
         # Returns whether the order is strict.
-        ind = np.argsort(fsim).tolist()
+        ind = np.argsort(np.array(fsim)).tolist()
         strict = all(fsim[i] < fsim[j] for i, j in zip(ind, ind[1:]))
         return [sim[i] for i in ind], [fsim[i] for i in ind], strict
 
@@ -513,10 +526,11 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
         phi, theta, sphi, stheta = _split_params(np.asarray(params, dtype=float), order)
         ar, ma = _operators(order, phi, theta, sphi, stheta)
         warns = []
-        for side, poly, flaw in (("AR", ar, "non-stationary"), ("MA", ma, "non-invertible")):
+        for side, poly, c, C, flaw in (("AR", ar, phi, sphi, "non-stationary"),
+                                       ("MA", ma, theta, stheta, "non-invertible")):
             if not np.isfinite(poly).all():  # np.roots would raise on it
                 warns.append(f"{side} polynomial is not finite")
-            elif _min_root_magnitude(poly) <= 1.0 + _UNIT_ROOT_TOL:
+            elif _min_factor_root_magnitude(c, C, max(order.s, 1)) <= 1.0 + _UNIT_ROOT_TOL:
                 warns.append(f"{side} polynomial has a root on or inside the unit circle ({flaw})")
         return ArimaModel(order, phi, theta, sphi, stheta, sigma2=sigma2, mu=mu,
                           warnings=tuple(warns), fit_trace=tuple(trace))

@@ -34,7 +34,7 @@ class Monomial:
     degree: int
 
     def __post_init__(self):
-        if self.degree < 0:
+        if not self.degree >= 0:  # NaN fails too
             raise ValueError(f"monomial degree must be >= 0, got {self.degree}")
 
     def __call__(self, x):
@@ -181,7 +181,7 @@ class RbfConfig:
     placement: str = "even"
 
     def __post_init__(self):
-        if self.n_basis < 1:
+        if not self.n_basis >= 1:  # NaN fails too
             raise ValueError(f"n_basis must be >= 1, got {self.n_basis}")
         GaussianBump(0.0, self.sigma)  # the width rule
         if self.placement not in ("even", "data"):

@@ -39,8 +39,9 @@ class TileCoder:
     include_bias: bool = True
 
     def __post_init__(self):
-        if min(self.n_tilings, self.tiles_per_dim, self.n_signals) < 1:
-            raise ValueError("tilings, tiles and signals must all be >= 1")
+        for name in ("n_tilings", "tiles_per_dim", "n_signals"):
+            if not getattr(self, name) >= 1:  # NaN fails too
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def n_features(self) -> int:

@@ -82,7 +82,7 @@ def make_sine(amplitude: float, period: float, count: int, phase: float = 0.0) -
     """Sample amplitude * sin(2*pi*t/period + phase) at t = 1..count."""
     if not 1e-150 <= period <= 1e150:  # as linmodels.Sinusoid: below, 2*pi*t / period overflows
         raise ValueError(f"period must lie in [1e-150, 1e150], got {period}")
-    if count < 1:
+    if not count >= 1:  # NaN fails too
         raise ValueError(f"count must be positive, got {count}")
     t = np.arange(1, count + 1, dtype=float)
     return Series(amplitude * np.sin(2.0 * np.pi * t / period + phase), t0=1)

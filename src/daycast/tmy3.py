@@ -8,6 +8,7 @@ vintages, so the extractor tries each field's known headers in order.
 
 import csv
 import io
+import itertools
 import math
 from pathlib import Path
 
@@ -44,9 +45,10 @@ def _resolve_column(header: list[str], key: str) -> int:
     )
 
 
-def _scan(path: Path, header: list[str], cols: dict) -> np.ndarray:
+def _scan(records, path: Path, header: list[str], cols: dict) -> np.ndarray:
     """The picked cells of every data row, read with csv and float().
 
+    records iterates csv rows from the first data row on.
     Raises for the first bad cell in file order, or for a file without data.
     Rows are numbered from 1 counting the two header lines, blank lines
     included; within a row the cells are checked in the order of cols.
@@ -54,34 +56,33 @@ def _scan(path: Path, header: list[str], cols: dict) -> np.ndarray:
     before Python 3.11) are raised as Tmy3ParseError naming the row.
     """
     values = []
-    row_no = 0
-    with open(path, newline="") as fh:
-        try:
-            for row_no, row in enumerate(csv.reader(fh), start=1):
-                if row_no < 3 or not row:
-                    continue
-                for key, col in cols.items():
-                    if col >= len(row):
-                        raise Tmy3ParseError(
-                            f"{path}: row {row_no} has no column {col} ({key})",
-                            row=row_no, column=header[col])
-                    try:
-                        value = float(row[col])
-                    except ValueError:
-                        raise Tmy3ParseError(
-                            f"{path}: non-numeric {key} value {row[col]!r} at row {row_no}",
-                            row=row_no, column=header[col]) from None
-                    if not math.isfinite(value):
-                        raise Tmy3ParseError(
-                            f"{path}: non-finite {key} value {row[col]!r} at row {row_no}",
-                            row=row_no, column=header[col])
-                    if value <= _SENTINEL_FLOOR:
-                        raise Tmy3ParseError(
-                            f"{path}: missing-data sentinel {value} for {key} at row {row_no}",
-                            row=row_no, column=header[col])
-                    values.append(value)
-        except csv.Error as exc:
-            raise Tmy3ParseError(f"{path}: row {row_no + 1}: {exc}", row=row_no + 1) from None
+    row_no = 2
+    try:
+        for row_no, row in enumerate(records, start=3):
+            if not row:
+                continue
+            for key, col in cols.items():
+                if col >= len(row):
+                    raise Tmy3ParseError(
+                        f"{path}: row {row_no} has no column {col} ({key})",
+                        row=row_no, column=header[col])
+                try:
+                    value = float(row[col])
+                except ValueError:
+                    raise Tmy3ParseError(
+                        f"{path}: non-numeric {key} value {row[col]!r} at row {row_no}",
+                        row=row_no, column=header[col]) from None
+                if not math.isfinite(value):
+                    raise Tmy3ParseError(
+                        f"{path}: non-finite {key} value {row[col]!r} at row {row_no}",
+                        row=row_no, column=header[col])
+                if value <= _SENTINEL_FLOOR:
+                    raise Tmy3ParseError(
+                        f"{path}: missing-data sentinel {value} for {key} at row {row_no}",
+                        row=row_no, column=header[col])
+                values.append(value)
+    except csv.Error as exc:
+        raise Tmy3ParseError(f"{path}: row {row_no + 1}: {exc}", row=row_no + 1) from None
     if not values:
         raise Tmy3ParseError(f"{path}: no data rows", row=3)
     return np.array(values).reshape(-1, len(cols))
@@ -121,21 +122,26 @@ def parse_tmy3(path) -> tuple[Series, Series, Series]:
         # a name in _COMPRESSED: there it reads the text read here. _scan gives
         # the exact result where loadtxt could read differently (_LOADTXT_ONLY),
         # where there are only blank lines (loadtxt would warn), and where
-        # loadtxt refuses the file or yields a bad value.
+        # loadtxt refuses the file or yields a bad value; it scans the text
+        # read here, so a pipe names its bad row as its file does.
+        text = table = None
         try:
             text = fh.read()
-            table = None
             if text.strip("\r\n") and not any(c in text for c in _LOADTXT_ONLY):
                 by_path = path.is_file() and path.suffix not in _COMPRESSED
                 table = np.loadtxt(str(path) if by_path else io.StringIO(text),
                                    skiprows=reader.line_num if by_path else 0, delimiter=",",
                                    encoding=fh.encoding, usecols=tuple(cols.values()),
                                    comments=None, quotechar='"', ndmin=2)
-        except ValueError:
-            table = None
+        except ValueError:  # a decode error in fh.read() leaves text None
+            pass
     if table is None or not table.size or not np.all(
             np.isfinite(table) & (table > _SENTINEL_FLOOR)):
-        table = _scan(path, header, cols)
+        if text is not None:
+            table = _scan(csv.reader(io.StringIO(text, newline="")), path, header, cols)
+        else:  # reread from the start, so the decode error names its position in the file
+            with open(path, newline="") as fh:
+                table = _scan(itertools.islice(csv.reader(fh), 2, None), path, header, cols)
     wind, bulb, dni = table.T
     return (Series(wind, t0=1, period_hint=24, unit="m/s"),
             Series(bulb, t0=1, period_hint=24, unit="degC"),

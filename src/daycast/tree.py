@@ -60,9 +60,9 @@ class GrowConfig:
     max_leaves: int | None = None
 
     def __post_init__(self):
-        if self.min_node_size < 1:
+        if not self.min_node_size >= 1:  # NaN fails too
             raise ValueError(f"min_node_size must be >= 1, got {self.min_node_size}")
-        if self.max_leaves is not None and self.max_leaves < 1:
+        if self.max_leaves is not None and not self.max_leaves >= 1:
             raise ValueError(f"max_leaves must be >= 1, got {self.max_leaves}")
 
 
@@ -277,7 +277,7 @@ class PeriodicWrapper:
     t0: int = 1
 
     def __post_init__(self):
-        if self.period < 1:
+        if not self.period >= 1:  # NaN fails too
             raise ValueError(f"period must be >= 1, got {self.period}")
 
     def base_time(self, t):

@@ -10,9 +10,9 @@ from scipy.linalg import toeplitz
 from scipy.signal import lfilter
 
 from daycast import arima
-from daycast.arima import (_UNIT_ROOT_TOL, ArimaModel, ArimaOrder, _min_root_magnitude,
-                           _operators, _split_params, _yule_walker, acf_pacf, css_estimate,
-                           difference, expand_polynomials, forecast)
+from daycast.arima import (_UNIT_ROOT_TOL, ArimaModel, ArimaOrder, _min_factor_root_magnitude,
+                           _min_root_magnitude, _operators, _split_params, _yule_walker, acf_pacf,
+                           css_estimate, difference, expand_polynomials, forecast)
 from daycast.errors import DaycastError, EstimationError, ZeroVarianceError
 from daycast.evalharness import Band, compare
 from daycast.series import Series, make_sine
@@ -396,6 +396,55 @@ class TestFitMatchesConvolveOperators:
         assert model.fit_trace[0] == 1e300
         monkeypatch.setattr(arima, "_operators", convolve_operators)
         assert self.fit(train, init=init, max_iterations=20)[1] == fast
+
+
+class TestUnitRootsPerFactor:
+    """The unit-root check reads each factor's roots, not the product's.
+
+    c(B) C(B^s) has c's roots and the s-th roots of C's, so the smallest
+    root magnitude of the product follows from two small companion
+    matrices. The product's np.roots is the reference.
+    """
+
+    @staticmethod
+    def warns(magnitude):
+        return magnitude <= 1.0 + _UNIT_ROOT_TOL
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_factors_match_the_product(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            c, C = (rng.uniform(-2.0, 2.0, rng.integers(0, 4)) for _ in range(2))
+            s = int(rng.integers(2, 25))
+            got = _min_factor_root_magnitude(c, C, s)
+            want = _min_root_magnitude(arima._product(c, C, s))
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0), (c, C, s)
+            assert self.warns(got) == self.warns(want), (c, C, s)
+
+    @pytest.mark.parametrize("c, C, warns", [
+        ([], [1.0], True), ([], [-1.0], True), ([0.5], [1.0], True), ([0.5], [-1.0], True),
+        ([1.0], [], True), ([1.0], [0.3], True), ([], [0.0], False), ([0.5], [0.0], False),
+        ([0.0], [0.0], False), ([], [], False)])
+    @pytest.mark.parametrize("s", [2, 7, 24])
+    def test_exact_unit_and_zero_coefficients(self, c, C, s, warns):
+        # Phi = +/-1 and theta_1 = 1 put a root on the unit circle; a zero
+        # coefficient adds none, so that factor has no root at all.
+        got = _min_factor_root_magnitude(c, C, s)
+        assert self.warns(got) == self.warns(_min_root_magnitude(arima._product(c, C, s))) == warns
+
+    @pytest.mark.parametrize("order", [ArimaOrder(0, 0, 3, 1, 1, 0, 24),   # table2_wind
+                                       ArimaOrder(0, 0, 1, 1, 1, 1, 24)])  # table2_irradiance
+    def test_a_fit_never_roots_the_product(self, order, monkeypatch):
+        sizes = []
+        roots = np.roots
+        monkeypatch.setattr(np, "roots", lambda p: sizes.append(len(p)) or roots(p))
+        for seed in range(3):
+            try:
+                css_estimate(TestFitMatchesConvolveOperators.series(seed), order)
+            except EstimationError:
+                pass
+        monkeypatch.undo()
+        assert sizes and max(sizes) <= max(order.p, order.q, order.P, order.Q) + 1
 
 
 def scipy_nelder_mead(f, x0, fatol, maxiter, maxfev, callback):

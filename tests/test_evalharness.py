@@ -8,7 +8,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from daycast import linmodels, nexting, smoothers, tree
-from daycast.arima import ArimaOrder, acf_pacf, css_estimate
+from daycast.arima import ArimaModel, ArimaOrder, acf_pacf, css_estimate
 from daycast.evalharness import (Band, RidgeParams, SplineParams, compare, consecutive_within,
                                  rmse, run_single)
 from daycast.config import (band_from_config, builtin_config_names, builtin_config_path,
@@ -414,6 +414,17 @@ NAN_GUARDS = {  # a call given NaN for a bound, and the start of its refusal
     "run_online": (lambda: nexting.run_online([_WIND], nexting.TileCoder(n_signals=1), gamma=0.0,
                                               alpha=0.1, trace_lambda=0.0, freeze_after=math.nan),
                    "freeze_after must be >= 1"),
+    "ArimaModel": (lambda: ArimaModel(ArimaOrder(0, 0, 0, 0, 0, 0, 0), [], [], [], [],
+                                      sigma2=math.nan), "sigma2 must be >= 0"),
+    "make_sine": (lambda: make_sine(1.0, 24.0, math.nan), "count must be positive"),
+    "GrowConfig.min_node_size": (lambda: tree.GrowConfig(math.nan), "min_node_size must be >= 1"),
+    "GrowConfig.max_leaves": (lambda: tree.GrowConfig(1, math.nan), "max_leaves must be >= 1"),
+    "PeriodicWrapper": (lambda: tree.PeriodicWrapper(None, math.nan), "period must be >= 1"),
+    "Monomial": (lambda: linmodels.Monomial(math.nan), "monomial degree must be >= 0"),
+    "RbfConfig": (lambda: linmodels.RbfConfig(math.nan, 1.0), "n_basis must be >= 1"),
+    **{f"TileCoder.{name}": (lambda name=name: nexting.TileCoder(**{name: math.nan}),
+                             f"{name} must be >= 1")
+       for name in ("n_tilings", "tiles_per_dim", "n_signals")},
 }
 
 

@@ -525,6 +525,28 @@ class TestParseMatchesCsvReference:
         assert capsys.readouterr() == ("", "")
         assert (tmp_path / "pipe.out").read_bytes() == (tmp_path / "file.out").read_bytes()
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_names_its_bad_row_as_its_file_does(self, tmp_path, capsys):
+        # loadtxt refuses the cell, so the csv scan answers: from the text
+        # already read, since the pipe cannot be read again.
+        rows = weather_year(days=21)
+        rows[1] = (*rows[1][:2], "gusty", *rows[1][3:])
+        bad = write_tmy3(tmp_path / "bad.csv", rows)
+        read_fd, write_fd = os.pipe()
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(bad.read_bytes())          # fits the pipe's buffer
+        cfg = str(builtin_config_path("nexting_multiperiod_irradiance"))
+        errors = []
+        try:
+            for data in (str(bad), f"/dev/fd/{read_fd}"):
+                assert run_cli(["nexting-run", "--config", cfg, "--data", data]) == 2
+                out, err = capsys.readouterr()
+                assert out == ""
+                errors.append(err.replace(data, "<data>"))
+        finally:
+            os.close(read_fd)
+        assert errors == ["daycast: <data>: non-numeric wind_speed value 'gusty' at row 4\n"] * 2
+
     def test_blank_data_lines_give_one_error_line_and_no_warning(self, tmp_path, capsys):
         path = tmp_path / "blank.csv"
         path.write_text(HEADER + "\n\n\n")
