@@ -31,6 +31,9 @@ from .errors import EstimationError, ZeroVarianceError
 from .series import Series, first_outside
 
 _UNIT_ROOT_TOL = 1e-8
+# The caps of an accepted order: at both, a fit on 8760 samples spends its
+# 8000-evaluation budget within about a minute (see README).
+MAX_PARAMS, MAX_LAG = 8, 400
 
 
 @dataclass(frozen=True)
@@ -58,11 +61,18 @@ class ArimaOrder:
         return self.p + self.q + self.P + self.Q
 
     def check_length(self, n: int) -> None:
-        """Raise ValueError unless n samples leave 3 * (n_params + 1) after differencing."""
+        """Raise ValueError unless n samples leave 3 * (n_params + 1) after differencing
+        and the order is within MAX_PARAMS parameters and MAX_LAG lags on each side."""
         m = n - self.d - self.s * self.D
         needed = 3 * (self.n_params + 1)
         if m < needed:
             raise ValueError(f"differencing leaves {m} samples, estimation needs {needed}")
+        ar_lag, ma_lag = self.p + self.d + self.s * (self.P + self.D), self.q + self.s * self.Q
+        for keys, value, cap in (("p + q + P + Q", self.n_params, MAX_PARAMS),
+                                 ("the AR lag p + d + s * (P + D)", ar_lag, MAX_LAG),
+                                 ("the MA lag q + s * Q", ma_lag, MAX_LAG)):
+            if value > cap:
+                raise ValueError(f"{keys} is {value}, above the cap of {cap}")
 
 
 @dataclass(frozen=True)
@@ -174,11 +184,20 @@ def difference(series: Series, d: int, D: int = 0, s: int = 0) -> Series:
     return series.with_values(v, t0=series.t0 + drop)
 
 
-def _min_root_magnitude(poly: np.ndarray) -> float:
-    trimmed = np.trim_zeros(np.asarray(poly, dtype=float), "b")
-    if len(trimmed) <= 1:
-        return np.inf
-    return float(np.min(np.abs(np.roots(trimmed[::-1]))))
+def _min_root_magnitude(poly) -> float:
+    """The smallest root magnitude of the ascending polynomial poly, inf if it has none.
+
+    np.roots runs on poly without its trailing zeros from degree 2 on. A
+    degree-1 root is -poly[0] / poly[1], np.roots's 1x1 companion matrix:
+    its bits, but within an ulp outside about [1e-138, 1e138], where LAPACK
+    scales it, and inf where np.roots refuses the overflowed division.
+    """
+    coeffs = np.asarray(poly, dtype=float).tolist()
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if len(coeffs) <= 2:
+        return abs(-coeffs[0] / coeffs[1]) if len(coeffs) == 2 else math.inf
+    return float(np.min(np.abs(np.roots(coeffs[::-1]))))
 
 
 def _min_factor_root_magnitude(c, C, s: int) -> float:
@@ -217,15 +236,15 @@ def _split_params(params: np.ndarray, order: ArimaOrder):
             params[p + q:p + q + P], params[p + q + P:p + q + P + Q])
 
 
-def _lag_coefficients(name: str, c: list, C: list, s: int) -> tuple[list, dict]:
+def _lag_coefficients(name: str, c: list, C: list, s: int, reach) -> tuple[list, dict]:
     """Source lines naming the lag coefficients of _product(c, C, s), and {lag: name}.
 
     c and C are the names of the parameters. With no seasonal term, or
     fewer non-seasonal terms than s, every lag has one term, written as
     0.0 - c or 0.0 + c * C: np.convolve starts each lag's sum at +0.0, so
     a zero parameter then gives +0.0, as in _product, where a bare -c would
-    give -0.0. Otherwise the coefficients come from _product itself. Lags
-    with no term are left out.
+    give -0.0; only the lags below reach get a line. Otherwise the
+    coefficients come from _product itself. Lags with no term are left out.
     """
     if len(c) >= s and C:
         names = [f"{name}{k}" for k in range(len(c) + s * len(C) + 1)]
@@ -235,14 +254,19 @@ def _lag_coefficients(name: str, c: list, C: list, s: int) -> tuple[list, dict]:
     for k, Ck in enumerate(C, 1):
         terms[k * s] = f"0.0 - {Ck}"
         terms.update({k * s + i: f"0.0 + {ci} * {Ck}" for i, ci in enumerate(c, 1)})
-    return [f"{name}{k} = {v}" for k, v in terms.items()], {k: f"{name}{k}" for k in terms}
+    return ([f"{name}{k} = {v}" for k, v in terms.items() if k < reach],
+            {k: f"{name}{k}" for k in terms})
 
 
 @functools.lru_cache(maxsize=32)
 def _shock_function(order: ArimaOrder, m: int):
-    """Compile bind(zc) -> shocks(params): the m CSS shocks of zc as lfilter(ar, ma, zc).
+    """Compile bind(zc) -> (shocks, objective) for the m CSS shocks of zc as lfilter(ar, ma, zc).
 
-    The coefficients are plain floats, from _lag_coefficients. Without an
+    shocks(params) returns the shocks; objective(params) is the objective
+    of css_estimate, their sum of squares as one np.vdot (the bits of the
+    a @ a it replaced, without numpy's overflow warning), or 1e300 when a
+    shock is not finite. Both run one generated body on params, plain
+    floats; the coefficients are plain floats, from _lag_coefficients. Without an
     MA side lfilter calls np.convolve(ar, zc), whose sums are BLAS's (fused
     on some CPUs), so shocks makes that call, at any m. With an MA side
     lfilter runs a transposed direct form: each shock adds the lags from
@@ -250,10 +274,10 @@ def _shock_function(order: ArimaOrder, m: int):
     the MA term (y[t-k] * a[k], a = ma) at one lag, then x[t]. shocks makes
     those operations in that order on plain floats (bind takes x from
     zc.tolist(), and np.fromiter makes the shocks an array): unrolled for
-    the first min(m, L) shocks, L the longest lag with a term, then in one
-    loop over t, where every shock has every term; the loop is empty when
-    the window ends at or before L. It leaves out the lags no sample
-    reaches (k > t) and the coefficients that are structurally zero: such
+    the first min(m, L) shocks, L the longest lag with a term, then, when
+    the window ends past L, in one loop over t, where every shock has every
+    term. It leaves out the lags no sample reaches (k > t), with their
+    coefficients, and the coefficients that are structurally zero: such
     a term can only change the sign of a zero shock, which changes no
     value, or turn into NaN a shock that is not finite anyway.
     """
@@ -262,15 +286,16 @@ def _shock_function(order: ArimaOrder, m: int):
               + [f"Phi{i}" for i in range(1, P + 1)] + [f"Theta{i}" for i in range(1, Q + 1)])
     phi, theta, sphi, stheta = _split_params(params, order)
     s = max(order.s, 1)
-    ar_lines, ar = _lag_coefficients("b", phi, sphi, s)
-    ma_lines, ma = _lag_coefficients("a", theta, stheta, s)
+    reach = m if q + Q else math.inf  # np.convolve reads every AR coefficient
+    ar_lines, ar = _lag_coefficients("b", phi, sphi, s, reach)
+    ma_lines, ma = _lag_coefficients("a", theta, stheta, s, reach)
 
     bind = []
-    body = [f"{', '.join(params)}, = map(float, params)"] if params else []
+    body = [f"{', '.join(params)}, = params"] if params else []
     body += ar_lines + ma_lines
     if not ma:  # the coefficient array, 0.0 at the lags with no term
         names = ["1.0"] + [ar.get(k, "0.0") for k in range(1, p + s * P + 1)]
-        body.append(f"return _convolve(_array([{', '.join(names)}]), zc)[:{m}]")
+        body.append(f"a = _convolve(_array([{', '.join(names)}]), zc)[:{m}]")
     else:
         lags = sorted(ar.keys() | ma.keys(), reverse=True)
 
@@ -289,38 +314,33 @@ def _shock_function(order: ArimaOrder, m: int):
         x_names, y_names = (", ".join(f"{v}{t}" for t in range(u)) for v in "xy")
         for t in range(u):
             body.append(f"y{t} = {shock(t, lambda k: f'x{t - k}', lambda k: f'y{t - k}')}")
-        # Past the longest lag every shock has every term, so one loop makes them.
-        loop = shock(u, lambda k: f"xs[t - {k}]" if k else "xs[t]", lambda k: f"y[t - {k}]")
         bind += ["xs = zc.tolist()", f"{x_names}, = xs[:{u}]"]
-        body += [f"y = [{y_names}]", f"for t in range({u}, {m}):", f"    y.append({loop})",
-                 f"return _fromiter(y, float, {m})"]
-    source = ("def bind(zc):\n" + "".join(f"    {line}\n" for line in bind)
-              + "    def shocks(params):\n" + "".join(f"        {line}\n" for line in body)
-              + "    return shocks\n")
+        body.append(f"y = [{y_names}]")
+        if u < m:  # past the longest lag every shock has every term, so one loop makes them
+            loop = shock(u, lambda k: f"xs[t - {k}]" if k else "xs[t]", lambda k: f"y[t - {k}]")
+            body += [f"for t in range({u}, {m}):", f"    y.append({loop})"]
+        body.append(f"a = _fromiter(y, float, {m})")
+    source = "def bind(zc):\n" + "".join(f"    {line}\n" for line in bind)
+    for name, tail in (("shocks", ["return a"]),
+                       ("objective", ["v = float(_vdot(a, a))",
+                                      "return v if _isfinite(v) or _finite(a).all() else 1e300"])):
+        source += f"    def {name}(params):\n" + "".join(f"        {ln}\n" for ln in body + tail)
     namespace = {"_product": _product, "_convolve": np.convolve, "_array": np.array,
-                 "_fromiter": np.fromiter}
-    exec(source, namespace)
+                 "_fromiter": np.fromiter, "_vdot": np.vdot, "_isfinite": math.isfinite,
+                 "_finite": np.isfinite}
+    exec(source + "    return shocks, objective\n", namespace)
     return namespace["bind"]
 
 
 def _css_objective(order: ArimaOrder, zc: np.ndarray):
     """The objective of css_estimate: params -> the sum of squared CSS shocks of zc.
 
-    The shocks are _shock_function's, at every length: lfilter(ar, ma, zc)'s,
-    bit for bit but for the sign of a zero shock at a -0.0 sample, which
-    squaring removes (and the NaN or inf of a shock that is not finite).
-    forecast reads the same shocks. The sum is one BLAS dot, as a @ a was;
-    np.vdot gives the same bits but, not being a ufunc, does not warn when
-    it overflows to inf. A shock that is not finite scores 1e300.
+    It is _shock_function's compiled objective: its shocks are lfilter(ar,
+    ma, zc)'s, bit for bit but for the sign of a zero shock at a -0.0
+    sample, which squaring removes (and the NaN or inf of a shock that is
+    not finite). forecast reads the same shocks.
     """
-    shocks = _shock_function(order, len(zc))(zc)
-    vdot, isfinite = np.vdot, math.isfinite  # read as closure cells, not module globals
-
-    def objective(params):
-        a = shocks(params)
-        v = float(vdot(a, a))
-        return v if isfinite(v) or np.isfinite(a).all() else 1e300
-    return objective
+    return _shock_function(order, len(zc))(zc)[1]
 
 
 class _BudgetSpent(Exception):
@@ -336,8 +356,8 @@ def _vertex_ops(n: int):
     centroid(sim) adds the first n vertices left to right (as np.add.reduce
     over axis 0) and divides by n; combine(c1, c2, a, h) is c1*a - c2*h;
     shrink(a, v) is a + 0.5*(v - a); converged(sim, fsim, fatol) makes
-    scipy's tests, xatol 1e-10 and the given fatol, with <=, so a NaN
-    difference is not converged.
+    scipy's tests, the given fatol first and xatol 1e-10 only when that
+    passes, with <=, so a NaN difference is not converged.
     """
     x = [[f"x{i}_{k}" for k in range(n)] for i in range(n + 1)]
     a, h, v = ([f"{name}{k}" for k in range(n)] for name in "ahv")
@@ -347,8 +367,9 @@ def _vertex_ops(n: int):
 
     vertices = ", ".join(map(tup, x))
     sums = [" + ".join(x[i][k] for i in range(n)) for k in range(n)]
-    tests = ([f"abs({x[j][k]} - {x[0][k]}) <= 1e-10" for j in range(1, n + 1) for k in range(n)]
-             + [f"abs(f0 - f{j}) <= fatol" for j in range(1, n + 1)])
+    x_tests = " and ".join(f"abs({x[j][k]} - {x[0][k]}) <= 1e-10"
+                           for j in range(1, n + 1) for k in range(n))
+    f_tests = " and ".join(f"abs(f0 - f{j}) <= fatol" for j in range(1, n + 1))
     source = (
         f"def centroid(sim):\n    {', '.join(map(tup, x[:-1]))}, _ = sim\n"
         f"    return {tup(f'({s}) / {n}' for s in sums)}\n"
@@ -356,15 +377,15 @@ def _vertex_ops(n: int):
         f"    return {tup(f'c1 * {ak} - c2 * {hk}' for ak, hk in zip(a, h))}\n"
         f"def shrink(a, v):\n    {tup(a)} = a\n    {tup(v)} = v\n"
         f"    return {tup(f'{ak} + 0.5 * ({vk} - {ak})' for ak, vk in zip(a, v))}\n"
-        f"def converged(sim, fsim, fatol):\n    {vertices}, = sim\n"
-        f"    {tup(f'f{j}' for j in range(n + 1))} = fsim\n"
-        f"    return {' and '.join(tests)}\n")
+        f"def converged(sim, fsim, fatol):\n    {tup(f'f{j}' for j in range(n + 1))} = fsim\n"
+        f"    if not ({f_tests}):\n        return False\n"
+        f"    {vertices}, = sim\n    return {x_tests}\n")
     namespace = {}
     exec(source, namespace)
     return tuple(namespace[name] for name in ("centroid", "combine", "shrink", "converged"))
 
 
-def _nelder_mead(f, x0: list, fatol: float, maxiter: int, maxfev: int, callback):
+def _nelder_mead(f, x0: list, fatol: float, maxiter: int, maxfev: int, trace: list):
     """Minimize f from x0 (at least one float) with the Nelder-Mead simplex, on tuples.
 
     This is scipy.optimize.minimize(method="Nelder-Mead") with its default
@@ -376,10 +397,13 @@ def _nelder_mead(f, x0: list, fatol: float, maxiter: int, maxfev: int, callback)
     the four steps, the shrink and the convergence test are _vertex_ops's,
     compiled once per dimension. As in scipy, the evaluation count is checked before every
     call to f, and a stop in mid-iteration (a shrink included) keeps the
-    partly updated simplex, does not count the iteration, and still sorts
-    and calls callback() once. Stopping on convergence calls back no more,
-    as in scipy 1.17 (older scipy called back once more from a finally
-    clause).
+    partly updated simplex, does not count the iteration, and still sorts.
+
+    trace ends in the best value known before the start. After each pass
+    of the loop, where scipy calls back, the lowest of it and every value
+    f has returned is appended, even one the budget kept out of the
+    simplex. Stopping on convergence appends no more, as in scipy 1.17
+    (older scipy called back once more from a finally clause).
 
     The vertices are ordered by np.argsort, as in scipy. A step that does
     not shrink replaces only the worst vertex, with a value that passed a
@@ -402,14 +426,17 @@ def _nelder_mead(f, x0: list, fatol: float, maxiter: int, maxfev: int, callback)
         y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
         sim.append(tuple(y))
     fsim = [math.inf] * (n + 1)
-    nfev = 0
+    nfev, best = 0, trace[-1]
 
     def call(x):
-        nonlocal nfev
+        nonlocal nfev, best
         if nfev >= maxfev:
             raise _BudgetSpent
         nfev += 1
-        return f(x)
+        v = f(x)
+        if v < best:
+            best = v
+        return v
 
     def by_value():
         # np.argsort's permutation, as scipy sorts: it is not stable, so only
@@ -480,7 +507,7 @@ def _nelder_mead(f, x0: list, fatol: float, maxiter: int, maxfev: int, callback)
         else:
             sim.insert(i, sim.pop())
             fsim.insert(i, fsim.pop())
-        callback()
+        trace.append(best)
 
     spent = ((maxfev, "objective evaluations") if nfev >= maxfev
              else (maxiter, "iterations") if iterations >= maxiter else None)
@@ -504,11 +531,11 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
     converges does not depend on the data's unit. A start that scores the
     1e300 sentinel gives fatol 1e286, so once no vertex scores the
     sentinel, only the coordinate test stops the fit. The
-    objective, _css_objective, gives the bits of the lfilter shocks and
-    a @ a it replaces. Its shocks come from np.convolve for an order
-    without an MA side and from plain floats for an MA order, at any
-    length. The budget defaults to 500 iterations per free parameter, with
-    twice as many objective evaluations.
+    objective, _css_objective, is one compiled call per evaluation on plain
+    floats and gives the bits of the lfilter shocks and a @ a it replaces.
+    The simplex keeps the lowest value it has seen for fit_trace. The
+    budget defaults to 500 iterations per free parameter, with twice as
+    many objective evaluations.
 
     Raises EstimationError (carrying the best model and objective so
     far) if the simplex exhausts its budget without converging.
@@ -547,18 +574,10 @@ def css_estimate(series: Series, order: ArimaOrder, init=None, *,
         x0 = np.zeros(order.n_params)
         x0[:order.p] = _yule_walker(zc, order.p)
 
-    best = [min(objective(x0), 1e300)]
-    trace = [best[0]]
-
-    def tracked(params):
-        val = objective(params)
-        if val < best[0]:
-            best[0] = val
-        return val
-
+    trace = [min(objective(x0.tolist()), 1e300)]
     maxiter = max_iterations if max_iterations is not None else 500 * order.n_params
-    x, fun, spent = _nelder_mead(tracked, x0.tolist(), 1e-14 * best[0], maxiter, 2 * maxiter,
-                                 lambda: trace.append(best[0]))
+    x, fun, spent = _nelder_mead(objective, x0.tolist(), 1e-14 * trace[0], maxiter, 2 * maxiter,
+                                 trace)
     model = build(x, fun / m, trace)
     if spent is not None:
         raise EstimationError(
@@ -602,8 +621,8 @@ def forecast(model: ArimaModel, history: Series, lead: int) -> Series:
     pad = len(thetas)
     if thetas:  # an MA-free recursion reads no shock
         z = difference(history, model.order.d, model.order.D, model.order.s).values
-        params = [*model.phi, *model.theta, *model.sphi, *model.stheta]  # as _split_params
-        shocks = _shock_function(model.order, len(z))(z - model.mu)(params).tolist()
+        params = np.concatenate([model.phi, model.theta, model.sphi, model.stheta]).tolist()
+        shocks = _shock_function(model.order, len(z))(z - model.mu)[0](params).tolist()
         # Pre-pad so MA lags reaching before the first sample read the
         # conventional zero pre-sample shocks instead of wrapping.
         ae = [0.0] * (pad + drop) + shocks + [0.0] * lead

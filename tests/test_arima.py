@@ -1,4 +1,6 @@
+import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,6 +15,8 @@ from daycast import arima
 from daycast.arima import (_UNIT_ROOT_TOL, ArimaModel, ArimaOrder, _min_factor_root_magnitude,
                            _min_root_magnitude, _operators, _split_params, _yule_walker, acf_pacf,
                            css_estimate, difference, expand_polynomials, forecast)
+from daycast.cli import run_cli
+from daycast.config import validate_config
 from daycast.errors import DaycastError, EstimationError, ZeroVarianceError
 from daycast.evalharness import Band, compare
 from daycast.series import Series, make_sine
@@ -435,6 +439,8 @@ class TestUnitRootsPerFactor:
     @pytest.mark.parametrize("order", [ArimaOrder(0, 0, 3, 1, 1, 0, 24),   # table2_wind
                                        ArimaOrder(0, 0, 1, 1, 1, 1, 24)])  # table2_irradiance
     def test_a_fit_never_roots_the_product(self, order, monkeypatch):
+        # np.roots runs on a factor of degree 2 or more (wind's theta), never
+        # on a product; a degree-1 root (all of irradiance's) is in closed form.
         sizes = []
         roots = np.roots
         monkeypatch.setattr(np, "roots", lambda p: sizes.append(len(p)) or roots(p))
@@ -444,32 +450,103 @@ class TestUnitRootsPerFactor:
             except EstimationError:
                 pass
         monkeypatch.undo()
-        assert sizes and max(sizes) <= max(order.p, order.q, order.P, order.Q) + 1
+        assert bool(sizes) == (max(order.p, order.q, order.P, order.Q) >= 2)
+        assert max(sizes, default=0) <= max(order.p, order.q, order.P, order.Q) + 1
 
 
-def scipy_nelder_mead(f, x0, fatol, maxiter, maxfev, callback):
+def trim_zeros_roots(poly):
+    """Reference for arima._min_root_magnitude: np.trim_zeros, then np.roots at every degree."""
+    trimmed = np.trim_zeros(np.asarray(poly, dtype=float), "b")
+    if len(trimmed) <= 1:
+        return np.inf
+    return float(np.min(np.abs(np.roots(trimmed[::-1]))))
+
+
+class TestRootHelperMatchesNpRoots:
+    """_min_root_magnitude has the bits of np.trim_zeros and np.roots, with a closed-form degree 1.
+
+    np.roots's root of a degree-1 polynomial is the eigenvalue of its 1x1
+    companion matrix, and LAPACK returns that entry unchanged unless it has
+    to scale it. Either way the unit-root warning, a comparison with
+    1 + 1e-8, is the same.
+    """
+
+    VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2e-308, 1e300, -1e300, 1.0, -1.0, 0.5, -3.0]
+
+    @staticmethod
+    def outcome(helper, poly):
+        with np.errstate(all="ignore"):
+            try:
+                return np.float64(helper(poly)).tobytes()
+            except np.linalg.LinAlgError:  # np.roots of a companion matrix that overflowed
+                return "LinAlgError"
+
+    @pytest.mark.parametrize("degree", range(4))
+    def test_same_bits_as_trim_zeros_and_roots(self, degree):
+        rng = np.random.default_rng(degree)
+        overflowed = rescaled = 0
+        for _ in range(3000):
+            poly = np.where(rng.random(degree + 1) < 0.5, rng.choice(self.VALUES, degree + 1),
+                            rng.standard_normal(degree + 1) * 10.0 ** rng.integers(-5, 6))
+            if rng.random() < 0.5:
+                poly[0] = 1.0  # an operator factor 1 - c1 B - c2 B^2 - ...
+            got = self.outcome(_min_root_magnitude, poly)
+            want = self.outcome(trim_zeros_roots, poly)
+            if got == want or len(np.trim_zeros(poly, "b")) != 2:
+                assert got == want, poly
+            elif want == "LinAlgError":
+                # -poly[0] / poly[1] overflows: the root lies beyond the float range.
+                assert got == np.float64(np.inf).tobytes(), poly
+                overflowed += 1
+            else:
+                # LAPACK scales a matrix whose entries lie outside about
+                # [6.7e-139, 1.5e138] and may round the last bit on the way back.
+                g, w = np.frombuffer(got)[0], np.frombuffer(want)[0]
+                assert not 1e-138 <= w <= 1e138 and abs(g - w) <= np.spacing(w), poly
+                rescaled += 1
+        assert (overflowed > 0 and rescaled > 0) or degree != 1
+
+    @pytest.mark.parametrize("c", [[], [0.0], [-0.0, 0.0], [0.0, 0.0, -0.0]])
+    def test_a_factor_without_a_nonzero_coefficient_has_no_root(self, c):
+        assert _min_root_magnitude(arima._op_poly(c)) == math.inf
+        assert _min_root_magnitude(np.zeros(len(c) + 1)) == math.inf
+
+    @pytest.mark.parametrize("c, root", [([0.5], 2.0), ([-4.0], 0.25), ([0.5, 0.0, -0.0], 2.0),
+                                         ([1e300], 1e-300), ([5e-324], math.inf)])
+    def test_a_degree_one_factor_has_its_root_in_closed_form(self, c, root, monkeypatch):
+        monkeypatch.setattr(np, "roots", None)  # never called below degree 2
+        assert _min_root_magnitude(arima._op_poly(c)) == root
+
+
+def scipy_nelder_mead(f, x0, fatol, maxiter, maxfev, trace):
     """Reference for arima._nelder_mead: the scipy call css_estimate made before the port.
 
     fatol is absolute in both, so css_estimate's per-fit tolerance goes to
-    scipy unchanged.
+    scipy unchanged. f gets plain floats, as from the port.
 
-    Each pass of scipy's loop that does not stop on convergence evaluates f
-    before it calls back. Older scipy (before its loop lost a finally
-    clause) also called back once after the converging test, with no
-    evaluation since the last callback; that call is dropped, so the
-    reference means the same under every scipy version.
+    trace ends in the best value known before the start; each callback
+    appends the lowest of it and every value f has returned. Each pass of
+    scipy's loop that does not stop on convergence evaluates f before it
+    calls back. Older scipy (before its loop lost a finally clause) also
+    called back once after the converging test, with no evaluation since
+    the last callback; that call is dropped, so the reference means the
+    same under every scipy version.
     """
     from scipy.optimize import minimize
     evaluations = [0, 0]  # made so far, made by the last callback passed on
+    best = [trace[-1]]
 
     def counted(x):
         evaluations[0] += 1
-        return f(x)
+        value = f(x.tolist())
+        if value < best[0]:
+            best[0] = value
+        return value
 
     def on_iteration(xk):
         if evaluations[0] > evaluations[1]:
             evaluations[1] = evaluations[0]
-            callback()
+            trace.append(best[0])
 
     result = minimize(counted, np.array(x0), method="Nelder-Mead", callback=on_iteration,
                       options={"xatol": 1e-10, "fatol": fatol,
@@ -544,7 +621,7 @@ class TestSimplexMatchesScipy:
 
     @staticmethod
     def run_both(objective, x0, maxiter):
-        """Each minimizer's x, f(x), spent budget, callback count and every evaluated point.
+        """Each minimizer's x, f(x), spent budget, trace and every evaluated point.
 
         The objective gets plain floats from both: scipy's float64 would
         round by numpy's rule (round(np.float64(30.549999999999997), 1) is
@@ -552,17 +629,15 @@ class TestSimplexMatchesScipy:
         """
         runs = []
         for minimizer in (arima._nelder_mead, scipy_nelder_mead):
-            points, calls = [], []
+            points, trace = [], [math.inf]
 
             def f(x):
                 x = np.asarray(x, dtype=float)
                 points.append(x.tobytes())
                 return objective(x.tolist())
 
-            x, fun, spent = minimizer(f, x0, 1e-14, maxiter, 2 * maxiter,
-                                      lambda: calls.append(None))
-            runs.append((np.asarray(x, dtype=float).tobytes(), float(fun), spent, len(calls),
-                         points))
+            x, fun, spent = minimizer(f, x0, 1e-14, maxiter, 2 * maxiter, trace)
+            runs.append((np.asarray(x, dtype=float).tobytes(), float(fun), spent, trace, points))
         return runs
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -604,7 +679,7 @@ class TestSimplexMatchesScipy:
         sorts = []
         argsort = np.argsort
         monkeypatch.setattr(np, "argsort", lambda a: sorts.append(list(a)) or argsort(a))
-        arima._nelder_mead(f, [0.0, 1.0, -2.0], 1e-14, 400, 800, lambda: None)
+        arima._nelder_mead(f, [0.0, 1.0, -2.0], 1e-14, 400, 800, [math.inf])
         monkeypatch.undo()
         assert "insert" in placed
         if objective == "tie":
@@ -623,6 +698,99 @@ class TestSimplexMatchesScipy:
         train = Series(np.tile(profile, n // 24) + rng.normal(0, 1.0, n), t0=1, period_hint=24)
         self.assert_same_as_scipy(monkeypatch, train, ArimaOrder(2, 0, 2, 1, 0, 1, 24),
                                   max_iterations=max_iterations)
+
+
+class TestFitTraceIsTheRunningMinimum:
+    """fit_trace is the start objective, then after each iteration the lowest objective so far.
+
+    Every value the objective returns is recorded, so this holds without
+    reference to scipy: a budget stop included, even between a reflection
+    and its expansion, when the lowest value never entered the simplex.
+    A budget that stops the first simplex (1 or 2 iterations with 3 or
+    more parameters) leaves the start alone: the trace grows only by
+    iterations, where scipy calls back.
+    """
+
+    @staticmethod
+    def fit_and_values(monkeypatch, train, order, **kw):
+        values = []
+        compiled = arima._css_objective
+
+        def recording(order, zc):
+            objective = compiled(order, zc)
+
+            def recorded(params):
+                values.append(objective(params))
+                return values[-1]
+            return recorded
+
+        monkeypatch.setattr(arima, "_css_objective", recording)
+        try:
+            return css_estimate(train, order, **kw), None, values
+        except EstimationError as err:
+            return err.model, err.objective, values
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 3, 7, 15, None])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("label", sorted(TestSimplexMatchesScipy.ORDERS))
+    def test_each_entry_is_a_prefix_minimum(self, label, seed, max_iterations, monkeypatch):
+        order = TestSimplexMatchesScipy.ORDERS[label]
+        model, _, values = self.fit_and_values(
+            monkeypatch, TestSimplexMatchesScipy.series(label, seed), order,
+            max_iterations=max_iterations)
+        trace = model.fit_trace
+        prefix_minima = np.minimum.accumulate(np.minimum(values, 1e300)).tolist()
+        assert all(a >= b for a, b in zip(trace, trace[1:]))
+        assert set(trace) <= set(prefix_minima)
+        if len(trace) > 1:
+            assert trace[-1] == prefix_minima[-1]
+        else:  # the budget stopped the first simplex: no iteration ran, as in scipy
+            assert trace == (prefix_minima[0],) and len(values) <= order.n_params + 2
+
+    def test_a_best_value_outside_the_simplex_ends_the_trace(self, monkeypatch):
+        # 3 iterations allow 6 evaluations: the first simplex takes 5, and
+        # the reflection, a new best, the last, so the budget stops its
+        # expansion and the reflection never enters the simplex.
+        model, objective, values = self.fit_and_values(
+            monkeypatch, TestSimplexMatchesScipy.series("wind", 0),
+            TestSimplexMatchesScipy.ORDERS["wind"], max_iterations=3)
+        assert model.fit_trace[-1] == min(values) < objective
+
+
+class TestOrderCap:
+    """An order above arima.MAX_PARAMS or arima.MAX_LAG is refused before anything compiles."""
+
+    @staticmethod
+    def block(order, train_periods):
+        return {"name": "arima", **dict(zip("pdqPDQs", order)), "train_periods": train_periods}
+
+    AR_LAG = "the AR lag p + d + s * (P + D) is 401, above the cap of 400"
+
+    @pytest.mark.parametrize("order, train_periods, message", [
+        ((5, 0, 4, 0, 0, 0, 0), 2, "p + q + P + Q is 9, above the cap of 8"),
+        ((1, 0, 0, 1, 0, 0, 400), 17, AR_LAG),
+        ((0, 1, 0, 0, 1, 0, 400), 17, AR_LAG),
+        ((0, 0, 1, 0, 0, 1, 400), 17, "the MA lag q + s * Q is 401, above the cap of 400")])
+    def test_one_above_the_cap_exits_1_at_validation(self, order, train_periods, message,
+                                                     tmp_path, capsys):
+        cfg = tmp_path / "above.json"
+        cfg.write_text(json.dumps({"signal": "wind", "band": {"inner": 1, "outer": 3},
+                                   "methods": [self.block(order, train_periods)]}))
+        caches = arima._vertex_ops.cache_info(), arima._shock_function.cache_info()
+        assert run_cli(["compare", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", f"daycast: methods[0] (arima): {message}\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            css_estimate(Series(np.zeros(24 * train_periods)), ArimaOrder(*order))
+        assert (arima._vertex_ops.cache_info(), arima._shock_function.cache_info()) == caches
+
+    @pytest.mark.parametrize("order, train_periods", [
+        ((4, 0, 4, 0, 0, 0, 0), 2), ((0, 0, 0, 1, 0, 0, 400), 17), ((0, 1, 0, 0, 1, 0, 399), 17),
+        ((0, 0, 1, 0, 0, 1, 399), 17), ((2, 0, 2, 2, 0, 2, 199), 17)])
+    def test_an_order_at_the_cap_is_accepted(self, order, train_periods):
+        # 8 parameters, or a lag of 400. Validation only: a fit at the cap on
+        # a long window may take a minute.
+        validate_config({"signal": "wind", "band": {"inner": 1, "outer": 3},
+                         "methods": [self.block(order, train_periods)]})
 
 
 class TestVertexOps:
@@ -784,7 +952,6 @@ class TestObjectiveMatchesLfilter:
         for scale in (1.0, 3.0, 1e20, 1e200):
             for x in (params * scale, rng.standard_normal(order.n_params) * scale):
                 want = np.float64(reference(x)).tobytes()
-                assert np.float64(fast(x)).tobytes() == want
                 assert np.float64(fast(x.tolist())).tobytes() == want
 
 
@@ -823,7 +990,7 @@ class TestForecastReadsTheCompiledShocks:
     @staticmethod
     def compiled_and_lfilter(order, params, zc):
         split = _split_params(np.asarray(params, dtype=float), order)
-        compiled = arima._shock_function(order, len(zc))(zc)(params)
+        compiled = arima._shock_function(order, len(zc))(zc)[0](params)
         return compiled, lfilter(*_operators(order, *split), zc)
 
     @pytest.mark.parametrize("order, phi, theta, history, want", [
