@@ -39,6 +39,9 @@
 # text under a .csv.gz name (never decompressed) and from a pipe. A
 # pipe holding a non-numeric wind cell exits 2 with one stderr line
 # naming its row: the csv scan reads the text already read.
+# A command whose output is captured runs as `out=$(...) || status=$?`,
+# so that a failure names its config and exit status instead of ending
+# the script under set -e with no message.
 set -e
 cd "$(dirname "$0")/.."
 if [ "$#" -eq 1 ] && [ "$1" = --local ]; then
@@ -65,8 +68,11 @@ for count in (96, 72):
                  synthetic={"amplitude": amplitude, "period": 17, "count": count})
         json.dump(c, open(f"{sys.argv[1]}/wind{count}{unit}.json", "w"))' "$RUNNER_TEMP"
 for config in src/daycast/configs/*.json "$RUNNER_TEMP"/wind*.json; do
-  err=$(daycast compare --config "$config" 2>&1 > /dev/null)
-  if [ -n "$err" ]; then echo "$config wrote to stderr: $err"; exit 1; fi
+  status=0
+  err=$(daycast compare --config "$config" 2>&1 > /dev/null) || status=$?
+  if [ "$status" -ne 0 ] || [ -n "$err" ]; then
+    echo "$config: exit $status, stderr: $err"; exit 1
+  fi
 done
 for config in src/daycast/configs/*.json; do
   for seed in 1 2; do
@@ -76,8 +82,13 @@ for config in src/daycast/configs/*.json; do
   cmp "$RUNNER_TEMP/hash1.json" "$RUNNER_TEMP/hash2.json"
 done
 for wind in wind96 wind72 wind96kmh wind72kmh; do
-  row=$(daycast compare --config "$RUNNER_TEMP/$wind.json" | grep '^arima ')
-  case "$row" in *FAILED*) echo "$wind: $row"; exit 1;; esac
+  status=0
+  table=$(daycast compare --config "$RUNNER_TEMP/$wind.json") || status=$?
+  row=$(printf '%s\n' "$table" | grep '^arima ') || true
+  case "$row" in ""|*FAILED*) fitted=0;; *) fitted=1;; esac
+  if [ "$status" -ne 0 ] || [ "$fitted" -ne 1 ]; then
+    echo "$wind: exit $status, arima row: $row"; exit 1
+  fi
 done
 daycast nexting-run --config src/daycast/configs/nexting_multiperiod_irradiance.json > /dev/null
 daycast acf --fixture wind48 > /dev/null
@@ -111,9 +122,12 @@ echo '{"signal": "synthetic", "synthetic": {"amplitude": 5, "period": 24, "count
        "band": {"inner": 1, "outer": 2},
        "methods": [{"name": "nexting", "gamma": 0.9, "alpha": 0.1, "trace_lambda": 0.9,
                     "freeze_after": null}]}' > "$td"
-stream=$(daycast nexting-run --config "$td")
-lines=$(printf '%s\n' "$stream" | grep -c '')
-if [ "$lines" -ne 480 ]; then echo "TD(lambda) nexting-run printed $lines lines"; exit 1; fi
+status=0
+stream=$(daycast nexting-run --config "$td") || status=$?
+lines=$(printf '%s' "$stream" | grep -c '') || true
+if [ "$status" -ne 0 ] || [ "$lines" -ne 480 ]; then
+  echo "TD(lambda) nexting-run: exit $status, $lines lines"; exit 1
+fi
 outside=$(printf '%s\n' "$stream" | awk -F, '$2 < -5 || $2 > 5' | grep -c '') || true
 if [ "$outside" -ne 0 ]; then echo "TD(lambda) nexting-run left [-5, 5] $outside times"; exit 1; fi
 huge=$(mktemp --suffix=.json)

@@ -21,7 +21,7 @@ from .fixtures import dni48, fixture, temp48, wind48
 from .linmodels import (Constant, GaussianBump, LinearFit, Monomial, RbfConfig, Sinusoid,
                         design_matrix, fit_basis, fit_polynomial, fit_rbf, solve_ridge)
 from .nexting import (AlignResult, NextingLearner, NextingRun, TileCoder, align_affine,
-                      run_online, sample_indices, tile_indices)
+                      run_online, tile_indices)
 from .series import Series, Split, make_sine, normalize_unit, split
 from .smoothers import KernelConfig, SplineFit, fit_smoothing_spline, kernel_predict
 from .tmy3 import parse_tmy3

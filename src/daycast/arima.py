@@ -191,13 +191,21 @@ def _min_root_magnitude(poly) -> float:
     degree-1 root is -poly[0] / poly[1], np.roots's 1x1 companion matrix:
     its bits, but within an ulp outside about [1e-138, 1e138], where LAPACK
     scales it, and inf where np.roots refuses the overflowed division.
+    From degree 2 on, where np.roots's companion matrix would overflow, it
+    roots the reversed poly instead: its roots are poly's reciprocals, and
+    it divides by poly[0], an operator's constant 1.
     """
     coeffs = np.asarray(poly, dtype=float).tolist()
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if len(coeffs) <= 2:
         return abs(-coeffs[0] / coeffs[1]) if len(coeffs) == 2 else math.inf
-    return float(np.min(np.abs(np.roots(coeffs[::-1]))))
+    if max(map(abs, coeffs)) / abs(coeffs[-1]) < math.inf:
+        return float(np.min(np.abs(np.roots(coeffs[::-1]))))
+    if not coeffs[0]:
+        return 0.0  # a zero constant is a root at 0
+    largest = float(np.max(np.abs(np.roots(coeffs))))
+    return 1.0 / largest if largest else math.inf
 
 
 def _min_factor_root_magnitude(c, C, s: int) -> float:

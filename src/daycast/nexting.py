@@ -8,12 +8,11 @@ its current estimate of the discounted return of each signal, then
 nudges the weights toward the one-step bootstrapped target. All signal
 values must be normalized into [0, 1] before coding.
 
-tile_indices codes a whole stream as one array (run_online); _tiles
-computes the same indices of one value on plain floats, for sample_indices
-(NextingLearner.step and .predict) and for NextingLearner.rollout, the
-closed loop of a forecast in one loop. NextingLearner._stream makes every
-TD step and the other predictions: signal after signal, all of one
-signal's steps in one loop on plain floats, each weight sum left to right.
+run_online codes a whole stream as one array (tile_indices), and
+NextingLearner._stream makes every TD step and streamed prediction: signal
+after signal, all of one signal's steps in one loop on plain floats, each
+weight sum left to right. NextingLearner.rollout, a forecast's closed
+loop, codes one value at a time with _tiles, the same indices.
 """
 
 import math
@@ -80,36 +79,9 @@ def tile_indices(values, coder: TileCoder) -> np.ndarray:
     return active
 
 
-def sample_indices(values, coder: TileCoder) -> list:
-    """Sorted active-feature indices of one normalized sample, as ints.
-
-    The same indices as tile_indices([values], coder)[0], computed on
-    plain floats, with the same range check (which rejects NaN).
-    """
-    values = _floats(values)
-    if len(values) != coder.n_signals:
-        raise ValueError(f"expected {coder.n_signals} signal values per sample, "
-                         f"got {len(values)}")
-    m_grid, k = coder.n_tilings, coder.tiles_per_dim
-    active = []
-    for p, v in enumerate(values):
-        if not -1e-9 <= v <= 1.0 + 1e-9:
-            raise ValueError(f"inputs must lie in [0, 1], got {values}")
-        active += _tiles(min(max(v, 0.0), 1.0), p * m_grid * k, m_grid, k)
-    if coder.include_bias:
-        active.append(m_grid * k * coder.n_signals)
-    return active
-
-
-def _tiles(v: float, first: int, m_grid: int, k: int) -> list:
-    """The active tile of value v in [0, 1] in each of m_grid tilings of k
-    tiles, numbered from feature first: tile_indices' formula on plain floats."""
-    return [first + m * k + min(int((v + m / (m_grid * k)) * k), k - 1) for m in range(m_grid)]
-
-
-def _floats(values) -> list:
-    """One float per signal; a bare number stands for one signal."""
-    return [float(v) for v in values] if hasattr(values, "__len__") else [float(values)]
+def _tiles(v: float, m_grid: int, k: int) -> list:
+    """tile_indices' active tiles of one value v in [0, 1], on plain floats."""
+    return [m * k + min(int((v + m / (m_grid * k)) * k), k - 1) for m in range(m_grid)]
 
 
 def check_rates(gamma, alpha: float, trace_lambda: float) -> None:
@@ -127,19 +99,18 @@ def check_rates(gamma, alpha: float, trace_lambda: float) -> None:
 class NextingLearner:
     """Per-signal TD(lambda) weights over a shared tile-coded feature space.
 
-    Single-writer mutable state. One routine, _stream, makes every step
-    and prediction: run_online calls it once for a whole stream, predict
-    with no learning step, and step for one step on copies of the state.
-    The step size is alpha divided by the active-feature count (the usual
-    tile-coding convention, making alpha a fraction of the one-step error
-    corrected per update). The weights live in Python lists; theta returns
-    them as an (n_signals, n_features) array copy.
+    Single-writer mutable state. run_online streams the training window
+    through _stream once; rollout then reads the weights without moving
+    them. The step size is alpha divided by the active-feature count (the
+    usual tile-coding convention, making alpha a fraction of the one-step
+    error corrected per update). The weights live in Python lists; theta
+    returns them as an (n_signals, n_features) array copy.
     """
 
     def __init__(self, coder: TileCoder, gamma, alpha: float, trace_lambda: float):
         check_rates(gamma, alpha, trace_lambda)
-        g = _floats(gamma)
-        if len(g) == 1:
+        g = [float(v) for v in np.ravel(gamma)]
+        if len(g) == 1:  # one gamma stands for every signal
             g *= coder.n_signals
         if len(g) != coder.n_signals:
             raise ValueError(f"need one gamma per signal ({coder.n_signals}), got {len(g)}")
@@ -149,21 +120,16 @@ class NextingLearner:
         self._gamma = g
         self._decay = [gp * trace_lambda for gp in g]
         self._e = [[0.0] * coder.n_features if d else None for d in self._decay]
-        self._updates = 0
 
     @property
     def theta(self) -> np.ndarray:
         return np.array(self._theta)
 
-    def predict(self, values) -> list:
-        """Current estimates at one normalized sample, one float per signal; nothing moves."""
-        rows = [sample_indices(values, self.coder)]
-        return [p for p, in self._stream(self._theta, self._e, rows, [()] * len(self._e), 0)]
-
     def rollout(self, value: float, steps: int) -> list:
         """steps estimates of a one-signal learner run in closed loop from the
         normalized value: each input is the previous estimate (value first),
-        clamped to [0, 1]. The bits of chained predict calls; nothing moves.
+        clamped to [0, 1], coded by _tiles and its weights added left to
+        right from -0.0, as _stream adds them; nothing moves.
         """
         if len(self._theta) != 1:
             raise ValueError(f"rollout needs a one-signal learner, got {len(self._theta)}")
@@ -175,28 +141,15 @@ class NextingLearner:
             if v != v:  # NaN, the one value the clamp passes through
                 raise ValueError(f"inputs must lie in [0, 1], got {[v]}")
             value = -0.0
-            for a in _tiles(v, 0, m_grid, k) + bias:
+            for a in _tiles(v, m_grid, k) + bias:
                 value += row[a]
             out.append(value)
         return out
 
-    def step(self, values, values_next, y_next) -> list:
-        """One TD step from normalized sample values to the next one, values_next,
-        with one target per signal in y_next; returns the pre-update predictions
-        at values. It runs on copies of the state, kept only if every move is finite.
-        """
-        y_next = _floats(y_next)
-        if len(y_next) != self.coder.n_signals:
-            raise ValueError(f"expected {self.coder.n_signals} targets, got {len(y_next)}")
-        rows = [sample_indices(values, self.coder), sample_indices(values_next, self.coder)]
-        theta, traces = [w[:] for w in self._theta], [e and e[:] for e in self._e]  # None stays
-        preds = self._stream(theta, traces, rows, [[y] for y in y_next], 1)
-        self._theta, self._e = theta, traces
-        return [p[0] for p in preds]
-
-    def _stream(self, theta, traces, rows, targets, n_learn: int) -> list:
+    def _stream(self, rows, targets, n_learn: int) -> list:
         """Each signal's predictions at the active-index lists `rows`: n_learn
-        TD(lambda) steps, each predicting before it moves, then the rest.
+        TD(lambda) steps on the learner's own weights and traces, each
+        predicting before it moves, then the rest.
 
         Step t decays the trace, adds rows[t] and moves the weights along it
         by alpha / n_active times the TD error, targets[i][t] + gamma *
@@ -210,7 +163,8 @@ class NextingLearner:
         """
         c = self.alpha / len(rows[0])
         out, failed = [], None
-        for row, trace, g, decay, ys in zip(theta, traces, self._gamma, self._decay, targets):
+        for row, trace, g, decay, ys in zip(self._theta, self._e, self._gamma, self._decay,
+                                            targets):
             preds = []
             for t in range(n_learn if failed is None else failed[0]):
                 active = rows[t]
@@ -240,9 +194,8 @@ class NextingLearner:
                 preds.append(pred)
             out.append(preds)
         if failed:
-            raise ValueError(f"the TD update at step {self._updates + failed[0]} is {failed[1]}, "
+            raise ValueError(f"the TD update at step {failed[0]} is {failed[1]}, "
                              f"not finite: the weights diverge with alpha = {self.alpha}")
-        self._updates += n_learn
         return out
 
 
@@ -285,8 +238,7 @@ def run_online(signals: list, coder: TileCoder, *, gamma, alpha: float,
     learner = NextingLearner(coder, gamma, alpha, trace_lambda)
     # Steps 0..n_learn-1 update the weights; the rest only predict.
     n_learn = n - 1 if freeze_after is None else min(freeze_after - 1, n - 1)
-    preds = learner._stream(learner._theta, learner._e, tile_indices(Y.T, coder).tolist(),
-                            Y[:, 1:].tolist(), n_learn)
+    preds = learner._stream(tile_indices(Y.T, coder).tolist(), Y[:, 1:].tolist(), n_learn)
     out = [sig.with_values(p) for sig, p in zip(signals, preds)]
     return NextingRun(out, bounds, learner)
 

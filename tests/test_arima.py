@@ -462,13 +462,24 @@ def trim_zeros_roots(poly):
     return float(np.min(np.abs(np.roots(trimmed[::-1]))))
 
 
+def reversed_roots(poly):
+    """Reference for an overflowing companion matrix: the reversed polynomial's
+    roots are the reciprocals of poly's, and a zero constant is a root at 0."""
+    trimmed = np.trim_zeros(np.asarray(poly, dtype=float), "b")
+    if trimmed[0] == 0:
+        return 0.0
+    with np.errstate(divide="ignore"):  # reciprocals that all underflowed: a root past the range
+        return float(1.0 / np.max(np.abs(np.roots(trimmed))))
+
+
 class TestRootHelperMatchesNpRoots:
     """_min_root_magnitude has the bits of np.trim_zeros and np.roots, with a closed-form degree 1.
 
     np.roots's root of a degree-1 polynomial is the eigenvalue of its 1x1
     companion matrix, and LAPACK returns that entry unchanged unless it has
     to scale it. Either way the unit-root warning, a comparison with
-    1 + 1e-8, is the same.
+    1 + 1e-8, is the same. From degree 2 on, where np.roots's companion
+    matrix would overflow, the helper roots the reversed polynomial.
     """
 
     VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2e-308, 1e300, -1e300, 1.0, -1.0, 0.5, -3.0]
@@ -484,7 +495,7 @@ class TestRootHelperMatchesNpRoots:
     @pytest.mark.parametrize("degree", range(4))
     def test_same_bits_as_trim_zeros_and_roots(self, degree):
         rng = np.random.default_rng(degree)
-        overflowed = rescaled = 0
+        overflowed = rescaled = reversed_ = 0
         for _ in range(3000):
             poly = np.where(rng.random(degree + 1) < 0.5, rng.choice(self.VALUES, degree + 1),
                             rng.standard_normal(degree + 1) * 10.0 ** rng.integers(-5, 6))
@@ -492,6 +503,9 @@ class TestRootHelperMatchesNpRoots:
                 poly[0] = 1.0  # an operator factor 1 - c1 B - c2 B^2 - ...
             got = self.outcome(_min_root_magnitude, poly)
             want = self.outcome(trim_zeros_roots, poly)
+            if want == "LinAlgError" and len(np.trim_zeros(poly, "b")) > 2:
+                want = self.outcome(reversed_roots, poly)
+                reversed_ += 1
             if got == want or len(np.trim_zeros(poly, "b")) != 2:
                 assert got == want, poly
             elif want == "LinAlgError":
@@ -505,6 +519,21 @@ class TestRootHelperMatchesNpRoots:
                 assert not 1e-138 <= w <= 1e138 and abs(g - w) <= np.spacing(w), poly
                 rescaled += 1
         assert (overflowed > 0 and rescaled > 0) or degree != 1
+        assert reversed_ > 0 or degree < 2
+
+    def test_an_overflowing_companion_matrix_roots_the_reversed_polynomial(self):
+        # np.roots([-1e-320, -0.5, 1]) would divide 0.5 by 1e-320 and overflow.
+        assert _min_root_magnitude(arima._op_poly([0.5, 1e-320])) == 2.0
+
+    def test_a_tiny_last_ma_coefficient_stops_the_fit_by_name(self):
+        # This fit used to warn of an overflow in np.roots, then raise
+        # numpy's LinAlgError from the unit-root check.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError) as err:
+                css_estimate(make_sine(1, 24, 48), ArimaOrder(0, 0, 2, 0, 0, 0, 0),
+                             init=[0.5, 1e-320], max_iterations=1)
+        assert err.value.model.warnings == ()
 
     @pytest.mark.parametrize("c", [[], [0.0], [-0.0, 0.0], [0.0, 0.0, -0.0]])
     def test_a_factor_without_a_nonzero_coefficient_has_no_root(self, c):

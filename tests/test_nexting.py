@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from daycast.cli import run_cli
 from daycast.evalharness import Band, compare
-from daycast.nexting import (AlignResult, NextingLearner, TileCoder, align_affine,
-                             run_online, sample_indices, tile_indices)
+from daycast.nexting import (AlignResult, NextingLearner, TileCoder, _tiles, align_affine,
+                             run_online, tile_indices)
 from daycast.series import Series, make_sine
 
 
@@ -17,9 +17,9 @@ def numpy_update(theta, e, gamma, alpha, trace_lambda, active, active_next, y_ne
     """One TD(lambda) step on (n_signals, n_features) arrays, in place.
 
     The array form the learner ran before its update moved to lists, kept
-    as the byte oracle for NextingLearner._update and run_online. Each
-    weight sum is np.add.accumulate's last column: left to right by
-    definition, whatever numpy's own reduction order.
+    as the byte oracle for run_online. Each weight sum is
+    np.add.accumulate's last column: left to right by definition, whatever
+    numpy's own reduction order.
     """
     preds = np.add.accumulate(theta[:, active], axis=1)[:, -1]
     e *= (gamma * trace_lambda)[:, None]
@@ -43,23 +43,6 @@ def numpy_run(Y, coder, gamma, alpha, trace_lambda, freeze_after):
                                    active[t], active[t + 1], Y[:, t + 1])
     preds[:, n_learn:] = np.add.accumulate(theta[:, active[n_learn:]], axis=2)[..., -1]
     return preds, theta
-
-
-def reference_run(signals, coder, gamma, alpha, trace_lambda, freeze_after):
-    """Step-by-step oracle: one learner.step per sample, or a predict at the
-    last sample and from sample freeze_after on."""
-    Y = np.array([np.clip((s.values - s.values[:24].min())
-                          / (s.values[:24].max() - s.values[:24].min()), 0.0, 1.0)
-                  for s in signals])
-    n = Y.shape[1]
-    learner = NextingLearner(coder, gamma, alpha, trace_lambda)
-    preds = np.zeros((coder.n_signals, n))
-    for t in range(n):
-        if t + 1 == n or freeze_after is not None and t + 1 >= freeze_after:
-            preds[:, t] = learner.predict(Y[:, t])
-        else:
-            preds[:, t] = learner.step(Y[:, t], Y[:, t + 1], Y[:, t + 1])
-    return preds, learner
 
 
 class TestTileCoder:
@@ -107,38 +90,32 @@ class TestTileCoder:
 
 class TestTdStep:
     def test_first_update_spreads_error_over_active_features(self):
+        # Two samples, one learning step: from 0 toward the target 1.
         coder = TileCoder(n_tilings=4, tiles_per_dim=4, include_bias=False)
-        learner = NextingLearner(coder, gamma=0.0, alpha=0.4, trace_lambda=0.9)
-        preds = learner.step([0.1], [0.9], [2.0])
-        assert preds[0] == 0.0
-        active = tile_indices([[0.1]], coder)[0]
-        expected = 0.4 * 2.0 / len(active)
-        np.testing.assert_allclose(learner.theta[0, active], expected)
+        run = run_online([Series([0.0, 1.0])], coder, gamma=0.0, alpha=0.4, trace_lambda=0.9)
+        assert run.predictions[0].values[0] == 0.0
+        active = tile_indices([[0.0]], coder)[0]
+        np.testing.assert_allclose(run.learner.theta[0, active], 0.4 * 1.0 / len(active))
         others = np.setdiff1d(np.arange(coder.n_features), active)
-        np.testing.assert_array_equal(learner.theta[0, others], 0.0)
+        np.testing.assert_array_equal(run.learner.theta[0, others], 0.0)
 
-    def test_predict_keeps_weights_bit_identical(self):
-        coder = TileCoder()
-        learner = NextingLearner(coder, gamma=0.5, alpha=0.1, trace_lambda=0.9)
-        learner.step([0.4], [0.4], [1.0])
-        snapshot = learner.theta.copy()
-        preds = learner.predict([0.4])
-        np.testing.assert_array_equal(learner.theta, snapshot)
-        assert preds[0] == snapshot[0, tile_indices([[0.4]], coder)[0]].sum()
+    def test_rollout_keeps_weights_bit_identical(self, wind):
+        run = run_online([wind], TileCoder(), gamma=0.5, alpha=0.1, trace_lambda=0.9)
+        snapshot = run.learner.theta
+        first, *_ = run.learner.rollout(0.4, 5)
+        assert run.learner.theta.tobytes() == snapshot.tobytes()
+        active = tile_indices([[0.4]], run.learner.coder)[0]
+        assert first == np.add.accumulate(snapshot[0, active])[-1]
 
     def test_gamma_zero_makes_trace_decay_irrelevant(self):
         # With gamma = 0 the trace collapses to phi[t], so any trace decay
         # parameter produces the same weight trajectory.
         coder = TileCoder(n_tilings=4, tiles_per_dim=8)
-        rng = np.random.default_rng(5)
-        stream = rng.uniform(0, 1, 50)
-        thetas = []
-        for lam in (0.0, 0.9):
-            learner = NextingLearner(coder, gamma=0.0, alpha=0.2, trace_lambda=lam)
-            for t in range(len(stream) - 1):
-                learner.step([stream[t]], [stream[t + 1]], [stream[t + 1]])
-            thetas.append(learner.theta.copy())
-        np.testing.assert_array_equal(thetas[0], thetas[1])
+        stream = Series(np.random.default_rng(5).uniform(0, 1, 50))
+        runs = [run_online([stream], coder, gamma=0.0, alpha=0.2, trace_lambda=lam)
+                for lam in (0.0, 0.9)]
+        assert runs[0].predictions[0].values.tobytes() == runs[1].predictions[0].values.tobytes()
+        assert runs[0].learner.theta.tobytes() == runs[1].learner.theta.tobytes()
 
     def test_a_nan_alpha_is_refused(self):
         with pytest.raises(ValueError) as err:
@@ -154,17 +131,6 @@ class TestTdStep:
         with pytest.raises(ValueError) as err:
             NextingLearner(TileCoder(n_signals=n_signals), gamma, alpha=0.1, trace_lambda=0.9)
         assert str(err.value) == message
-
-    def test_bad_input_rejected(self):
-        learner = NextingLearner(TileCoder(n_signals=2), gamma=0.0, alpha=0.1,
-                                 trace_lambda=0.9)
-        with pytest.raises(ValueError, match="expected 2 targets, got 1"):
-            learner.step([0.5, 0.5], [0.5, 0.5], [1.0])
-        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
-            learner.step([0.5, 0.5], [0.5, 1.2], [1.0, 1.0])
-        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
-            learner.predict([-0.1, 0.5])
-        np.testing.assert_array_equal(learner.theta, 0.0)
 
 
 class TestRunOnline:
@@ -240,10 +206,10 @@ class TestRunOnline:
         assert a.bounds == b.bounds
 
 
-class TestRunOnlineMatchesStepLoop:
+class TestRunOnlineMatchesNumpyRun:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
-    def test_bit_identical_to_learner_step(self, data):
+    def test_bit_identical_on_random_shapes(self, data):
         n_signals = data.draw(st.integers(1, 3))
         coder = TileCoder(n_tilings=data.draw(st.sampled_from([1, 3, 4, 7, 8])),
                           tiles_per_dim=data.draw(st.sampled_from([2, 5, 8, 10])),
@@ -262,12 +228,14 @@ class TestRunOnlineMatchesStepLoop:
 
         run = run_online(signals, coder, gamma=gamma, alpha=alpha, trace_lambda=trace_lambda,
                          freeze_after=freeze_after)
-        preds, learner = reference_run(signals, coder, gamma, alpha, trace_lambda,
-                                       freeze_after)
+        # Each signal normalized by its first period, the period hint.
+        Y = np.array([np.clip((s.values - s.values[:24].min())
+                              / (s.values[:24].max() - s.values[:24].min()), 0.0, 1.0)
+                      for s in signals])
+        preds, theta = numpy_run(Y, coder, gamma, alpha, trace_lambda, freeze_after)
         for i in range(n_signals):
             assert run.predictions[i].values.tobytes() == preds[i].tobytes()
-        assert run.learner.theta.tobytes() == learner.theta.tobytes()
-
+        assert run.learner.theta.tobytes() == theta.tobytes()
 
 
 # n_active = n_tilings * n_signals + bias: below 8, 8 to 15, 16 and above,
@@ -305,40 +273,12 @@ class TestMatchesNumpyReference:
             assert got.tobytes() == preds.tobytes(), freeze_after
             assert run.learner.theta.tobytes() == theta.tobytes(), freeze_after
 
-    @pytest.mark.parametrize("n_signals, n_tilings, include_bias", CODER_SHAPES)
-    def test_step_and_predict_bytes(self, n_signals, n_tilings, include_bias):
-        coder = TileCoder(n_tilings=n_tilings, tiles_per_dim=8, n_signals=n_signals,
-                          include_bias=include_bias)
-        gamma = np.linspace(0.0, 0.6, n_signals)
-        learner = NextingLearner(coder, gamma, alpha=0.5, trace_lambda=0.8)
-        theta, e = np.zeros_like(learner.theta), np.zeros_like(learner.theta)
-        Y = np.random.default_rng(n_tilings).uniform(0.0, 1.0, (30, n_signals))
-        for t in range(len(Y) - 1):
-            expected = numpy_update(theta, e, gamma, 0.5, 0.8, tile_indices(Y[t:t + 1], coder)[0],
-                                    tile_indices(Y[t + 1:t + 2], coder)[0], Y[t + 1])
-            assert np.array(learner.step(Y[t], Y[t + 1], Y[t + 1])).tobytes() == expected.tobytes()
-            assert np.array(learner.predict(Y[t + 1])).tobytes() == (
-                np.add.accumulate(theta[:, tile_indices(Y[t + 1:t + 2], coder)[0]],
-                                  axis=1)[:, -1].tobytes())
-        assert learner.theta.tobytes() == theta.tobytes()
 
-
-class TestSumsLeftToRight:
-    def test_one_signal_predict_is_not_pairwise(self):
-        # Pairwise (eight partial sums) gives 1e16 + (1 + 1) = 1.0000000000000002e16;
-        # left to right each 1 rounds away against 1e16.
-        coder = TileCoder(n_tilings=8, n_signals=1, include_bias=True)
-        learner = NextingLearner(coder, gamma=0.0, alpha=0.1, trace_lambda=0.9)
-        active = sample_indices([0.3], coder)
-        assert len(active) == 9
-        for a, w in zip(active, [1e16, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]):
-            learner._theta[0][a] = w
-        assert learner.predict([0.3]) == [1e16]
-
-
-class TestSampleIndices:
+class TestTiles:
     @pytest.mark.parametrize("n_signals, n_tilings, include_bias", CODER_SHAPES)
     def test_equals_tile_indices_rows(self, n_signals, n_tilings, include_bias):
+        # rollout codes with _tiles and run_online with tile_indices: the
+        # same indices, signal block after signal block, then the bias.
         coder = TileCoder(n_tilings=n_tilings, tiles_per_dim=7, n_signals=n_signals,
                           include_bias=include_bias)
         rng = np.random.default_rng(n_tilings)
@@ -346,27 +286,35 @@ class TestSampleIndices:
         edges = [m / (n_tilings * 7) + j / 7 for m in range(n_tilings) for j in range(7)]
         points = [0.0, -0.0, 1.0, -1e-10, 1.0 + 1e-10, *edges, *rng.uniform(0, 1, 50)]
         samples = np.array([rng.choice(points, n_signals) for _ in range(200)])
-        batch = tile_indices(samples, coder)
-        for row, sample in zip(batch, samples):
-            assert sample_indices(sample, coder) == row.tolist()
-            assert sample_indices(sample.tolist(), coder) == row.tolist()
-
-    @pytest.mark.parametrize("values, message", [
-        ([1.2], r"inputs must lie in \[0, 1\], got \[1.2\]"),
-        ([-1e-8], r"inputs must lie in \[0, 1\]"),
-        ([float("nan")], r"inputs must lie in \[0, 1\], got \[nan\]"),
-        ([0.5, 0.5], "expected 1 signal values per sample, got 2"),
-    ])
-    def test_rejects_what_tile_indices_rejects(self, values, message):
-        with pytest.raises(ValueError, match=message):
-            sample_indices(values, TileCoder())
+        block = n_tilings * 7
+        bias = [block * n_signals] if include_bias else []
+        for row, sample in zip(tile_indices(samples, coder), samples):
+            got = [p * block + a for p, v in enumerate(sample.tolist())
+                   for a in _tiles(min(max(v, 0.0), 1.0), n_tilings, 7)]
+            assert got + bias == row.tolist()
 
 
-def chained_predict(learner, value, steps):
-    """rollout's closed loop as predict calls: each on the last estimate, clamped to [0, 1]."""
-    out = []
+class TestSumsLeftToRight:
+    def test_one_signal_rollout_is_not_pairwise(self):
+        # Pairwise (eight partial sums) gives 1e16 + (1 + 1) = 1.0000000000000002e16;
+        # left to right each 1 rounds away against 1e16.
+        coder = TileCoder(n_tilings=8, n_signals=1, include_bias=True)
+        learner = NextingLearner(coder, gamma=0.0, alpha=0.1, trace_lambda=0.9)
+        active = tile_indices([[0.3]], coder)[0]
+        assert len(active) == 9
+        for a, w in zip(active, [1e16, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]):
+            learner._theta[0][a] = w
+        assert learner.rollout(0.3, 1) == [1e16]
+
+
+def numpy_rollout(learner, value, steps):
+    """rollout's closed loop on arrays: clamp the last estimate to [0, 1], code
+    it with tile_indices and add its weights left to right."""
+    theta, out = learner.theta, []
     for _ in range(steps):
-        value, = learner.predict([min(max(value, 0.0), 1.0)])
+        active = tile_indices([[min(max(value, 0.0), 1.0)]], learner.coder)[0]
+        with np.errstate(invalid="ignore"):  # -inf + inf is NaN, as in rollout's sum
+            value = float(np.add.accumulate(theta[0, active])[-1])
         out.append(value)
     return out
 
@@ -381,7 +329,7 @@ def rollout_outcome(run, *args):
 class TestRollout:
     @pytest.mark.parametrize("n_tilings, tiles_per_dim, include_bias",
                              [(8, 8, True), (1, 2, False), (3, 5, True), (7, 13, False)])
-    def test_equals_chained_predict_calls(self, n_tilings, tiles_per_dim, include_bias):
+    def test_equals_numpy_rollout(self, n_tilings, tiles_per_dim, include_bias):
         coder = TileCoder(n_tilings=n_tilings, tiles_per_dim=tiles_per_dim,
                           include_bias=include_bias)
         rng = np.random.default_rng(n_tilings * 100 + tiles_per_dim)
@@ -394,7 +342,7 @@ class TestRollout:
             start = float(rng.uniform(-0.5, 1.5))
             got = learner.rollout(start, 30)
             assert np.array(got).tobytes() == np.array(
-                chained_predict(learner, start, 30)).tobytes()
+                numpy_rollout(learner, start, 30)).tobytes()
             below += sum(v < 0 for v in got[:-1])
             above += sum(v > 1 for v in got[:-1])
         assert below and above  # the clamp acted at both ends
@@ -409,24 +357,53 @@ class TestRollout:
         assert learner.rollout(-3.0, 2) == [1.5, -0.5]
         assert learner.rollout(0.2, 0) == []
 
-    def test_trained_learner_equals_chained_predict_calls(self, wind):
+    def test_trained_learner_equals_numpy_rollout(self, wind):
         run = run_online([wind], TileCoder(), gamma=0.0, alpha=0.3, trace_lambda=0.9,
                          freeze_after=24, norm_window=24)
         last = float(run.predictions[0].values[-1])
         assert np.array(run.learner.rollout(last, 26)).tobytes() == np.array(
-            chained_predict(run.learner, last, 26)).tobytes()
+            numpy_rollout(run.learner, last, 26)).tobytes()
 
-    def test_a_nan_estimate_raises_as_predict_does(self):
+    def test_a_nan_estimate_raises_where_numpy_rollout_does(self):
         # Below 0.5 the estimate is 0 + inf; clamped to 1 it reads -inf + inf, NaN.
         coder = TileCoder(n_tilings=1, tiles_per_dim=2, include_bias=True)
         learner = NextingLearner(coder, gamma=0.0, alpha=0.1, trace_lambda=0.9)
         learner._theta[0] = [0.0, -math.inf, math.inf]
         message = "inputs must lie in [0, 1], got [nan]"
         for value, steps in ((0.2, 5), (0.2, 2), (math.nan, 1), (0.7, 2)):
-            expected = rollout_outcome(chained_predict, learner, value, steps)
+            expected = rollout_outcome(numpy_rollout, learner, value, steps)
+            if isinstance(expected, str):  # tile_indices quotes its 2-D input
+                assert expected == "inputs must lie in [0, 1], got [[nan]]"
+                expected = message
             assert rollout_outcome(learner.rollout, value, steps) == expected
         assert rollout_outcome(learner.rollout, 0.2, 5) == message
         assert rollout_outcome(learner.rollout, math.nan, 1) == message
+
+    @pytest.mark.parametrize("value, clamped", [
+        (1.2, 1.0), (-1e-8, 0.0), (math.inf, 1.0), (-math.inf, 0.0)])
+    def test_clamps_what_tile_indices_refuses(self, wind, value, clamped):
+        run = run_online([wind], TileCoder(), gamma=0.0, alpha=0.3, trace_lambda=0.9)
+        with pytest.raises(ValueError, match=r"inputs must lie in \[0, 1\]"):
+            tile_indices([[value]], run.learner.coder)
+        assert np.array(run.learner.rollout(value, 5)).tobytes() == np.array(
+            run.learner.rollout(clamped, 5)).tobytes()
+
+    @pytest.mark.parametrize("n_tilings, include_bias",
+                             [(m, b) for s, m, b in CODER_SHAPES if s == 1])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_continues_the_frozen_stream(self, n_tilings, include_bias, gamma):
+        # Once frozen the weights stay, so each streamed prediction is the
+        # one-step rollout from that step's normalized input, bit for bit.
+        coder = TileCoder(n_tilings=n_tilings, tiles_per_dim=8, include_bias=include_bias)
+        y = np.random.default_rng(n_tilings).uniform(0.0, 1.0, 40)
+        y[:2] = 0.0, 1.0  # bounds 0 and 1: normalizing leaves every sample as it is
+        run = run_online([Series(y)], coder, gamma=gamma, alpha=0.7, trace_lambda=0.9,
+                         freeze_after=20)
+        preds = run.predictions[0].values
+        assert run.learner.theta.any()
+        for t in range(19, 40):  # steps 0..18 learn
+            assert np.array(run.learner.rollout(float(y[t]), 1)).tobytes() == (
+                preds[t:t + 1].tobytes()), t
 
     def test_needs_one_signal(self):
         learner = NextingLearner(TileCoder(n_signals=2), gamma=0.0, alpha=0.1, trace_lambda=0.9)
@@ -445,18 +422,6 @@ class TestNonFiniteTdError:
         with pytest.raises(ValueError) as err:
             run_online([wind], TileCoder(), gamma=0.0, alpha=1e300, trace_lambda=0.9)
         assert str(err.value) == DIVERGED
-
-    def test_update_is_not_applied(self):
-        learner = NextingLearner(TileCoder(n_signals=2), [0.0, 0.5], alpha=1e300,
-                                 trace_lambda=0.9)
-        learner.step([0.2, 0.2], [0.3, 0.3], [1.0, 1.0])
-        # gamma * trace_lambda is 0 for signal 0, so it keeps no trace.
-        assert learner._e[0] is None
-        theta, trace = learner.theta, np.array(learner._e[1])
-        with pytest.raises(ValueError, match="step 1 is"):
-            learner.step([0.3, 0.3], [0.4, 0.4], [1.0, 1.0])
-        assert learner.theta.tobytes() == theta.tobytes()
-        assert np.array(learner._e[1]).tobytes() == trace.tobytes()
 
     # Two signals at alpha 1e300, normalized over the whole stream. Once a
     # signal's weights have moved, its next move overflows: to -inf at gamma
@@ -485,17 +450,19 @@ class TestNonFiniteTdError:
             f"the TD update at step 1 is {move}, not finite: the weights diverge with "
             "alpha = 1e+300")
 
-    def test_a_step_with_one_diverging_signal_moves_no_signal(self):
+    def test_a_signal_with_a_trace_is_named(self):
+        # gamma * trace_lambda is 0 for signal 0, so it keeps no trace; it
+        # targets 0 and never moves. Signal 1 keeps one, and diverges.
+        assert self.diverge([0.0, 0, 0, 1], [0.0, 1, 0, 1], [0.0, 0.5]) == (
+            "the TD update at step 1 is -inf, not finite: the weights diverge with "
+            "alpha = 1e+300")
+
+    def test_finite_moves_of_one_signal_do_not_hide_another(self):
         # Signal 0 targets 0 and keeps finite moves, but its trace changes
-        # on every step; signal 1's second move is +inf.
-        learner = NextingLearner(TileCoder(n_signals=2), [0.9, 0.9], alpha=1e300,
-                                 trace_lambda=0.9)
-        learner.step([0.0, 0.0], [1.0, 1.0], [0.0, 1.0])
-        theta, traces = learner.theta, np.array(learner._e)
-        with pytest.raises(ValueError, match="step 1 is inf"):
-            learner.step([1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
-        assert learner.theta.tobytes() == theta.tobytes()
-        assert np.array(learner._e).tobytes() == traces.tobytes()
+        # on every step; signal 1 moves at step 1 and overflows at step 2.
+        assert self.diverge([0.0, 0, 0, 0, 1], [0.0, 0, 1, 0, 1], [0.9, 0.9]) == (
+            "the TD update at step 2 is inf, not finite: the weights diverge with "
+            "alpha = 1e+300")
 
     def test_compare_row_fails_with_the_message(self, wind):
         row, = compare(wind, [DIVERGING], Band(1.0, 3.0))
